@@ -15,12 +15,11 @@ import json
 import os
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
 from typing import Sequence
 
 import numpy as np
 
-from . import _kernels
+from . import _bfs
 from .errors import EmptyGraphError, TooFewNodesError
 from .graph import CoGraph
 
@@ -62,61 +61,64 @@ def degree_centrality(g: CoGraph) -> ScoreTable:
     return ScoreTable(scores, Measure.DEGREE)
 
 
-def _locality_layout(g: CoGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """CSR relabeled into BFS-forest order for cache locality.
-
-    Returns (indptr, indices, new_of_old); per-node results computed in the
-    relabeled space map back as ``scores_old = scores_new[new_of_old]``.
-    """
-    order = np.empty(g.n, np.int64)
-    _kernels.bfs_forest_order(g.indptr, g.indices, order)
-    new_of_old = np.empty(g.n, np.int64)
-    new_of_old[order] = np.arange(g.n)
-    indptr_out = np.empty(g.n + 1, np.int64)
-    indices_out = np.empty(len(g.indices), np.int32)
-    _kernels.permute_csr(g.indptr, g.indices, order, new_of_old, indptr_out, indices_out)
-    return _kernels.row_offsets(indptr_out), indices_out, new_of_old
-
-
 def betweenness_centrality(g: CoGraph, threads: int = 1) -> ScoreTable:
     """Normalized count of shortest paths between other pairs through a node.
 
-    Brandes accumulation per source on the unweighted graph; pairs in
-    different components contribute nothing. The raw ordered-pair sum is
-    divided by (g-1)(g-2).
+    Brandes accumulation on the unweighted graph, run level-synchronously
+    for a block of sources at a time; pairs in different components
+    contribute nothing. The raw ordered-pair sum is divided by (g-1)(g-2).
     """
     if g.n < 3:
         raise TooFewNodesError("betweenness centrality needs at least 3 nodes")
-    indptr, indices, new_of_old = _locality_layout(g)
-
-    def chunk_task(lo: int, hi: int) -> np.ndarray:
-        part = np.zeros(g.n, np.float64)
-        _kernels.brandes_chunk(indptr, indices, lo, hi, part)
-        return part
-
     raw = np.zeros(g.n, np.float64)
-    tasks = [partial(chunk_task, lo, hi) for lo, hi in _kernels.chunk_ranges(g.n)]
-    for part in _kernels.run_chunks(tasks, threads):
+    for part in _bfs.map_blocks(g, _brandes_block, np.arange(g.n), threads):
         raw += part
-    scores = raw[new_of_old] / float((g.n - 1) * (g.n - 2))
+    scores = raw / float((g.n - 1) * (g.n - 2))
     return ScoreTable(scores, Measure.BETWEENNESS, {"algorithm": "brandes", "pairs": "ordered"})
 
 
+def _brandes_block(adj, sources: np.ndarray) -> np.ndarray:
+    """Summed dependencies of every node on the given sources."""
+    n = adj.shape[0]
+    sigma = np.zeros((n, len(sources)), np.float64)
+    sigma[sources, np.arange(len(sources))] = 1.0
+    dist = np.zeros(sigma.shape, np.int32)
+    depth = 0
+    for depth, new, counts in _bfs.levels(adj, sources):
+        sigma += counts
+        dist[new] = depth
+    # dist stays 0 at the sources and at unreached nodes. Dependencies flow
+    # from level d to its predecessors at level d-1 and are never pushed to
+    # level 0, so neither ever gets a dependency.
+    delta = np.zeros(sigma.shape, np.float64)
+    for d in range(depth, 1, -1):
+        with np.errstate(divide="ignore"):  # sigma is 0 where unreached
+            coeff = np.where(dist == d, (1.0 + delta) / sigma, 0.0)
+        delta += np.where(dist == d - 1, sigma * (adj @ coeff), 0.0)
+    return delta.sum(axis=1)
+
+
 def closeness_centrality(g: CoGraph, threads: int = 1) -> ScoreTable:
-    """Inverse average BFS distance to reachable nodes, component-scaled."""
+    """Inverse average BFS distance to reachable nodes, component-scaled.
+
+    score(s) = (r / (g-1)) * (r / S) with r the nodes reachable from s and
+    S the sum of their distances; 0 when nothing is reachable.
+    """
     if g.n < 2:
         raise TooFewNodesError("closeness centrality needs at least 2 nodes")
-    indptr, indices, new_of_old = _locality_layout(g)
-    relabeled = np.zeros(g.n, np.float64)
+    blocks = _bfs.map_blocks(g, _closeness_block, np.arange(g.n), threads)
+    scores = np.concatenate(list(blocks))
+    return ScoreTable(scores, Measure.CLOSENESS, {"scaling": "component"})
 
-    def chunk_task(lo: int, hi: int) -> tuple[int, int]:
-        _kernels.closeness_chunk(indptr, indices, lo, hi, relabeled)
-        return lo, hi
 
-    tasks = [partial(chunk_task, lo, hi) for lo, hi in _kernels.chunk_ranges(g.n)]
-    for _ in _kernels.run_chunks(tasks, threads):
-        pass
-    return ScoreTable(relabeled[new_of_old], Measure.CLOSENESS, {"scaling": "component"})
+def _closeness_block(adj, sources: np.ndarray) -> np.ndarray:
+    counts = _bfs.reach_counts(adj, sources)
+    reached = counts.sum(axis=0)
+    total = np.arange(len(counts)) @ counts
+    n = adj.shape[0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scores = (reached / (n - 1.0)) * (reached / total)
+    return np.where(reached > 0, scores, 0.0)
 
 
 def eigenvector_centrality(
@@ -135,22 +137,24 @@ def eigenvector_centrality(
         raise TooFewNodesError("eigenvector centrality needs at least 2 nodes")
     if g.edge_count == 0:
         raise EmptyGraphError("eigenvector centrality needs at least one edge")
+    rows = np.repeat(np.arange(g.n), g.degrees())
+
+    def shifted(x: np.ndarray) -> np.ndarray:
+        """(A + I) x on the binary adjacency."""
+        return x + np.bincount(rows, weights=x[g.indices], minlength=g.n)
+
     x = np.full(g.n, 1.0 / np.sqrt(g.n))
-    y = np.empty_like(x)
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        _kernels.matvec_shifted(g.indptr, g.indices, x, y)
-        norm = float(np.linalg.norm(y))
-        y /= norm
-        if float(np.linalg.norm(y - x)) < tol:
-            x, y = y, x
-            converged = True
+        y = shifted(x)
+        y /= float(np.linalg.norm(y))
+        converged = float(np.linalg.norm(y - x)) < tol
+        x = y
+        if converged:
             break
-        x, y = y, x
     # Rayleigh quotient of the unshifted adjacency at the final iterate.
-    _kernels.matvec_shifted(g.indptr, g.indices, x, y)
-    lam = float(x @ y) - 1.0
+    lam = float(x @ shifted(x)) - 1.0
     return ScoreTable(
         x,
         Measure.EIGENVECTOR,

@@ -92,6 +92,8 @@ def load_config_file(path: str) -> dict:
                     out[key] = int(value)
                 except ValueError:
                     raise UsageError(f"{path}:{lineno}: {key} must be an integer") from None
+                if key == "threads" and out[key] < 0:
+                    raise UsageError(f"{path}:{lineno}: threads must be >= 0 (0 = all cores)")
             elif key in RunConfig._BOOL_FIELDS:
                 if value.lower() not in {"true", "false", "yes", "no", "1", "0"}:
                     raise UsageError(f"{path}:{lineno}: {key} must be a boolean")
@@ -493,8 +495,25 @@ def cmd_export(cfg: RunConfig, args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as one stderr line (exit 2), no usage dump."""
+
+    def error(self, message: str):
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _thread_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0 (0 = all cores), got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="castnet",
         description="Actor collaboration network analytics over movie/OTT catalogs.",
     )
@@ -504,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="key = value config file")
         p.add_argument("--out", help="output directory (default: out)")
         p.add_argument("--seed", type=int, help="RNG seed (default: 42)")
-        p.add_argument("--threads", type=int, help="worker threads, 0 = auto (default: 1)")
+        p.add_argument("--threads", type=_thread_count, help="worker threads, 0 = auto (default: 1)")
 
     p = sub.add_parser("ingest", help="parse a raw catalog into records.jsonl")
     common(p)

@@ -5,12 +5,11 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass
-from functools import partial
 from typing import Union
 
 import numpy as np
 
-from . import _kernels
+from . import _bfs
 from .graph import CoGraph
 
 
@@ -59,8 +58,7 @@ def shortest_path(g: CoGraph, a: str, b: str) -> PathResult:
     dst = g.node(b)
     if src == dst:
         return AnnotatedPath(())
-    dist = np.empty(g.n, np.int32)
-    _kernels.bfs_distances(g.indptr, g.indices, dst, dist)
+    dist = _distances_until(g, dst, src)
     if dist[src] < 0:
         return Unreachable(a, b)
     hops: list[Hop] = []
@@ -75,6 +73,24 @@ def shortest_path(g: CoGraph, a: str, b: str) -> PathResult:
         hops.append(Hop(g.labels[cur], g.labels[best], g.titles_for_edge(cur, best)))
         cur = best
     return AnnotatedPath(tuple(hops))
+
+
+def _distances_until(g: CoGraph, source: int, target: int) -> np.ndarray:
+    """Hop counts from ``source`` (-1 = not reached), by frontier BFS.
+
+    Stops after the level that reaches ``target``, so every node closer to
+    ``source`` than ``target`` has its distance set.
+    """
+    dist = np.full(g.n, -1, np.int64)
+    dist[source] = 0
+    frontier = np.array([source])
+    level = 0
+    while len(frontier) and dist[target] < 0:
+        level += 1
+        reached = _bfs.gather_neighbors(g.indptr, g.indices, frontier)
+        frontier = np.unique(reached[dist[reached] < 0])
+        dist[frontier] = level
+    return dist
 
 
 def render_path(result: PathResult) -> str:
@@ -124,22 +140,15 @@ def distance_histogram(
     k = min(sample_sources, g.n)
     rng = random.Random(seed)
     sources = np.array(sorted(rng.sample(range(g.n), k)), dtype=np.int64)
-
-    def chunk_task(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        hist = np.zeros(g.n if g.n > 1 else 2, np.int64)
-        unreachable = np.zeros(1, np.int64)
-        _kernels.histogram_chunk(g.indptr, g.indices, sources[lo:hi], hist, unreachable)
-        return hist, unreachable
-
-    ranges = _kernels.chunk_ranges(len(sources))
-    total_hist = np.zeros(g.n if g.n > 1 else 2, np.int64)
-    total_unreachable = 0
-    tasks = [partial(chunk_task, lo, hi) for lo, hi in ranges]
-    for hist, unreachable in _kernels.run_chunks(tasks, threads):
-        total_hist += hist
-        total_unreachable += int(unreachable[0])
-    counts = {int(d): int(c) for d, c in enumerate(total_hist) if c > 0}
-    return DistanceHistogram(counts, total_unreachable, k, seed)
+    counts: dict[int, int] = {}
+    reached = 0
+    for block in _bfs.map_blocks(g, _bfs.reach_counts, sources, threads):
+        for d, c in enumerate(block.sum(axis=1).tolist()):
+            if c > 0:
+                counts[d] = counts.get(d, 0) + c
+                reached += c
+    unreachable = k * (g.n - 1) - reached
+    return DistanceHistogram(dict(sorted(counts.items())), unreachable, k, seed)
 
 
 def top_partnerships(g: CoGraph, k: int) -> list[tuple[str, str, int]]:

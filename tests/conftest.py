@@ -8,14 +8,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # makes `oracles` importable
 
-from castnet import _kernels
 from castnet.graph import CoGraph
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    """Pay the one-time JIT cost before any timed test runs."""
-    _kernels.warmup()
 
 
 def make_graph(n: int, edges, weights=None) -> CoGraph:

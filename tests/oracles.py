@@ -1,15 +1,17 @@
 """Independent brute-force oracles used to check the fast implementations.
 
 Everything here deliberately avoids the production code paths: distances
-come from Floyd-Warshall, betweenness from explicit path counting over the
-distance matrix (not Brandes accumulation), closeness straight from the
-distance matrix, eigenvector from a dense power method, link indices from
-Python set arithmetic, and modularity from exact rational arithmetic.
+come from Floyd-Warshall or a queue BFS, betweenness from explicit path
+counting over the distance matrix (not Brandes accumulation), closeness
+straight from the distance matrix, eigenvector from a dense power method,
+link indices from Python set arithmetic, and modularity from exact rational
+arithmetic.
 """
 
 from __future__ import annotations
 
 import random
+from collections import deque
 from fractions import Fraction
 from itertools import combinations
 
@@ -36,6 +38,21 @@ def floyd_warshall(n: int, edges) -> np.ndarray:
         dist[v, u] = 1.0
     for k in range(n):
         dist = np.minimum(dist, dist[:, k, None] + dist[None, k, :])
+    return dist
+
+
+def bfs_distances(n: int, edges, source: int) -> np.ndarray:
+    """Hop counts from ``source`` (-1 = unreachable) by a plain queue BFS."""
+    neigh = adj_sets(n, edges)
+    dist = np.full(n, -1, np.int64)
+    dist[source] = 0
+    queue = deque([source])
+    while queue:
+        v = queue.popleft()
+        for w in neigh[v]:
+            if dist[w] < 0:
+                dist[w] = dist[v] + 1
+                queue.append(w)
     return dist
 
 

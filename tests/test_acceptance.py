@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 import oracles
-from castnet import _kernels, cli
+from castnet import _bfs, cli
 from castnet.centrality import (
     betweenness_centrality,
     closeness_centrality,
@@ -85,7 +85,6 @@ def test_oracle_equivalence_200_random_graphs():
     with criterion("oracle equivalence: 200 random graphs, g <= 50, < 30 s"):
         rng = random.Random(20250809)
         started = time.perf_counter()
-        scratch = None
         for _ in range(200):
             n = rng.randint(4, 50)
             edges = oracles.random_graph(rng, n, rng.uniform(0.04, 0.5))
@@ -94,15 +93,17 @@ def test_oracle_equivalence_200_random_graphs():
             for u, v in edges:
                 adj[u, v] = adj[v, u] = 1.0
 
-            # pairwise distances: BFS kernel vs Floyd-Warshall
+            # pairwise distances: level-synchronous BFS from every source at
+            # once vs Floyd-Warshall and a queue BFS
             fw = oracles.floyd_warshall(n, edges)
-            expected = np.where(np.isinf(fw), -1, fw).astype(np.int32)
-            if scratch is None or len(scratch) < n:
-                scratch = np.empty(n, np.int32)
-            dist = scratch[:n]
+            expected = np.where(np.isinf(fw), -1, fw).astype(np.int64)
+            dist = np.full((n, n), -1, np.int64)
+            np.fill_diagonal(dist, 0)
+            for level, new, _ in _bfs.levels(_bfs.adjacency(g), np.arange(n)):
+                dist[new.T] = level
+            assert np.array_equal(dist, expected)
             for s in range(n):
-                _kernels.bfs_distances(g.indptr, g.indices, s, dist)
-                assert np.array_equal(dist, expected[s])
+                assert np.array_equal(oracles.bfs_distances(n, edges, s), expected[s])
 
             # four centralities
             assert np.allclose(

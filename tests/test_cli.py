@@ -219,6 +219,30 @@ class TestExitCodes:
     def test_usage_error_missing_required(self, tmp_path):
         assert run("build", "--out", str(tmp_path)) == 2
 
+    def test_negative_threads_rejected_at_parser(self, pipeline_dir, tmp_path, capsys):
+        capsys.readouterr()  # drop the fixture's own diagnostics
+        with pytest.raises(SystemExit) as err:
+            run("centrality", "closeness", "--threads", "-1",
+                "--graph", str(pipeline_dir / "graph.bin"), "--out", str(tmp_path))
+        assert err.value.code == 2
+        stderr = capsys.readouterr().err
+        assert len(stderr.splitlines()) == 1 and "--threads" in stderr
+        assert not (tmp_path / "centrality_closeness.csv").exists()
+
+    def test_negative_threads_rejected_in_config(self, pipeline_dir, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text("threads = -1\n", encoding="utf-8")
+        capsys.readouterr()
+        code = run("centrality", "closeness", "--config", str(conf),
+                   "--graph", str(pipeline_dir / "graph.bin"), "--out", str(tmp_path))
+        assert code == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
+    def test_zero_threads_means_all_cores(self, pipeline_dir, tmp_path):
+        assert run("centrality", "closeness", "--threads", "0",
+                   "--graph", str(pipeline_dir / "graph.bin"), "--out", str(tmp_path)) == 0
+        assert (tmp_path / "centrality_closeness.csv").exists()
+
     def test_data_error_missing_file(self, tmp_path):
         code = run("ingest", "--source", "netflix", "--input",
                    str(tmp_path / "nope.csv"), "--out", str(tmp_path))

@@ -86,9 +86,15 @@ class TestShortestPath:
                 assert isinstance(result, Unreachable)
             else:
                 assert result.length == dist[u, v]
-                nodes = [g.node(name) for name in result.nodes()]
-                for a, b in zip(nodes, nodes[1:]):
-                    assert b in adj[a]  # every hop is a real edge
+                # the lexicographically smallest shortest path, picked
+                # greedily on Floyd-Warshall distances
+                expected = [u]
+                while expected[-1] != v:
+                    cur = expected[-1]
+                    closer = [w for w in adj[cur] if dist[w, v] == dist[cur, v] - 1]
+                    expected.append(min(closer, key=g.labels.__getitem__))
+                if u != v:  # a zero-length path lists no nodes
+                    assert [g.node(name) for name in result.nodes()] == expected
 
     @pytest.mark.parametrize("seed", range(4))
     def test_symmetry_of_distance(self, seed):
@@ -117,6 +123,14 @@ class TestDistanceHistogram:
         hist = distance_histogram(g, sample_sources=4, seed=1)
         assert hist.counts == {1: 4}
         assert hist.unreachable_pairs == 8
+
+    def test_sampled_sources_count_unreachable(self):
+        # whichever two sources the seed picks, each reaches one node at
+        # distance 1 and misses the two nodes of the other component
+        g = make_graph(4, [(0, 1), (2, 3)])
+        hist = distance_histogram(g, sample_sources=2, seed=3)
+        assert hist.counts == {1: 2}
+        assert hist.unreachable_pairs == 4
 
     def test_p4_full_sample(self):
         g = make_graph(4, [(0, 1), (1, 2), (2, 3)])

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -61,10 +62,8 @@ class RunConfig:
     year_max: int | None = None
     min_cast: int = 0
     max_cast: int = DEFAULT_MAX_CAST
-    titles: bool = True
 
     _INT_FIELDS = {"seed", "threads", "year_min", "year_max", "min_cast", "max_cast"}
-    _BOOL_FIELDS = {"titles"}
 
 
 class UsageError(Exception):
@@ -94,10 +93,6 @@ def load_config_file(path: str) -> dict:
                     raise UsageError(f"{path}:{lineno}: {key} must be an integer") from None
                 if key == "threads" and out[key] < 0:
                     raise UsageError(f"{path}:{lineno}: threads must be >= 0 (0 = all cores)")
-            elif key in RunConfig._BOOL_FIELDS:
-                if value.lower() not in {"true", "false", "yes", "no", "1", "0"}:
-                    raise UsageError(f"{path}:{lineno}: {key} must be a boolean")
-                out[key] = value.lower() in {"true", "yes", "1"}
             else:
                 out[key] = value
     return out
@@ -215,7 +210,7 @@ def cmd_build(cfg: RunConfig, args: argparse.Namespace) -> int:
     if cfg.persons:
         names = person_name_map(read_persons_jsonl(cfg.persons))
     store = build_bipartite(records, names=names, **_build_filters(cfg))
-    graph = project(store, keep_titles=cfg.titles)
+    graph = project(store)
     cache_path = os.path.join(cfg.out, "graph.bin")
     graphio.save_cache(cache_path, graph)
     _write_report(
@@ -391,11 +386,7 @@ def cmd_clusters(cfg: RunConfig, args: argparse.Namespace) -> int:
     os.makedirs(cfg.out, exist_ok=True)
     g = _load_graph(cfg)
     part = community_mod.louvain(g, seed=cfg.seed)
-    overrides = None
-    if args.labels:
-        with open(args.labels, "r", encoding="utf-8") as fh:
-            overrides = {int(k): str(v) for k, v in json.load(fh).items()}
-    cg = community_mod.build_cluster_graph(g, part, overrides=overrides)
+    cg = community_mod.build_cluster_graph(g, part, overrides=args.labels)
     cg = community_mod.filter_interactions(cg, args.tau)
     json_path = os.path.join(cfg.out, "clusters.json")
     dot_path = os.path.join(cfg.out, "clusters.dot")
@@ -502,14 +493,35 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _thread_count(text: str) -> int:
+def _checked(convert, expected: str, ok):
+    """An argparse ``type``: ``convert(text)``, rejected unless ``ok`` accepts it."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+            valid = ok(value)
+        except ValueError:
+            valid = False
+        if not valid:
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+
+    return parse
+
+
+_thread_count = _checked(int, "an integer >= 0 (0 = all cores)", lambda v: v >= 0)
+_positive_int = _checked(int, "an integer >= 1", lambda v: v >= 1)
+_tau = _checked(float, "a number in (0, 1]", lambda v: 0 < v <= 1)
+_resolution = _checked(float, "a finite number > 0", lambda v: 0 < v < math.inf)
+
+
+def _label_overrides(path: str) -> dict[int, str]:
+    """``--labels``: a JSON file holding an object of community id -> label."""
     try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0 (0 = all cores), got {value}")
-    return value
+        with open(path, "r", encoding="utf-8") as fh:
+            return {int(k): str(v) for k, v in json.load(fh).items()}
+    except (OSError, ValueError, AttributeError):
+        raise argparse.ArgumentTypeError(f"{path!r} is not a JSON object of id -> label") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -544,19 +556,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--year-max", dest="year_max", type=int)
     p.add_argument("--min-cast", dest="min_cast", type=int)
     p.add_argument("--max-cast", dest="max_cast", type=int)
-    p.add_argument(
-        "--no-titles",
-        dest="titles",
-        action="store_false",
-        default=None,
-        help="skip per-edge title lists (smaller cache, no path annotations)",
-    )
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("stats", help="catalog summary and per-figure CSVs")
     common(p)
     p.add_argument("--records")
-    p.add_argument("--top", type=int, default=5)
+    p.add_argument("--top", type=_positive_int, default=5)
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("centrality", help="compute one centrality measure")
@@ -574,14 +579,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("partners", help="top co-acting partnerships by shared titles")
     common(p)
-    p.add_argument("--top", type=int, required=True)
+    p.add_argument("--top", type=_positive_int, required=True)
     p.add_argument("--graph")
     p.set_defaults(func=cmd_partners)
 
     p = sub.add_parser("predict", help="rank candidate future collaborations")
     common(p)
     p.add_argument("method", choices=[m.value for m in linkpred.Method])
-    p.add_argument("--top", type=int, required=True)
+    p.add_argument("--top", type=_positive_int, required=True)
     p.add_argument("--min-common", dest="min_common", type=int, default=1)
     p.add_argument("--allow-zero-common", action="store_true")
     p.add_argument("--cap", type=int, default=linkpred.DEFAULT_CANDIDATE_CAP)
@@ -590,14 +595,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("communities", help="Louvain community detection")
     common(p)
-    p.add_argument("--resolution", type=float, default=1.0)
+    p.add_argument("--resolution", type=_resolution, default=1.0)
     p.add_argument("--graph")
     p.set_defaults(func=cmd_communities)
 
     p = sub.add_parser("clusters", help="threshold-filtered cluster meta-graph")
     common(p)
-    p.add_argument("--tau", type=float, required=True)
-    p.add_argument("--labels", help="JSON file: community id -> label override")
+    p.add_argument("--tau", type=_tau, required=True)
+    p.add_argument("--labels", type=_label_overrides, help="JSON file: community id -> label")
     p.add_argument("--graph")
     p.set_defaults(func=cmd_clusters)
 

@@ -9,7 +9,8 @@ outputs downstream report names, never indices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -99,16 +100,15 @@ def build_bipartite(
         store.title_index[rec.title_id] = tidx
         store.title_ids.append(rec.title_id)
         store.title_names.append(rec.title)
-        members: list[int] = []
+        members: set[int] = set()
         for key in rec.cast:
             pidx = store.person_index.get(key)
             if pidx is None:
                 pidx = len(store.person_keys)
                 store.person_index[key] = pidx
                 store.person_keys.append(key)
-            members.append(pidx)
-        members.sort()
-        store.incidence.append(members)
+            members.add(pidx)
+        store.incidence.append(sorted(members))
         store.title_meta.append(
             TitleMeta(
                 year=rec.release_year,
@@ -143,7 +143,10 @@ class CoGraph:
 
     Edge weight counts shared titles. Neighbor arrays are sorted by index;
     there are no self-loops and all weights are >= 1. ``total_edge_weight``
-    sums weights over undirected edges (each edge once).
+    sums weights over undirected edges (each edge once). A projected graph
+    keeps the title x person incidence it came from: title ``t`` has the cast
+    ``title_members[title_ptr[t]:title_ptr[t + 1]]``. Graphs built from an
+    edge list have no titles.
     """
 
     labels: list[str]
@@ -151,8 +154,9 @@ class CoGraph:
     indices: np.ndarray  # int32, sorted within each row
     weights: np.ndarray  # int64, parallel to indices
     total_edge_weight: int
-    edge_titles: dict[tuple[int, int], tuple[int, ...]] | None = None
-    title_names: list[str] | None = None
+    title_names: list[str] = field(default_factory=list)
+    title_ptr: np.ndarray = field(default_factory=lambda: np.zeros(1, np.int64))  # len titles+1
+    title_members: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int32))  # sorted per title
     node_country: list[str | None] | None = None
     _label_index: dict[str, int] = field(default_factory=dict, repr=False)
 
@@ -208,12 +212,14 @@ class CoGraph:
         return name in self._label_index
 
     def titles_for_edge(self, u: int, v: int) -> tuple[str, ...]:
-        """Names of titles connecting an adjacent pair, sorted by name."""
-        if self.edge_titles is None or self.title_names is None:
-            return ()
-        key = (u, v) if u < v else (v, u)
-        ids = self.edge_titles.get(key, ())
-        return tuple(sorted(self.title_names[t] for t in ids))
+        """Names of the titles whose cast holds both actors, sorted by name."""
+
+        def titles_of(p: int) -> np.ndarray:
+            slots = np.flatnonzero(self.title_members == p)
+            return np.searchsorted(self.title_ptr, slots, side="right") - 1
+
+        shared = np.intersect1d(titles_of(u), titles_of(v))
+        return tuple(sorted(self.title_names[t] for t in shared.tolist()))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CoGraph):
@@ -224,18 +230,17 @@ class CoGraph:
             and np.array_equal(self.indices, other.indices)
             and np.array_equal(self.weights, other.weights)
             and self.total_edge_weight == other.total_edge_weight
-            and self.edge_titles == other.edge_titles
             and self.title_names == other.title_names
+            and np.array_equal(self.title_ptr, other.title_ptr)
+            and np.array_equal(self.title_members, other.title_members)
             and self.node_country == other.node_country
         )
 
-    def edges(self) -> Iterable[tuple[int, int, int]]:
-        """Yield each undirected edge once as (u, v, weight) with u < v."""
-        for u in range(self.n):
-            for pos in range(int(self.indptr[u]), int(self.indptr[u + 1])):
-                v = int(self.indices[pos])
-                if u < v:
-                    yield u, v, int(self.weights[pos])
+    def edges(self) -> Iterator[tuple[int, int, int]]:
+        """Each undirected edge once as (u, v, weight) with u < v, in row order."""
+        rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
+        upper = rows < self.indices
+        return zip(rows[upper].tolist(), self.indices[upper].tolist(), self.weights[upper].tolist())
 
     @classmethod
     def from_weighted_edges(
@@ -243,92 +248,76 @@ class CoGraph:
         labels: Sequence[str],
         edges: Iterable[tuple[int, int, int]],
         *,
-        edge_titles: dict[tuple[int, int], tuple[int, ...]] | None = None,
-        title_names: Sequence[str] | None = None,
         node_country: Sequence[str | None] | None = None,
     ) -> "CoGraph":
-        """Build a graph directly from an undirected weighted edge list."""
+        """Build a graph from an undirected weighted edge list; repeated edges sum."""
         n = len(labels)
-        pair_w: dict[tuple[int, int], int] = {}
-        for u, v, w in edges:
-            if u == v:
-                raise ValueError("self-loops are not allowed")
-            if not (0 <= u < n and 0 <= v < n):
-                raise NodeOutOfRangeError(f"edge ({u},{v}) outside [0,{n})")
-            if w < 1:
-                raise ValueError("edge weights must be >= 1")
-            key = (u, v) if u < v else (v, u)
-            pair_w[key] = pair_w.get(key, 0) + int(w)
-        return _from_pairs(
-            cls,
+        u, v, w = np.array(list(edges), dtype=np.int64).reshape(-1, 3).T
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        if np.any(lo == hi):
+            raise ValueError("self-loops are not allowed")
+        bad = np.flatnonzero((lo < 0) | (hi >= n))
+        if bad.size:
+            raise NodeOutOfRangeError(f"edge ({u[bad[0]]},{v[bad[0]]}) outside [0,{n})")
+        if np.any(w < 1):
+            raise ValueError("edge weights must be >= 1")
+        keys, inverse = np.unique(lo * n + hi, return_inverse=True)
+        weights = np.zeros(len(keys), np.int64)
+        np.add.at(weights, inverse, w)
+        return cls._from_upper(
             list(labels),
-            pair_w,
-            edge_titles=edge_titles,
-            title_names=list(title_names) if title_names is not None else None,
+            keys,
+            weights,
             node_country=list(node_country) if node_country is not None else None,
         )
 
-
-def _from_pairs(cls, labels, pair_w, *, edge_titles=None, title_names=None, node_country=None):
-    n = len(labels)
-    pairs = sorted(pair_w.items())
-    nnz = 2 * len(pairs)
-    deg = np.zeros(n + 1, dtype=np.int64)
-    for (u, v), _ in pairs:
-        deg[u + 1] += 1
-        deg[v + 1] += 1
-    indptr = np.cumsum(deg)
-    indices = np.empty(nnz, dtype=np.int32)
-    weights = np.empty(nnz, dtype=np.int64)
-    cursor = indptr[:-1].copy()
-    for (u, v), w in pairs:
-        indices[cursor[u]] = v
-        weights[cursor[u]] = w
-        cursor[u] += 1
-        indices[cursor[v]] = u
-        weights[cursor[v]] = w
-        cursor[v] += 1
-    return cls(
-        labels=labels,
-        indptr=indptr,
-        indices=indices,
-        weights=weights,
-        total_edge_weight=int(sum(pair_w.values())),
-        edge_titles=edge_titles,
-        title_names=title_names,
-        node_country=node_country,
-    )
+    @classmethod
+    def _from_upper(cls, labels: list[str], keys: np.ndarray, weights: np.ndarray, **extra) -> "CoGraph":
+        """Symmetric CSR from sorted, unique upper-triangle keys ``u * n + v`` (u < v)."""
+        n = len(labels)
+        u, v = np.divmod(keys, max(n, 1))
+        rows, cols = np.concatenate([u, v]), np.concatenate([v, u])
+        order = np.lexsort((cols, rows))
+        indptr = np.zeros(n + 1, np.int64)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        return cls(
+            labels=labels,
+            indptr=indptr,
+            indices=cols[order].astype(np.int32),
+            weights=np.concatenate([weights, weights])[order],
+            total_edge_weight=int(weights.sum()),
+            **extra,
+        )
 
 
-def project(store: BipartiteStore, keep_titles: bool = False) -> CoGraph:
+def project(store: BipartiteStore) -> CoGraph:
     """Project the bipartite store onto actors.
 
     Edge (u, v) has weight = number of titles whose cast contains both.
-    Isolated persons (solo casts) remain as degree-0 nodes. With
-    ``keep_titles`` every edge also records the connecting title indices.
+    Isolated persons (solo casts) remain as degree-0 nodes. The graph keeps
+    the store's incidence, which names the titles linking two actors.
     """
-    pair_w: dict[tuple[int, int], int] = {}
-    edge_titles: dict[tuple[int, int], list[int]] | None = {} if keep_titles else None
-    for tidx, members in enumerate(store.incidence):
-        k = len(members)
-        for i in range(k):
-            u = members[i]
-            for j in range(i + 1, k):
-                key = (u, members[j])
-                pair_w[key] = pair_w.get(key, 0) + 1
-                if edge_titles is not None:
-                    edge_titles.setdefault(key, []).append(tidx)
-    graph = _from_pairs(
-        CoGraph,
+    n = store.n_persons
+    sizes = np.array([len(m) for m in store.incidence], np.int64)
+    title_ptr = np.zeros(len(sizes) + 1, np.int64)
+    np.cumsum(sizes, out=title_ptr[1:])
+    members = np.fromiter(chain.from_iterable(store.incidence), np.int64, int(title_ptr[-1]))
+    # Every within-title pair u < v: the member in slot p pairs with the
+    # ``after[p]`` members that follow it in its title's sorted cast.
+    slot = np.arange(len(members))
+    after = np.repeat(title_ptr[1:], sizes) - slot - 1
+    run_start = np.cumsum(after) - after
+    partner = np.arange(int(after.sum())) - np.repeat(run_start - slot - 1, after)
+    keys, counts = np.unique(np.repeat(members, after) * n + members[partner], return_counts=True)
+    return CoGraph._from_upper(
         list(store.person_labels),
-        pair_w,
-        edge_titles=(
-            {k: tuple(v) for k, v in edge_titles.items()} if edge_titles is not None else None
-        ),
+        keys,
+        counts,
         title_names=list(store.title_names),
+        title_ptr=title_ptr,
+        title_members=members.astype(np.int32),
         node_country=_plurality_countries(store),
     )
-    return graph
 
 
 def _plurality_countries(store: BipartiteStore) -> list[str | None]:

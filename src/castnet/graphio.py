@@ -2,11 +2,13 @@
 
 The cache is a little-endian versioned container so analyses can reload a
 built graph without re-parsing the raw dumps; see ``docs/cache-format.md``
-for the byte layout. The loader rejects unknown magic or versions.
+for the byte layout. The loader rejects unknown magic or versions and any
+file whose arrays break the graph's invariants.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
@@ -22,11 +24,9 @@ from .errors import CacheFormatError
 from .graph import CoGraph
 
 CACHE_MAGIC = b"CASTNETG"
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
-_FLAG_EDGE_TITLES = 1
-_FLAG_NODE_COUNTRY = 2
-_FLAG_TITLE_NAMES = 4
+_FLAG_NODE_COUNTRY = 1
 
 
 def _dot_quote(text: str) -> str:
@@ -72,104 +72,146 @@ def write_graphml(path: str | os.PathLike, g: CoGraph) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _write_str(fh, text: str) -> None:
-    data = text.encode("utf-8")
-    fh.write(struct.pack("<I", len(data)))
-    fh.write(data)
+def _strings(texts) -> bytes:
+    """String table: ``u32`` byte length per string, then the UTF-8 bytes."""
+    data = [text.encode("utf-8") for text in texts]
+    return np.array([len(d) for d in data], "<u4").tobytes() + b"".join(data)
 
 
-def _read_str(fh) -> str:
-    (length,) = struct.unpack("<I", _read_exact(fh, 4))
-    return _read_exact(fh, length).decode("utf-8")
-
-
-def _read_exact(fh, size: int) -> bytes:
-    data = fh.read(size)
-    if len(data) != size:
-        raise CacheFormatError("truncated cache file")
-    return data
+def _sections(g: CoGraph):
+    flags = _FLAG_NODE_COUNTRY if g.node_country is not None else 0
+    counts = (g.n, len(g.indices), g.total_edge_weight, len(g.title_names), len(g.title_members))
+    yield CACHE_MAGIC + struct.pack("<II5Q", CACHE_VERSION, flags, *counts)
+    yield _strings(g.labels)
+    yield g.indptr.astype("<i8").tobytes()
+    yield g.indices.astype("<i4").tobytes()
+    yield g.weights.astype("<i8").tobytes()
+    yield _strings(g.title_names)
+    yield g.title_ptr.astype("<i8").tobytes()
+    yield g.title_members.astype("<i4").tobytes()
+    if g.node_country is not None:
+        names = sorted({c for c in g.node_country if c is not None})
+        slot = {name: i for i, name in enumerate(names)}
+        yield struct.pack("<Q", len(names)) + _strings(names)
+        yield np.array([-1 if c is None else slot[c] for c in g.node_country], "<i4").tobytes()
 
 
 def save_cache(path: str | os.PathLike, g: CoGraph) -> None:
-    flags = 0
-    if g.edge_titles is not None:
-        flags |= _FLAG_EDGE_TITLES
-    if g.node_country is not None:
-        flags |= _FLAG_NODE_COUNTRY
-    if g.title_names is not None:
-        flags |= _FLAG_TITLE_NAMES
-    with open(path, "wb") as fh:
-        fh.write(CACHE_MAGIC)
-        fh.write(struct.pack("<II", CACHE_VERSION, flags))
-        fh.write(struct.pack("<QQQ", g.n, len(g.indices), g.total_edge_weight))
-        for label in g.labels:
-            _write_str(fh, label)
-        fh.write(g.indptr.astype("<i8").tobytes())
-        fh.write(g.indices.astype("<i4").tobytes())
-        fh.write(g.weights.astype("<i8").tobytes())
-        if g.title_names is not None:
-            fh.write(struct.pack("<Q", len(g.title_names)))
-            for name in g.title_names:
-                _write_str(fh, name)
-        if g.node_country is not None:
-            for country in g.node_country:
-                if country is None:
-                    fh.write(struct.pack("<I", 0xFFFFFFFF))
-                else:
-                    _write_str(fh, country)
-        if g.edge_titles is not None:
-            fh.write(struct.pack("<Q", len(g.edge_titles)))
-            for (u, v), titles in sorted(g.edge_titles.items()):
-                fh.write(struct.pack("<III", u, v, len(titles)))
-                fh.write(struct.pack(f"<{len(titles)}I", *titles))
+    """Write the cache atomically: ``path`` holds the old file or the whole new one."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            for section in _sections(g):
+                fh.write(section)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
+class _Reader:
+    """Cursor over the cache bytes; reading past the end is a format error."""
+
+    def __init__(self, data: bytes):
+        self.data = data
+        self.pos = 0
+
+    def take(self, size: int) -> bytes:
+        if size > len(self.data) - self.pos:
+            raise CacheFormatError("truncated cache file")
+        self.pos += size
+        return self.data[self.pos - size : self.pos]
+
+    def array(self, dtype: str, count: int) -> np.ndarray:
+        """``count`` little-endian items, as a native-endian copy."""
+        raw = np.frombuffer(self.take(np.dtype(dtype).itemsize * count), dtype)
+        return raw.astype(raw.dtype.newbyteorder("="))
+
+    def strings(self, count: int) -> list[str]:
+        lengths = self.array("<u4", count).astype(np.int64)
+        ends = np.cumsum(lengths)
+        starts = ends - lengths
+        blob = self.take(int(ends[-1]) if count else 0)
+        try:
+            return [blob[a:b].decode("utf-8") for a, b in zip(starts.tolist(), ends.tolist())]
+        except UnicodeDecodeError:
+            raise CacheFormatError("cache string is not UTF-8") from None
+
+
+def _rows(what: str, ptr: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """Row id of every value, after checking ``ptr`` offsets ``values`` into rows
+    of strictly increasing ids in ``[0, n)``."""
+    if ptr[0] != 0 or ptr[-1] != len(values) or np.any(np.diff(ptr) < 0):
+        raise CacheFormatError(f"{what} offsets are not monotone from 0 to {len(values)}")
+    if len(values) and (values.min() < 0 or values.max() >= n):
+        raise CacheFormatError(f"{what} id outside [0, {n})")
+    rows = np.repeat(np.arange(len(ptr) - 1), np.diff(ptr))
+    if np.any(np.diff(values)[rows[1:] == rows[:-1]] <= 0):
+        raise CacheFormatError(f"{what} ids not strictly increasing within a row")
+    return rows
+
+
+def _check_adjacency(n: int, total: int, indptr, indices, weights) -> None:
+    rows = _rows("adjacency", indptr, indices, n)
+    if np.any(rows == indices):
+        raise CacheFormatError("self-loop in adjacency")
+    if np.any(weights < 1):
+        raise CacheFormatError("edge weight below 1")
+    # Rows are sorted and strictly increasing, so the keys are sorted; the
+    # transpose holds the same keys and weights exactly when A is symmetric.
+    keys = rows * n + indices
+    transposed = indices.astype(np.int64) * n + rows
+    order = np.argsort(transposed)
+    if not (np.array_equal(transposed[order], keys) and np.array_equal(weights[order], weights)):
+        raise CacheFormatError("adjacency is not symmetric with equal weights")
+    if int(weights.sum()) // 2 != total:
+        raise CacheFormatError("total_edge_weight disagrees with the edge weights")
 
 
 def load_cache(path: str | os.PathLike) -> CoGraph:
+    """Read a cache written by :func:`save_cache`, rejecting any file that is
+    truncated, carries trailing bytes or breaks a CSR or incidence invariant."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(CACHE_MAGIC))
-        if magic != CACHE_MAGIC:
-            raise CacheFormatError("not a graph cache file")
-        version, flags = struct.unpack("<II", _read_exact(fh, 8))
-        if version != CACHE_VERSION:
-            raise CacheFormatError(
-                f"cache version {version} unsupported (expected {CACHE_VERSION}); rebuild"
-            )
-        n, nnz, total = struct.unpack("<QQQ", _read_exact(fh, 24))
-        labels = [_read_str(fh) for _ in range(n)]
-        indptr = np.frombuffer(_read_exact(fh, 8 * (n + 1)), dtype="<i8").astype(np.int64)
-        indices = np.frombuffer(_read_exact(fh, 4 * nnz), dtype="<i4").astype(np.int32)
-        weights = np.frombuffer(_read_exact(fh, 8 * nnz), dtype="<i8").astype(np.int64)
-        title_names = None
-        if flags & _FLAG_TITLE_NAMES:
-            (count,) = struct.unpack("<Q", _read_exact(fh, 8))
-            title_names = [_read_str(fh) for _ in range(count)]
-        node_country: list[str | None] | None = None
-        if flags & _FLAG_NODE_COUNTRY:
-            node_country = []
-            for _ in range(n):
-                (length,) = struct.unpack("<I", _read_exact(fh, 4))
-                if length == 0xFFFFFFFF:
-                    node_country.append(None)
-                else:
-                    node_country.append(_read_exact(fh, length).decode("utf-8"))
-        edge_titles = None
-        if flags & _FLAG_EDGE_TITLES:
-            (count,) = struct.unpack("<Q", _read_exact(fh, 8))
-            edge_titles = {}
-            for _ in range(count):
-                u, v, k = struct.unpack("<III", _read_exact(fh, 12))
-                titles = struct.unpack(f"<{k}I", _read_exact(fh, 4 * k))
-                edge_titles[(u, v)] = tuple(int(t) for t in titles)
-        if fh.read(1):
-            raise CacheFormatError("trailing bytes after cache payload")
+        r = _Reader(fh.read())
+    if r.take(len(CACHE_MAGIC)) != CACHE_MAGIC:
+        raise CacheFormatError("not a graph cache file")
+    version, flags = struct.unpack("<II", r.take(8))
+    if version != CACHE_VERSION:
+        raise CacheFormatError(
+            f"cache version {version} unsupported (expected {CACHE_VERSION}); rebuild"
+        )
+    if flags & ~_FLAG_NODE_COUNTRY:
+        raise CacheFormatError(f"unknown cache flags {flags:#x}")
+    n, nnz, total, n_titles, n_members = struct.unpack("<5Q", r.take(40))
+    labels = r.strings(n)
+    indptr = r.array("<i8", n + 1)
+    indices = r.array("<i4", nnz)
+    weights = r.array("<i8", nnz)
+    title_names = r.strings(n_titles)
+    title_ptr = r.array("<i8", n_titles + 1)
+    title_members = r.array("<i4", n_members)
+    node_country = None
+    if flags & _FLAG_NODE_COUNTRY:
+        (n_countries,) = struct.unpack("<Q", r.take(8))
+        names = r.strings(n_countries) + [None]  # slot -1 means no country
+        slots = r.array("<i4", n)
+        if np.any((slots < -1) | (slots >= n_countries)):
+            raise CacheFormatError("node country outside the country table")
+        node_country = [names[s] for s in slots.tolist()]
+    if r.pos != len(r.data):
+        raise CacheFormatError("trailing bytes after cache payload")
+    _check_adjacency(n, total, indptr, indices, weights)
+    _rows("title", title_ptr, title_members, n)
     return CoGraph(
         labels=labels,
         indptr=indptr,
         indices=indices,
         weights=weights,
-        total_edge_weight=int(total),
-        edge_titles=edge_titles,
+        total_edge_weight=total,
         title_names=title_names,
+        title_ptr=title_ptr,
+        title_members=title_members,
         node_country=node_country,
     )
 

@@ -189,6 +189,17 @@ def random_graph(rng: random.Random, n: int, p: float) -> list[tuple[int, int]]:
     return edges
 
 
+def shared_titles(casts: list[list[int]]) -> dict[tuple[int, int], list[int]]:
+    """Every (u, v) with u < v mapped to the titles whose cast holds both."""
+    out: dict[tuple[int, int], list[int]] = {}
+    for title, cast in enumerate(casts):
+        for u in cast:
+            for v in cast:
+                if u < v:
+                    out.setdefault((u, v), []).append(title)
+    return out
+
+
 def projection_weights(casts: list[list[int]]) -> dict[tuple[int, int], int]:
     """Brute-force double loop over title casts."""
     out: dict[tuple[int, int], int] = {}

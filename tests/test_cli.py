@@ -138,17 +138,6 @@ class TestPipeline:
         save_cache(resaved, g)
         assert (pipeline_dir / "graph.bin").read_bytes() == resaved.read_bytes()
 
-    def test_build_without_titles(self, pipeline_dir, tmp_path, capsys):
-        out = tmp_path / "nt"
-        assert run("build", "--records", str(pipeline_dir / "records.jsonl"),
-                   "--no-titles", "--out", str(out)) == 0
-        g = load_cache(out / "graph.bin")
-        assert g.edge_titles is None
-        assert (out / "graph.bin").stat().st_size < (pipeline_dir / "graph.bin").stat().st_size
-        # paths still work, hops just carry no title annotations
-        assert run("path", "Us ActorA", "Us ActorB",
-                   "--graph", str(out / "graph.bin"), "--out", str(out)) in (0, 1)
-
     def test_thread_flag_does_not_change_results(self, pipeline_dir, tmp_path):
         outs = []
         for threads in ("1", "2"):
@@ -242,6 +231,35 @@ class TestExitCodes:
         assert run("centrality", "closeness", "--threads", "0",
                    "--graph", str(pipeline_dir / "graph.bin"), "--out", str(tmp_path)) == 0
         assert (tmp_path / "centrality_closeness.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("partners", "--top", "0"), "--top"),
+            (("predict", "jaccard", "--top", "0"), "--top"),
+            (("clusters", "--tau", "2"), "--tau"),
+            (("communities", "--resolution", "-1"), "--resolution"),
+            (("stats", "--top", "-1"), "--top"),
+            (("clusters", "--tau", "0.05", "--labels", "LABELS"), "--labels"),
+        ],
+        ids=["partners-top", "predict-top", "clusters-tau", "communities-resolution",
+             "stats-top", "clusters-labels"],
+    )
+    def test_bad_flag_value_exits_2_with_one_line(self, pipeline_dir, tmp_path, capsys,
+                                                  argv, flag):
+        labels = tmp_path / "labels.json"
+        labels.write_text('{"0": "unterminated', encoding="utf-8")
+        argv = [str(labels) if a == "LABELS" else a for a in argv]
+        source = ("--records", str(pipeline_dir / "records.jsonl")) if argv[0] == "stats" \
+            else ("--graph", str(pipeline_dir / "graph.bin"))
+        out = tmp_path / "rejected"
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as err:
+            run(*argv, *source, "--out", str(out))
+        assert err.value.code == 2
+        stderr = capsys.readouterr().err
+        assert len(stderr.splitlines()) == 1 and flag in stderr
+        assert not out.exists()
 
     def test_data_error_missing_file(self, tmp_path):
         code = run("ingest", "--source", "netflix", "--input",

@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from castnet.errors import EmptyInputError, NodeOutOfRangeError
@@ -98,7 +100,7 @@ class TestProjection:
             rec("t1", ["A", "B"], title="Zeta"),
             rec("t2", ["A", "B"], title="Alpha"),
         ]
-        g = project(build_bipartite(records), keep_titles=True)
+        g = project(build_bipartite(records))
         assert g.titles_for_edge(0, 1) == ("Alpha", "Zeta")
         assert g.titles_for_edge(1, 0) == ("Alpha", "Zeta")
 
@@ -141,6 +143,43 @@ class TestProjection:
         )
         assert total == expected == g.total_edge_weight
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.integers(0, 24), min_size=1, max_size=8, unique=True),
+            min_size=1,
+            max_size=25,
+        )
+    )
+    def test_csr_and_edge_titles_match_bruteforce(self, casts):
+        records = [
+            rec(f"t{i}", [f"P{p:02d}" for p in cast], title=f"Title {i:02d}")
+            for i, cast in enumerate(casts)
+        ]
+        store = build_bipartite(records)
+        g = project(store)
+        # Interned person ids follow first appearance; map the oracle onto them.
+        ids = {int(key[1:]): i for i, key in enumerate(store.person_keys)}
+        interned = [[ids[p] for p in cast] for cast in casts]
+        rows: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+        for (u, v), w in oracles.projection_weights(interned).items():
+            rows[u].append((v, w))
+            rows[v].append((u, w))
+        rows = [sorted(row) for row in rows]
+        assert g.indptr.tolist() == np.cumsum([0] + [len(row) for row in rows]).tolist()
+        assert g.indices.tolist() == [v for row in rows for v, _ in row]
+        assert g.weights.tolist() == [w for row in rows for _, w in row]
+        shared = oracles.shared_titles(interned)
+        for u, v, w in g.edges():
+            expected = tuple(sorted(f"Title {t:02d}" for t in shared[u, v]))
+            assert g.titles_for_edge(u, v) == g.titles_for_edge(v, u) == expected
+            assert len(expected) == w
+
+    def test_duplicate_cast_entry_adds_no_self_loop(self):
+        g = project(build_bipartite([rec("t1", ["A", "B", "A"])]))
+        assert g.edge_count == 1 and g.weight(0, 1) == 1
+        assert g.title_members.tolist() == [0, 1]
+
     def test_plurality_country(self):
         records = [
             rec("t1", ["A"], country="India"),
@@ -178,6 +217,31 @@ class TestAccessors:
     def test_from_weighted_edges_rejects_self_loop(self):
         with pytest.raises(ValueError):
             CoGraph.from_weighted_edges(["a", "b"], [(0, 0, 1)])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 9), st.integers(0, 9), st.integers(1, 5)).filter(
+                lambda e: e[0] != e[1]
+            ),
+            max_size=40,
+        )
+    )
+    def test_from_weighted_edges_sums_duplicates(self, edges):
+        g = CoGraph.from_weighted_edges([f"n{i}" for i in range(10)], edges)
+        expected: dict[tuple[int, int], int] = {}
+        for u, v, w in edges:
+            key = (min(u, v), max(u, v))
+            expected[key] = expected.get(key, 0) + w
+        assert list(g.edges()) == [(u, v, w) for (u, v), w in sorted(expected.items())]
+        assert g.total_edge_weight == sum(w for _, _, w in edges)
+        assert all(g.weight(v, u) == w for (u, v), w in expected.items())
+
+    def test_from_weighted_edges_rejects_bad_edges(self):
+        with pytest.raises(NodeOutOfRangeError):
+            CoGraph.from_weighted_edges(["a", "b"], [(0, 1, 1), (1, 2, 1)])
+        with pytest.raises(ValueError):
+            CoGraph.from_weighted_edges(["a", "b"], [(0, 1, 0)])
 
     def test_csr_rows_sorted(self):
         rng = random.Random(11)

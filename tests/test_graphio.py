@@ -1,8 +1,12 @@
+import dataclasses
+import os
 import random
 import struct
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from castnet.community import build_cluster_graph, louvain
@@ -28,7 +32,7 @@ def full_featured_graph():
         TitleRecord("t2", "Other", TitleKind.MOVIE, 2001, (), ("Bob", "Cat"), "IN"),
         TitleRecord("t3", "Third", TitleKind.MOVIE, 2002, (), ("Solo",), "US"),
     ]
-    return project(build_bipartite(records), keep_titles=True)
+    return project(build_bipartite(records))
 
 
 class TestCache:
@@ -45,7 +49,7 @@ class TestCache:
         save_cache(path, g)
         loaded = load_cache(path)
         assert loaded == g
-        assert loaded.edge_titles is None
+        assert loaded.title_names == [] and loaded.node_country is None
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bogus.bin"
@@ -75,6 +79,167 @@ class TestCache:
         path.write_bytes(path.read_bytes() + b"x")
         with pytest.raises(CacheFormatError):
             load_cache(path)
+
+    def test_incidence_round_trips(self, tmp_path):
+        g = full_featured_graph()
+        save_cache(tmp_path / "graph.bin", g)
+        loaded = load_cache(tmp_path / "graph.bin")
+        assert loaded.title_ptr.tolist() == [0, 2, 4, 5]
+        assert loaded.title_members.tolist() == [0, 1, 1, 2, 3]
+        assert loaded.titles_for_edge(1, 2) == ("Other",)
+
+    def test_failed_write_keeps_previous_cache(self, tmp_path):
+        path = tmp_path / "graph.bin"
+        save_cache(path, full_featured_graph())
+        before = path.read_bytes()
+        # A lone surrogate cannot be encoded: the write fails after the
+        # adjacency arrays are already in the temporary file.
+        broken = dataclasses.replace(full_featured_graph(), title_names=["\ud800", "b", "c"])
+        with pytest.raises(UnicodeEncodeError):
+            save_cache(path, broken)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["graph.bin"]
+
+
+def _shift_row(g):
+    """Move the first row's end one slot left: rows stay monotone, but the
+    moved entry now sits in a row where it breaks the ordering."""
+    indptr = g.indptr.copy()
+    indptr[1] -= 1
+    return {"indptr": indptr}
+
+
+def _set(field, pos, value):
+    def mutate(g):
+        arr = getattr(g, field).copy()
+        arr[pos] = value
+        return {field: arr}
+
+    return mutate
+
+
+def _swap_first_row(g):
+    indices = g.indices.copy()
+    indices[[0, 1]] = indices[[1, 0]]
+    return {"indices": indices}
+
+
+def _self_loop(g):
+    indices = g.indices.copy()
+    indices[-1] = 3  # row 3 holds [2]: becomes [3]
+    return {"indices": indices}
+
+
+def _zero_edge(g):
+    weights = g.weights.copy()
+    weights[:] = 0
+    return {"weights": weights, "total_edge_weight": 0}
+
+
+def _asymmetric_weight(g):
+    weights = g.weights.copy()
+    weights[0] += 1
+    return {"weights": weights, "total_edge_weight": g.total_edge_weight + 1}
+
+
+# Each mutation breaks one invariant of a valid graph; ``match`` names the
+# check that must catch it.
+INVALID = {
+    "indptr_not_from_0": (_set("indptr", 0, 1), "offsets"),
+    "indptr_decreases": (_set("indptr", 2, 0), "offsets"),
+    "indptr_end_not_nnz": (_set("indptr", -1, 5), "offsets"),
+    "index_out_of_range": (_set("indices", 5, 10**6), "outside"),
+    "index_negative": (_set("indices", 0, -1), "outside"),
+    "row_not_increasing": (_swap_first_row, "strictly increasing"),
+    "row_moved": (_shift_row, "strictly increasing|self-loop"),
+    "self_loop": (_self_loop, "self-loop"),
+    "weight_below_1": (_zero_edge, "weight below 1"),
+    "weights_asymmetric": (_asymmetric_weight, "symmetric"),
+    "total_weight_wrong": (lambda g: {"total_edge_weight": g.total_edge_weight + 1}, "total"),
+    "title_ptr_decreases": (_set("title_ptr", 2, 2), "offsets"),
+    "title_ptr_end_wrong": (_set("title_ptr", -1, 7), "offsets"),
+    "member_out_of_range": (_set("title_members", 4, 4), "outside"),
+    "member_order": (_set("title_members", 1, 0), "strictly increasing"),
+    # One header count sizes both the names and title_ptr, so a short name
+    # list misaligns every later section.
+    "title_count_mismatch": (lambda g: {"title_names": g.title_names[:2]}, None),
+}
+
+
+class TestCacheInvariants:
+    """Every invariant violation is a CacheFormatError, never a later crash."""
+
+    def graph(self):
+        # 0-1-2-3 path plus 0-2: rows [1, 2], [0, 2], [0, 1, 3], [2].
+        records = [
+            TitleRecord("t1", "A", TitleKind.MOVIE, 2000, (), ("a", "b", "c"), "US"),
+            TitleRecord("t2", "B", TitleKind.MOVIE, 2001, (), ("c", "d"), None),
+            TitleRecord("t3", "C", TitleKind.MOVIE, 2002, (), ("d",), "IN"),
+        ]
+        return project(build_bipartite(records))
+
+    def test_fixture_is_valid(self, tmp_path):
+        g = self.graph()
+        assert g.indices.tolist() == [1, 2, 0, 2, 0, 1, 3, 2]
+        save_cache(tmp_path / "graph.bin", g)
+        assert load_cache(tmp_path / "graph.bin") == g
+
+    @pytest.mark.parametrize("name", sorted(INVALID))
+    def test_violation_rejected(self, tmp_path, name):
+        mutate, match = INVALID[name]
+        g = self.graph()
+        path = tmp_path / "graph.bin"
+        save_cache(path, dataclasses.replace(g, **mutate(g)))
+        with pytest.raises(CacheFormatError, match=match):
+            load_cache(path)
+
+    def test_country_slot_outside_table(self, tmp_path):
+        path = tmp_path / "graph.bin"
+        save_cache(path, self.graph())
+        data = bytearray(path.read_bytes())
+        data[-4:] = struct.pack("<i", 7)  # last node's country slot
+        path.write_bytes(bytes(data))
+        with pytest.raises(CacheFormatError, match="country"):
+            load_cache(path)
+
+    def test_unknown_flag_rejected(self, tmp_path):
+        path = tmp_path / "graph.bin"
+        save_cache(path, self.graph())
+        data = bytearray(path.read_bytes())
+        data[12:16] = struct.pack("<I", 0x81)
+        path.write_bytes(bytes(data))
+        with pytest.raises(CacheFormatError, match="flags"):
+            load_cache(path)
+
+
+_VALID_CACHE: list[bytes] = []
+
+
+def _valid_cache(directory) -> bytes:
+    if not _VALID_CACHE:
+        save_cache(directory / "valid.bin", full_featured_graph())
+        _VALID_CACHE.append((directory / "valid.bin").read_bytes())
+    return _VALID_CACHE[0]
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    flips=st.lists(st.tuples(st.integers(0, 10**6), st.integers(1, 255)), max_size=4),
+    keep=st.one_of(st.none(), st.integers(0, 10**6)),
+)
+def test_corrupted_cache_raises_only_cache_format_error(tmp_path_factory, flips, keep):
+    directory = tmp_path_factory.getbasetemp()
+    data = bytearray(_valid_cache(directory))
+    for pos, mask in flips:
+        data[pos % len(data)] ^= mask
+    if keep is not None:
+        data = data[: keep % len(data)]
+    path = directory / "corrupt.bin"
+    path.write_bytes(bytes(data))
+    try:
+        load_cache(path)
+    except CacheFormatError:
+        pass
 
 
 class TestDot:

@@ -25,7 +25,7 @@ def annotated_graph():
         TitleRecord("t3", "Third Film", TitleKind.MOVIE, 2002, (), ("Bob", "Cat")),
         TitleRecord("t4", "Fourth Film", TitleKind.MOVIE, 2003, (), ("Dee",)),
     ]
-    return project(build_bipartite(records), keep_titles=True)
+    return project(build_bipartite(records))
 
 
 class TestShortestPath:

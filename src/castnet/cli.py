@@ -511,6 +511,7 @@ def _checked(convert, expected: str, ok):
 
 _thread_count = _checked(int, "an integer >= 0 (0 = all cores)", lambda v: v >= 0)
 _positive_int = _checked(int, "an integer >= 1", lambda v: v >= 1)
+_count = _checked(int, "an integer >= 0", lambda v: v >= 0)
 _tau = _checked(float, "a number in (0, 1]", lambda v: 0 < v <= 1)
 _resolution = _checked(float, "a finite number > 0", lambda v: 0 < v < math.inf)
 
@@ -587,9 +588,10 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("method", choices=[m.value for m in linkpred.Method])
     p.add_argument("--top", type=_positive_int, required=True)
-    p.add_argument("--min-common", dest="min_common", type=int, default=1)
+    p.add_argument("--min-common", dest="min_common", type=_count, default=1)
     p.add_argument("--allow-zero-common", action="store_true")
-    p.add_argument("--cap", type=int, default=linkpred.DEFAULT_CANDIDATE_CAP)
+    p.add_argument("--cap", type=_positive_int, default=linkpred.DEFAULT_CANDIDATE_CAP,
+                   help="fail when more candidate pairs than this are found (default: no cap)")
     p.add_argument("--graph")
     p.set_defaults(func=cmd_predict)
 
@@ -613,8 +615,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evolve", help="temporal community evolution")
     common(p)
-    p.add_argument("--window", type=int, required=True)
-    p.add_argument("--step", type=int, required=True)
+    p.add_argument("--window", type=_positive_int, required=True)
+    p.add_argument("--step", type=_positive_int, required=True)
     p.add_argument("--records")
     p.add_argument("--persons")
     p.set_defaults(func=cmd_evolve)
@@ -628,9 +630,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_flag_pairs(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Rejects flag values that are only invalid together, like a bad single flag."""
+    if args.command == "evolve" and args.window < args.step:
+        parser.error(f"argument --window: expected >= --step ({args.step}), got {args.window}")
+    if args.command == "predict" and args.min_common == 0 and not (
+        args.allow_zero_common and args.method == linkpred.Method.PREFERENTIAL_ATTACHMENT.value
+    ):
+        parser.error(
+            "argument --min-common: 0 needs --allow-zero-common and preferential_attachment"
+        )
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _check_flag_pairs(parser, args)
     try:
         cfg = resolve_config(args)
         return args.func(cfg, args)

@@ -236,11 +236,15 @@ class CoGraph:
             and self.node_country == other.node_country
         )
 
-    def edges(self) -> Iterator[tuple[int, int, int]]:
-        """Each undirected edge once as (u, v, weight) with u < v, in row order."""
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(u, v, weight)`` arrays holding each undirected edge once, u < v, in row order."""
         rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
         upper = rows < self.indices
-        return zip(rows[upper].tolist(), self.indices[upper].tolist(), self.weights[upper].tolist())
+        return rows[upper], self.indices[upper].astype(np.int64), self.weights[upper]
+
+    def edges(self) -> Iterator[tuple[int, int, int]]:
+        """Each undirected edge once as (u, v, weight) with u < v, in row order."""
+        return zip(*(column.tolist() for column in self.edge_arrays()))
 
     @classmethod
     def from_weighted_edges(
@@ -290,6 +294,30 @@ class CoGraph:
         )
 
 
+def name_ranks(labels: Sequence[str]) -> tuple[np.ndarray, list[str]]:
+    """``(rank, names)``: ``names`` is ``sorted(labels)`` and ``rank[i]`` is the
+    position of ``labels[i]`` in it, so comparing ranks compares names."""
+    order = sorted(range(len(labels)), key=labels.__getitem__)
+    rank = np.empty(len(labels), np.int64)
+    rank[order] = np.arange(len(labels))
+    return rank, [labels[i] for i in order]
+
+
+def top_pairs(score: np.ndarray, a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the ``k`` smallest keys ``(-score, a, b)``, in key order.
+
+    ``a`` and ``b`` are name ranks of a pair (``a < b``), which makes this the
+    order "score descending, then names". Every entry tied with the k-th
+    score reaches the sort, so the names alone decide among ties.
+    """
+    idx = np.arange(len(score))
+    if len(score) > k:
+        kth = np.partition(score, len(score) - k)[len(score) - k]
+        idx = np.flatnonzero(score >= kth)
+    order = np.lexsort((b[idx], a[idx], -score[idx]))
+    return idx[order[:k]]
+
+
 def project(store: BipartiteStore) -> CoGraph:
     """Project the bipartite store onto actors.
 
@@ -316,27 +344,30 @@ def project(store: BipartiteStore) -> CoGraph:
         title_names=list(store.title_names),
         title_ptr=title_ptr,
         title_members=members.astype(np.int32),
-        node_country=_plurality_countries(store),
+        node_country=_plurality_countries(store, members, sizes),
     )
 
 
-def _plurality_countries(store: BipartiteStore) -> list[str | None]:
-    """Most frequent title country per person (ties to the smaller string)."""
-    counts: list[dict[str, int] | None] = [None] * store.n_persons
-    for tidx, members in enumerate(store.incidence):
-        country = store.title_meta[tidx].country
-        if country is None:
-            continue
-        for p in members:
-            bucket = counts[p]
-            if bucket is None:
-                bucket = {}
-                counts[p] = bucket
-            bucket[country] = bucket.get(country, 0) + 1
-    out: list[str | None] = []
-    for bucket in counts:
-        if not bucket:
-            out.append(None)
-        else:
-            out.append(min(bucket.items(), key=lambda kv: (-kv[1], kv[0]))[0])
-    return out
+def _plurality_countries(
+    store: BipartiteStore, members: np.ndarray, sizes: np.ndarray
+) -> list[str | None]:
+    """Most frequent title country per person (ties to the smaller string).
+
+    ``members`` is the flattened incidence and ``sizes`` the cast sizes.
+    Countries are interned in sorted order, so the smaller code is the
+    smaller string.
+    """
+    countries = [meta.country for meta in store.title_meta]
+    table = sorted({c for c in countries if c is not None})
+    code_of = {c: i for i, c in enumerate(table)}
+    slot_code = np.repeat(np.array([code_of.get(c, -1) for c in countries], np.int64), sizes)
+    known = slot_code >= 0
+    width = max(len(table), 1)
+    keys, counts = np.unique(members[known] * width + slot_code[known], return_counts=True)
+    person, code = np.divmod(keys, width)
+    order = np.lexsort((code, -counts, person))  # each person's plurality first
+    first = order[np.diff(person[order], prepend=-1) != 0]
+    best = np.full(store.n_persons, len(table))  # the None slot
+    best[person[first]] = code[first]
+    table.append(None)
+    return [table[c] for c in best.tolist()]

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import heapq
 import random
 from dataclasses import dataclass
 from typing import Union
@@ -10,7 +9,7 @@ from typing import Union
 import numpy as np
 
 from . import _bfs
-from .graph import CoGraph
+from .graph import CoGraph, name_ranks, top_pairs
 
 
 @dataclass(frozen=True)
@@ -155,10 +154,11 @@ def top_partnerships(g: CoGraph, k: int) -> list[tuple[str, str, int]]:
     """Top-k co-acting pairs by shared-title count, ties lexicographic."""
     if k < 1:
         raise ValueError("k must be >= 1")
-
-    def keyed():
-        for u, v, w in g.edges():
-            a, b = sorted((g.labels[u], g.labels[v]))
-            yield (-w, a, b)
-
-    return [(a, b, -neg) for neg, a, b in heapq.nsmallest(k, keyed())]
+    u, v, w = g.edge_arrays()
+    rank, names = name_ranks(g.labels)
+    a, b = np.minimum(rank[u], rank[v]), np.maximum(rank[u], rank[v])
+    best = top_pairs(w, a, b, k)
+    return [
+        (names[x], names[y], z)
+        for x, y, z in zip(a[best].tolist(), b[best].tolist(), w[best].tolist())
+    ]

@@ -241,17 +241,24 @@ class TestExitCodes:
             (("communities", "--resolution", "-1"), "--resolution"),
             (("stats", "--top", "-1"), "--top"),
             (("clusters", "--tau", "0.05", "--labels", "LABELS"), "--labels"),
+            (("evolve", "--window", "5", "--step", "0"), "--step"),
+            (("evolve", "--window", "3", "--step", "5"), "--window"),
+            (("predict", "jaccard", "--top", "5", "--min-common", "0"), "--min-common"),
+            (("predict", "jaccard", "--top", "5", "--min-common", "0",
+              "--allow-zero-common"), "--min-common"),
+            (("predict", "jaccard", "--top", "5", "--cap", "-1"), "--cap"),
         ],
         ids=["partners-top", "predict-top", "clusters-tau", "communities-resolution",
-             "stats-top", "clusters-labels"],
+             "stats-top", "clusters-labels", "evolve-step", "evolve-window-below-step",
+             "predict-min-common-zero", "predict-min-common-zero-not-pa", "predict-cap"],
     )
     def test_bad_flag_value_exits_2_with_one_line(self, pipeline_dir, tmp_path, capsys,
                                                   argv, flag):
         labels = tmp_path / "labels.json"
         labels.write_text('{"0": "unterminated', encoding="utf-8")
         argv = [str(labels) if a == "LABELS" else a for a in argv]
-        source = ("--records", str(pipeline_dir / "records.jsonl")) if argv[0] == "stats" \
-            else ("--graph", str(pipeline_dir / "graph.bin"))
+        source = ("--records", str(pipeline_dir / "records.jsonl")) \
+            if argv[0] in ("stats", "evolve") else ("--graph", str(pipeline_dir / "graph.bin"))
         out = tmp_path / "rejected"
         capsys.readouterr()
         with pytest.raises(SystemExit) as err:
@@ -260,6 +267,18 @@ class TestExitCodes:
         stderr = capsys.readouterr().err
         assert len(stderr.splitlines()) == 1 and flag in stderr
         assert not out.exists()
+
+    def test_zero_common_preferential_attachment_allowed(self, pipeline_dir, tmp_path):
+        assert run("predict", "preferential_attachment", "--top", "3", "--min-common", "0",
+                   "--allow-zero-common", "--graph", str(pipeline_dir / "graph.bin"),
+                   "--out", str(tmp_path)) == 0
+        assert len((tmp_path / "predictions.csv").read_text().splitlines()) == 4
+
+    def test_cap_exceeded_is_data_error(self, pipeline_dir, tmp_path, capsys):
+        capsys.readouterr()
+        assert run("predict", "jaccard", "--top", "3", "--cap", "1",
+                   "--graph", str(pipeline_dir / "graph.bin"), "--out", str(tmp_path)) == 1
+        assert "exceed cap" in capsys.readouterr().err
 
     def test_data_error_missing_file(self, tmp_path):
         code = run("ingest", "--source", "netflix", "--input",

@@ -195,6 +195,31 @@ class TestProjection:
         g = project(build_bipartite(records))
         assert g.node_country == ["France"]
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(st.integers(0, 9), min_size=1, max_size=5, unique=True),
+                st.sampled_from([None, "India", "France", "US", "india", "Ça"]),
+            ),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    def test_plurality_matches_bruteforce(self, titles):
+        records = [
+            rec(f"t{i}", [f"P{p}" for p in cast], country=country)
+            for i, (cast, country) in enumerate(titles)
+        ]
+        store = build_bipartite(records)
+        counts: list[dict[str, int]] = [{} for _ in range(store.n_persons)]
+        for members, meta in zip(store.incidence, store.title_meta):
+            for p in members:
+                if meta.country is not None:
+                    counts[p][meta.country] = counts[p].get(meta.country, 0) + 1
+        expected = [min(c, key=lambda k: (-c[k], k)) if c else None for c in counts]
+        assert project(store).node_country == expected
+
 
 class TestAccessors:
     def test_k3_degree(self, k3):

@@ -1,11 +1,17 @@
 import math
+import os
 import random
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import castnet
 import oracles
+from castnet import linkpred
 from castnet.errors import CandidateExplosionError
 from castnet.graph import CoGraph
 from castnet.linkpred import (
@@ -252,3 +258,116 @@ def test_jaccard_always_in_unit_interval(seed):
     g = make_graph(n, edges)
     u, v = rng.sample(range(n), 2)
     assert 0.0 <= jaccard(g, u, v) <= 1.0
+
+
+def _oracle_top(g: CoGraph, method: Method, k: int, min_common: int) -> list[tuple]:
+    """Every qualifying non-adjacent pair scored from dense matrices, sorted by
+    (-score, a, b). RA and AA add z's terms in increasing z, one rank-one
+    update at a time, which is the order ``predict_top`` adds them in."""
+    n = g.n
+    adj = np.zeros((n, n))
+    for u, v, _ in g.edges():
+        adj[u, v] = adj[v, u] = 1.0
+    deg = adj.sum(axis=1).astype(np.int64)
+    common = (adj @ adj).astype(np.int64)
+    ra, aa = np.zeros((n, n)), np.zeros((n, n))
+    for z in range(n):
+        if deg[z] > 1:
+            both = np.outer(adj[:, z], adj[z])
+            ra += both * (1.0 / deg[z])
+            aa += both * (1.0 / np.log(deg[z]))
+    keyed = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            cn = int(common[u, v])
+            if adj[u, v] or cn < min_common:
+                continue
+            score = {
+                Method.COMMON_NEIGHBORS: float(cn),
+                Method.JACCARD: cn / (int(deg[u]) + int(deg[v]) - cn) if cn else 0.0,
+                Method.RESOURCE_ALLOCATION: float(ra[u, v]),
+                Method.ADAMIC_ADAR: float(aa[u, v]),
+                Method.PREFERENTIAL_ATTACHMENT: float(deg[u]) * float(deg[v]),
+            }[method]
+            keyed.append((-score, *sorted((g.labels[u], g.labels[v]))))
+    keyed.sort()
+    return [(a, b, -neg) for neg, a, b in keyed[:k]]
+
+
+@st.composite
+def tied_graphs(draw) -> CoGraph:
+    """Disjoint copies of one small random graph, under shuffled labels: the
+    copies tie on every index, so the names decide most of the order."""
+    size = draw(st.integers(2, 8))
+    pairs = [(u, v) for u in range(size) for v in range(u + 1, size)]
+    base = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
+    copies = draw(st.integers(1, 3))
+    n = size * copies
+    labels = draw(
+        st.lists(st.text("aAb_é", min_size=1, max_size=4), min_size=n, max_size=n, unique=True)
+    )
+    edges = [(u + c * size, v + c * size, 1) for c in range(copies) for u, v in base]
+    return CoGraph.from_weighted_edges(labels, edges)
+
+
+@pytest.mark.parametrize("block_work", [linkpred.BLOCK_WORK, 1])
+@settings(max_examples=60, deadline=None)
+@given(
+    g=tied_graphs(),
+    method=st.sampled_from(list(Method)),
+    min_common=st.sampled_from([0, 1, 2, 3]),
+)
+def test_predict_top_matches_dense_oracle(block_work, g, method, min_common):
+    if min_common == 0 and method is not Method.PREFERENTIAL_ATTACHMENT:
+        method = Method.PREFERENTIAL_ATTACHMENT  # the only index defined without common neighbors
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linkpred, "BLOCK_WORK", block_work)
+        for k in (1, 5, g.n * g.n):
+            got = predict_top(g, method, k, min_common, allow_zero_common=True)
+            assert [(ps.u, ps.v, ps.score) for ps in got] == _oracle_top(g, method, k, min_common)
+
+
+@pytest.mark.parametrize("min_common", [0, 1, 2])
+def test_one_row_per_block_gives_the_same_list(monkeypatch, min_common):
+    """A graph large enough for many terms per RA / AA sum, split into blocks
+    of one row each as well as whole."""
+    rng = random.Random(31)
+    n = 150
+    labels = [f"p{rng.randrange(10**6):06d}-{i}" for i in range(n)]
+    edges = [(u, v, 1) for u, v in oracles.random_graph(rng, n, 0.08)]
+    g = CoGraph.from_weighted_edges(labels, edges)
+    methods = [Method.PREFERENTIAL_ATTACHMENT] if min_common == 0 else list(Method)
+    for method in methods:
+        expected = _oracle_top(g, method, n * n, min_common)
+        for block_work in (linkpred.BLOCK_WORK, 1):
+            monkeypatch.setattr(linkpred, "BLOCK_WORK", block_work)
+            for k in (1, 20, n * n):
+                got = predict_top(g, method, k, min_common, allow_zero_common=True)
+                assert [(ps.u, ps.v, ps.score) for ps in got] == expected[:k]
+
+
+def test_default_has_no_candidate_cap():
+    g = make_graph(20, [(0, i) for i in range(1, 20)])  # star: 171 two-hop pairs
+    assert linkpred.DEFAULT_CANDIDATE_CAP is None
+    assert len(predict_top(g, Method.COMMON_NEIGHBORS, 1000)) == 171
+    assert len(predict_top(g, Method.COMMON_NEIGHBORS, 1000, cap=171)) == 171
+
+
+def test_predict_does_not_load_scipy(tmp_path):
+    """scipy costs ~0.2 s per process, which ``predict`` does not need."""
+    from castnet.graphio import save_cache
+
+    graph = tmp_path / "graph.bin"
+    save_cache(graph, make_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]))
+    code = (
+        "import sys, castnet.cli\n"
+        f"code = castnet.cli.main(['predict', 'adamic_adar', '--top', '3',"
+        f" '--graph', {str(graph)!r}, '--out', {str(tmp_path)!r}])\n"
+        "print(code, sorted(m for m in sys.modules if 'scipy' in m))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(castnet.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 []"

@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from castnet.errors import UnknownActorError
@@ -170,3 +172,30 @@ class TestTopPartnerships:
     def test_invalid_k(self, p3):
         with pytest.raises(ValueError):
             top_partnerships(p3, 0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_top_partnerships_matches_sort_under_ties(data):
+    """Weights 1-2 tie almost every pair, so the names decide the order."""
+    n = data.draw(st.integers(2, 14))
+    labels = data.draw(
+        st.lists(st.text("aAb_é", min_size=1, max_size=3), min_size=n, max_size=n, unique=True)
+    )
+    edges = data.draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(1, 2)).filter(
+                lambda e: e[0] != e[1]
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    k = data.draw(st.integers(1, 50))
+    weight: dict[tuple[str, str], int] = {}
+    for u, v, w in edges:
+        pair = tuple(sorted((labels[u], labels[v])))
+        weight[pair] = weight.get(pair, 0) + w
+    expected = sorted((-w, a, b) for (a, b), w in weight.items())[:k]
+    got = top_partnerships(CoGraph.from_weighted_edges(labels, edges), k)
+    assert got == [(a, b, -neg) for neg, a, b in expected]

@@ -10,8 +10,6 @@ estimate recorded in ``params``.
 
 from __future__ import annotations
 
-import csv
-import json
 import os
 from dataclasses import dataclass, field
 from enum import Enum
@@ -20,6 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _bfs
+from ._write import write_csv, write_json
 from .errors import EmptyGraphError, TooFewNodesError
 from .graph import CoGraph
 
@@ -168,38 +167,10 @@ def eigenvector_centrality(
     )
 
 
-def fmt_score(x: float) -> str:
-    """Floats rendered with 6 significant digits for stable output files."""
-    return f"{x:.6g}"
-
-
 def write_scores_csv(path: str | os.PathLike, g: CoGraph, table: ScoreTable) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["name", "score"])
-        for name, score in table.ranked(g.labels):
-            writer.writerow([name, fmt_score(score)])
+    write_csv(path, ["name", "score"], table.ranked(g.labels))
 
 
 def write_scores_json(path: str | os.PathLike, g: CoGraph, table: ScoreTable) -> None:
-    payload = {
-        "measure": table.measure.value,
-        "params": _round_params(table.params),
-        "scores": [
-            {"name": name, "score": float(fmt_score(score))}
-            for name, score in table.ranked(g.labels)
-        ],
-    }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, ensure_ascii=False, indent=2)
-        fh.write("\n")
-
-
-def _round_params(params: dict) -> dict:
-    out = {}
-    for key, value in params.items():
-        if isinstance(value, float):
-            out[key] = float(fmt_score(value))
-        else:
-            out[key] = value
-    return out
+    scores = [{"name": name, "score": score} for name, score in table.ranked(g.labels)]
+    write_json(path, {"measure": table.measure.value, "params": table.params, "scores": scores})

@@ -4,13 +4,12 @@ Every command reads/writes files under an output directory and emits a
 structured ``run_report.json`` (skipped rows, non-convergence, parameters).
 Diagnostics go to stderr; stdout carries machine-readable data only. Same
 inputs + same seed produce byte-identical output trees: no timestamps, fixed
-key order, floats at 6 significant digits.
+key order, floats at 6 significant digits. ``_write`` writes every file.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -21,6 +20,7 @@ from . import centrality as centrality_mod
 from . import community as community_mod
 from . import graphio, linkpred
 from . import stats as stats_mod
+from ._write import write_csv, write_json
 from .errors import CastnetError
 from .graph import DEFAULT_MAX_CAST, build_bipartite, project
 from .ingest import (
@@ -136,10 +136,7 @@ def _write_report(cfg: RunConfig, command: str, payload: dict) -> None:
         # Relative to the output dir so identical runs into different
         # directories still produce byte-identical trees.
         report["outputs"] = [os.path.relpath(p, cfg.out) for p in report["outputs"]]
-    path = os.path.join(cfg.out, "run_report.json")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(report, fh, ensure_ascii=False, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(cfg.out, "run_report.json"), report, sort_keys=True)
 
 
 def _require(cfg: RunConfig, attr: str, flag: str) -> str:
@@ -165,7 +162,6 @@ def _load_graph(cfg: RunConfig):
 
 
 def cmd_ingest(cfg: RunConfig, args: argparse.Namespace) -> int:
-    os.makedirs(cfg.out, exist_ok=True)
     records_path = os.path.join(cfg.out, "records.jsonl")
     if cfg.source == "netflix":
         result = parse_netflix(_require(cfg, "input", "--input"))
@@ -204,7 +200,6 @@ def cmd_ingest(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_build(cfg: RunConfig, args: argparse.Namespace) -> int:
-    os.makedirs(cfg.out, exist_ok=True)
     records = _load_records(cfg)
     names = None
     if cfg.persons:
@@ -234,7 +229,6 @@ def cmd_build(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_stats(cfg: RunConfig, args: argparse.Namespace) -> int:
-    os.makedirs(cfg.out, exist_ok=True)
     summary = stats_mod.summarize(_load_records(cfg), top_k=args.top)
     json_path = os.path.join(cfg.out, "summary.json")
     stats_mod.write_summary_json(json_path, summary)
@@ -244,7 +238,6 @@ def cmd_stats(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_centrality(cfg: RunConfig, args: argparse.Namespace) -> int:
-    os.makedirs(cfg.out, exist_ok=True)
     g = _load_graph(cfg)
     threads = cfg.threads if cfg.threads > 0 else (os.cpu_count() or 1)
     if args.measure == "degree":
@@ -267,7 +260,7 @@ def cmd_centrality(cfg: RunConfig, args: argparse.Namespace) -> int:
         "centrality",
         {
             "measure": args.measure,
-            "params": centrality_mod._round_params(table.params),
+            "params": table.params,
             "events": events,
             "outputs": [csv_path, json_path],
         },
@@ -276,7 +269,6 @@ def cmd_centrality(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_path(cfg: RunConfig, args: argparse.Namespace) -> int:
-    os.makedirs(cfg.out, exist_ok=True)
     g = _load_graph(cfg)
     from .errors import UnknownActorError
     from .paths import path_to_dict, render_path, shortest_path
@@ -294,30 +286,23 @@ def cmd_path(cfg: RunConfig, args: argparse.Namespace) -> int:
         raise
     print(render_path(result))
     json_path = os.path.join(cfg.out, "path.json")
-    with open(json_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(path_to_dict(result), fh, ensure_ascii=False, indent=2)
-        fh.write("\n")
+    write_json(json_path, path_to_dict(result))
     _write_report(cfg, "path", {"a": args.a, "b": args.b, "outputs": [json_path]})
     return EXIT_OK
 
 
 def cmd_partners(cfg: RunConfig, args: argparse.Namespace) -> int:
-    os.makedirs(cfg.out, exist_ok=True)
     g = _load_graph(cfg)
     from .paths import top_partnerships
 
     rows = top_partnerships(g, args.top)
     out_path = os.path.join(cfg.out, "partners.csv")
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["actor_a", "actor_b", "shared_titles"])
-        writer.writerows(rows)
+    write_csv(out_path, ["actor_a", "actor_b", "shared_titles"], rows)
     _write_report(cfg, "partners", {"top": args.top, "outputs": [out_path]})
     return EXIT_OK
 
 
 def cmd_predict(cfg: RunConfig, args: argparse.Namespace) -> int:
-    os.makedirs(cfg.out, exist_ok=True)
     g = _load_graph(cfg)
     method = linkpred.Method(args.method)
     scores = linkpred.predict_top(
@@ -329,28 +314,10 @@ def cmd_predict(cfg: RunConfig, args: argparse.Namespace) -> int:
         cap=args.cap,
     )
     out_path = os.path.join(cfg.out, "predictions.csv")
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["actor_a", "actor_b", "method", "score"])
-        for ps in scores:
-            writer.writerow([ps.u, ps.v, ps.method.value, centrality_mod.fmt_score(ps.score)])
+    rows = [(ps.u, ps.v, ps.method.value, ps.score) for ps in scores]
+    write_csv(out_path, ["actor_a", "actor_b", "method", "score"], rows)
     json_path = os.path.join(cfg.out, "predictions.json")
-    with open(json_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(
-            [
-                {
-                    "u": ps.u,
-                    "v": ps.v,
-                    "method": ps.method.value,
-                    "score": float(centrality_mod.fmt_score(ps.score)),
-                }
-                for ps in scores
-            ],
-            fh,
-            ensure_ascii=False,
-            indent=2,
-        )
-        fh.write("\n")
+    write_json(json_path, [{"u": u, "v": v, "method": m, "score": s} for u, v, m, s in rows])
     _write_report(
         cfg,
         "predict",
@@ -361,7 +328,6 @@ def cmd_predict(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_communities(cfg: RunConfig, args: argparse.Namespace) -> int:
-    os.makedirs(cfg.out, exist_ok=True)
     g = _load_graph(cfg)
     part = community_mod.louvain(g, seed=cfg.seed, resolution=args.resolution)
     out_path = os.path.join(cfg.out, "communities.csv")
@@ -372,7 +338,7 @@ def cmd_communities(cfg: RunConfig, args: argparse.Namespace) -> int:
         {
             "seed": cfg.seed,
             "resolution": args.resolution,
-            "q": float(centrality_mod.fmt_score(part.q)),
+            "q": part.q,
             "passes": part.passes,
             "communities": part.n_communities,
             "outputs": [out_path],
@@ -383,7 +349,6 @@ def cmd_communities(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_clusters(cfg: RunConfig, args: argparse.Namespace) -> int:
-    os.makedirs(cfg.out, exist_ok=True)
     g = _load_graph(cfg)
     part = community_mod.louvain(g, seed=cfg.seed)
     cg = community_mod.build_cluster_graph(g, part, overrides=args.labels)
@@ -407,7 +372,6 @@ def cmd_clusters(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_crossover(cfg: RunConfig, args: argparse.Namespace) -> int:
-    os.makedirs(cfg.out, exist_ok=True)
     g = _load_graph(cfg)
     part = community_mod.louvain(g, seed=cfg.seed)
     table = community_mod.crossover_scores(g, part)
@@ -418,7 +382,6 @@ def cmd_crossover(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_evolve(cfg: RunConfig, args: argparse.Namespace) -> int:
-    os.makedirs(cfg.out, exist_ok=True)
     records = _load_records(cfg)
     names = None
     if cfg.persons:
@@ -436,9 +399,7 @@ def cmd_evolve(cfg: RunConfig, args: argparse.Namespace) -> int:
                     if w.partition
                     else []
                 ),
-                "q": (
-                    float(centrality_mod.fmt_score(w.partition.q)) if w.partition else None
-                ),
+                "q": w.partition.q if w.partition else None,
             }
             for w in timeline.windows
         ],
@@ -446,7 +407,7 @@ def cmd_evolve(cfg: RunConfig, args: argparse.Namespace) -> int:
             {
                 str(old): {
                     "new": match.new_cid,
-                    "overlap": float(centrality_mod.fmt_score(match.overlap)),
+                    "overlap": match.overlap,
                 }
                 for old, match in sorted(step.items())
             }
@@ -454,9 +415,7 @@ def cmd_evolve(cfg: RunConfig, args: argparse.Namespace) -> int:
         ],
     }
     out_path = os.path.join(cfg.out, "evolution.json")
-    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, ensure_ascii=False, indent=2)
-        fh.write("\n")
+    write_json(out_path, payload)
     _write_report(
         cfg,
         "evolve",
@@ -466,7 +425,6 @@ def cmd_evolve(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_export(cfg: RunConfig, args: argparse.Namespace) -> int:
-    os.makedirs(cfg.out, exist_ok=True)
     g = _load_graph(cfg)
     fmt = args.format or cfg.format
     if fmt == "dot":
@@ -648,14 +606,12 @@ def main(argv: list[str] | None = None) -> int:
     _check_flag_pairs(parser, args)
     try:
         cfg = resolve_config(args)
+        os.makedirs(cfg.out, exist_ok=True)
         return args.func(cfg, args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA_ERROR
-    except CastnetError as exc:
+    except (OSError, CastnetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA_ERROR
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .centrality import Measure, ScoreTable
 from .errors import EmptyGraphError, EmptyInputError
-from .graph import CoGraph, build_bipartite, project
+from .graph import CoGraph, build_bipartite, plurality_countries, project
 from .ingest import TitleRecord
 
 
@@ -278,7 +278,7 @@ def build_cluster_graph(
             inter[key] = inter.get(key, 0) + w
 
     members = partition.members()
-    pick = labeler if labeler is not None else _country_plurality_labeler(g)
+    pick = labeler if labeler is not None else _country_plurality_labeler(g, partition)
     clusters = {}
     for cid in range(n_comm):
         label = pick(cid, members[cid])
@@ -292,19 +292,14 @@ def build_cluster_graph(
     return ClusterGraph(clusters=clusters, links=links)
 
 
-def _country_plurality_labeler(g: CoGraph) -> Labeler:
-    def pick(cid: int, member_nodes: Sequence[int]) -> str:
-        counts: dict[str, int] = {}
-        if g.node_country is not None:
-            for v in member_nodes:
-                country = g.node_country[v]
-                if country:
-                    counts[country] = counts.get(country, 0) + 1
-        if not counts:
-            return f"cluster-{cid}"
-        return min(counts.items(), key=lambda kv: (-kv[1], kv[0]))[0]
-
-    return pick
+def _country_plurality_labeler(g: CoGraph, partition: Partition) -> Labeler:
+    best = plurality_countries(
+        g.node_country or [None] * g.n,
+        np.arange(g.n),
+        np.array(partition.assignment, np.int64),
+        partition.n_communities,
+    )
+    return lambda cid, _members: best[cid] or f"cluster-{cid}"
 
 
 def filter_interactions(cg: ClusterGraph, tau: float) -> ClusterGraph:

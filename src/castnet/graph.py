@@ -344,30 +344,35 @@ def project(store: BipartiteStore) -> CoGraph:
         title_names=list(store.title_names),
         title_ptr=title_ptr,
         title_members=members.astype(np.int32),
-        node_country=_plurality_countries(store, members, sizes),
+        node_country=plurality_countries(
+            [meta.country for meta in store.title_meta],
+            np.repeat(np.arange(len(sizes)), sizes),
+            members,
+            store.n_persons,
+        ),
     )
 
 
-def _plurality_countries(
-    store: BipartiteStore, members: np.ndarray, sizes: np.ndarray
+def plurality_countries(
+    countries: Sequence[str | None], items: np.ndarray, owners: np.ndarray, n: int
 ) -> list[str | None]:
-    """Most frequent title country per person (ties to the smaller string).
+    """Each of ``n`` owners' most frequent country, ties to the smaller string.
 
-    ``members`` is the flattened incidence and ``sizes`` the cast sizes.
-    Countries are interned in sorted order, so the smaller code is the
-    smaller string.
+    Entry ``e`` gives owner ``owners[e]`` (int64) one count of
+    ``countries[items[e]]``. ``None`` and ``""`` are no country; an owner
+    without one gets ``None``. Countries are interned in sorted order, so the
+    smaller code is the smaller string.
     """
-    countries = [meta.country for meta in store.title_meta]
-    table = sorted({c for c in countries if c is not None})
+    table = sorted({c for c in countries if c})
     code_of = {c: i for i, c in enumerate(table)}
-    slot_code = np.repeat(np.array([code_of.get(c, -1) for c in countries], np.int64), sizes)
-    known = slot_code >= 0
+    entry_code = np.array([code_of.get(c, -1) for c in countries], np.int64)[items]
+    known = entry_code >= 0
     width = max(len(table), 1)
-    keys, counts = np.unique(members[known] * width + slot_code[known], return_counts=True)
-    person, code = np.divmod(keys, width)
-    order = np.lexsort((code, -counts, person))  # each person's plurality first
-    first = order[np.diff(person[order], prepend=-1) != 0]
-    best = np.full(store.n_persons, len(table))  # the None slot
-    best[person[first]] = code[first]
+    keys, counts = np.unique(owners[known] * width + entry_code[known], return_counts=True)
+    owner, code = np.divmod(keys, width)
+    order = np.lexsort((code, -counts, owner))  # each owner's plurality first
+    first = order[np.diff(owner[order], prepend=-1) != 0]
+    best = np.full(n, len(table))  # the None slot
+    best[owner[first]] = code[first]
     table.append(None)
     return [table[c] for c in best.tolist()]

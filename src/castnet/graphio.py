@@ -8,17 +8,13 @@ file whose arrays break the graph's invariants.
 
 from __future__ import annotations
 
-import contextlib
-import csv
-import json
 import math
 import os
 import struct
-import xml.etree.ElementTree as ET
 
 import numpy as np
 
-from .centrality import fmt_score
+from ._write import fmt_score, replacing, write_csv, write_json
 from .community import ClusterGraph, Partition
 from .errors import CacheFormatError
 from .graph import CoGraph
@@ -35,7 +31,7 @@ def _dot_quote(text: str) -> str:
 
 def write_dot(path: str | os.PathLike, g: CoGraph) -> None:
     """DOT export: node attribute ``name``, edge attribute ``weight``."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with replacing(path) as fh:
         fh.write("graph coappearance {\n")
         for i, label in enumerate(g.labels):
             fh.write(f"  n{i} [name={_dot_quote(label)}];\n")
@@ -44,27 +40,37 @@ def write_dot(path: str | os.PathLike, g: CoGraph) -> None:
         fh.write("}\n")
 
 
+def _xml_text(text: str) -> str:
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def write_graphml(path: str | os.PathLike, g: CoGraph) -> None:
-    """GraphML export: node attribute ``name``, edge attribute ``weight``."""
-    root = ET.Element("graphml", xmlns="http://graphml.graphdrawing.org/xmlns")
-    ET.SubElement(
-        root, "key", id="d0", attrib={"for": "node", "attr.name": "name", "attr.type": "string"}
-    )
-    ET.SubElement(
-        root, "key", id="d1", attrib={"for": "edge", "attr.name": "weight", "attr.type": "long"}
-    )
-    graph = ET.SubElement(root, "graph", edgedefault="undirected")
-    for i, label in enumerate(g.labels):
-        node = ET.SubElement(graph, "node", id=f"n{i}")
-        data = ET.SubElement(node, "data", key="d0")
-        data.text = label
-    for u, v, w in g.edges():
-        edge = ET.SubElement(graph, "edge", source=f"n{u}", target=f"n{v}")
-        data = ET.SubElement(edge, "data", key="d1")
-        data.text = str(w)
-    tree = ET.ElementTree(root)
-    ET.indent(tree)
-    tree.write(path, encoding="utf-8", xml_declaration=True)
+    """GraphML export: node attribute ``name``, edge attribute ``weight``.
+
+    The text is what ElementTree writes for the same tree after
+    ``ET.indent``: two-space indent, empty elements as ``<x />``, no newline
+    after the root.
+    """
+    with replacing(path) as fh:
+        fh.write(
+            "<?xml version='1.0' encoding='utf-8'?>\n"
+            '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">\n'
+            '  <key for="node" attr.name="name" attr.type="string" id="d0" />\n'
+            '  <key for="edge" attr.name="weight" attr.type="long" id="d1" />\n'
+        )
+        if g.n == 0:
+            fh.write('  <graph edgedefault="undirected" />\n</graphml>')
+            return
+        fh.write('  <graph edgedefault="undirected">\n')
+        for i, label in enumerate(g.labels):
+            data = f'<data key="d0">{_xml_text(label)}</data>' if label else '<data key="d0" />'
+            fh.write(f'    <node id="n{i}">\n      {data}\n    </node>\n')
+        for u, v, w in g.edges():
+            fh.write(
+                f'    <edge source="n{u}" target="n{v}">\n'
+                f'      <data key="d1">{w}</data>\n    </edge>\n'
+            )
+        fh.write("  </graph>\n</graphml>")
 
 
 # ---------------------------------------------------------------------------
@@ -98,16 +104,9 @@ def _sections(g: CoGraph):
 
 def save_cache(path: str | os.PathLike, g: CoGraph) -> None:
     """Write the cache atomically: ``path`` holds the old file or the whole new one."""
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            for section in _sections(g):
-                fh.write(section)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
-        raise
+    with replacing(path, binary=True) as fh:
+        for section in _sections(g):
+            fh.write(section)
 
 
 class _Reader:
@@ -222,11 +221,7 @@ def load_cache(path: str | os.PathLike) -> CoGraph:
 
 
 def write_partition_csv(path: str | os.PathLike, labels: list[str], partition: Partition) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["name", "community"])
-        for name, cid in sorted(zip(labels, partition.assignment)):
-            writer.writerow([name, cid])
+    write_csv(path, ["name", "community"], sorted(zip(labels, partition.assignment)))
 
 
 def write_cluster_json(path: str | os.PathLike, cg: ClusterGraph) -> None:
@@ -240,19 +235,17 @@ def write_cluster_json(path: str | os.PathLike, cg: ClusterGraph) -> None:
                 "a": a,
                 "b": b,
                 "weight": link.weight,
-                "frequency": float(fmt_score(link.frequency)),
+                "frequency": link.frequency,
             }
             for (a, b), link in sorted(cg.links.items())
         ],
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, ensure_ascii=False, indent=2)
-        fh.write("\n")
+    write_json(path, payload)
 
 
 def write_cluster_dot(path: str | os.PathLike, cg: ClusterGraph) -> None:
     """Cluster meta-graph DOT: nodes sized by membership, edges by frequency."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with replacing(path) as fh:
         fh.write("graph clusters {\n")
         for cid, info in sorted(cg.clusters.items()):
             width = 0.3 + 0.15 * math.sqrt(info.size)

@@ -19,6 +19,7 @@ from datetime import date, datetime
 from enum import Enum
 from typing import IO, Iterable, Iterator, Union
 
+from ._write import replacing
 from .errors import MissingColumnError
 
 Source = Union[str, "os.PathLike[str]", IO]
@@ -529,7 +530,7 @@ def record_from_json(line: str) -> TitleRecord:
 
 
 def write_records_jsonl(path: str | os.PathLike, records: Iterable[TitleRecord]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with replacing(path) as fh:
         for rec in records:
             fh.write(record_to_json(rec))
             fh.write("\n")
@@ -546,7 +547,7 @@ def read_records_jsonl(path: str | os.PathLike) -> list[TitleRecord]:
 
 
 def write_persons_jsonl(path: str | os.PathLike, persons: Iterable[PersonRecord]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with replacing(path) as fh:
         for p in persons:
             payload = {
                 "person_id": p.person_id,

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import csv
-import json
 import os
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from ._write import write_csv, write_json
 from .ingest import TitleKind, TitleRecord
 
 
@@ -86,9 +85,7 @@ def write_summary_json(path: str | os.PathLike, summary: CatalogSummary) -> None
         "top_directors": [{"name": n, "count": c} for n, c in summary.top_directors],
         "rating_counts": summary.rating_counts,
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, ensure_ascii=False, indent=2)
-        fh.write("\n")
+    write_json(path, payload)
 
 
 def write_summary_csvs(outdir: str | os.PathLike, summary: CatalogSummary) -> list[str]:
@@ -97,10 +94,7 @@ def write_summary_csvs(outdir: str | os.PathLike, summary: CatalogSummary) -> li
 
     def _write(name: str, header: list[str], rows) -> None:
         path = os.path.join(outdir, name)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
+        write_csv(path, header, rows)
         written.append(path)
 
     _write(

@@ -210,3 +210,15 @@ def projection_weights(casts: list[list[int]]) -> dict[tuple[int, int], int]:
                     key = (cast[i], cast[j])
                     out[key] = out.get(key, 0) + 1
     return out
+
+
+def plurality_countries(pairs, item_country, n: int) -> list[str | None]:
+    """Each of ``n`` owners' most frequent ``item_country[item]`` over its
+    ``(owner, item)`` pairs, ties to the smaller string; ``None`` and ``""``
+    are no country."""
+    counts: list[dict[str, int]] = [{} for _ in range(n)]
+    for owner, item in pairs:
+        country = item_country[item]
+        if country:
+            counts[owner][country] = counts[owner].get(country, 0) + 1
+    return [min(c, key=lambda k: (-c[k], k)) if c else None for c in counts]

@@ -1,5 +1,6 @@
 import json
 import os
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -97,6 +98,11 @@ class TestPipeline:
                    str(pipeline_dir / "graph.bin"), "--out", str(out)) == 0
         payload = json.loads((out / "clusters.json").read_text())
         assert len(payload["clusters"]) >= 2
+
+    def test_echoed_flags_rounded_to_6_digits(self, pipeline_dir, tmp_path):
+        assert run("clusters", "--tau", "0.0123456789", "--graph",
+                   str(pipeline_dir / "graph.bin"), "--out", str(tmp_path)) == 0
+        assert '"tau": 0.0123457\n' in (tmp_path / "run_report.json").read_text()
 
     def test_cluster_label_overrides(self, pipeline_dir, tmp_path):
         out = tmp_path / "lab"
@@ -291,6 +297,20 @@ class TestExitCodes:
         assert run("centrality", "degree", "--graph", str(bogus),
                    "--out", str(tmp_path)) == 1
 
+    @pytest.mark.parametrize("command", ["stats-out-is-a-file", "centrality-graph-is-a-dir"])
+    def test_os_error_exits_1_with_one_line(self, pipeline_dir, tmp_path, capsys, command):
+        if command == "stats-out-is-a-file":
+            blocker = tmp_path / "blocker"
+            blocker.write_text("", encoding="utf-8")
+            argv = ("stats", "--records", str(pipeline_dir / "records.jsonl"),
+                    "--out", str(blocker))
+        else:
+            argv = ("centrality", "degree", "--graph", str(tmp_path), "--out", str(tmp_path))
+        capsys.readouterr()
+        assert run(*argv) == 1
+        stderr = capsys.readouterr().err
+        assert len(stderr.splitlines()) == 1 and stderr.startswith("error: ")
+
     def test_unknown_actor_is_data_error(self, pipeline_dir, tmp_path):
         code = run("path", "Us ActorA", "No Such Person",
                    "--graph", str(pipeline_dir / "graph.bin"), "--out", str(tmp_path))
@@ -349,27 +369,39 @@ class TestConfig:
         assert (out / "records.jsonl").exists()
 
 
+def run_every_command(out: Path, catalog_csv) -> None:
+    """The whole pipeline, every command writing into ``out``."""
+    assert run("ingest", "--source", "netflix", "--input", str(catalog_csv),
+               "--out", str(out)) == 0
+    records = ("--records", str(out / "records.jsonl"), "--out", str(out))
+    assert run("build", *records) == 0
+    assert run("stats", *records) == 0
+    assert run("evolve", "--window", "4", "--step", "2", *records) == 0
+    for argv in (*(("centrality", m) for m in ("degree", "betweenness", "closeness",
+                                                  "eigenvector")),
+                 ("communities",), ("clusters", "--tau", "0.02"), ("crossover",),
+                 ("partners", "--top", "5"), ("predict", "adamic_adar", "--top", "5"),
+                 ("path", "Us ActorA", "In ActorA"),
+                 ("export", "--format", "graphml"), ("export", "--format", "dot")):
+        assert run(*argv, "--graph", str(out / "graph.bin"), "--out", str(out)) == 0
+
+
 class TestDeterminism:
     def test_repeat_runs_byte_identical(self, tmp_path, catalog_csv):
-        trees = []
-        for name in ("first", "second"):
-            out = tmp_path / name
-            assert run("ingest", "--source", "netflix", "--input", str(catalog_csv),
-                       "--out", str(out)) == 0
-            assert run("build", "--records", str(out / "records.jsonl"),
-                       "--out", str(out)) == 0
-            assert run("stats", "--records", str(out / "records.jsonl"),
-                       "--out", str(out)) == 0
-            for measure in ("degree", "betweenness", "closeness", "eigenvector"):
-                assert run("centrality", measure, "--graph", str(out / "graph.bin"),
-                           "--out", str(out)) == 0
-            assert run("communities", "--graph", str(out / "graph.bin"),
-                       "--out", str(out)) == 0
-            assert run("clusters", "--tau", "0.02", "--graph", str(out / "graph.bin"),
-                       "--out", str(out)) == 0
-            trees.append(out)
-        first, second = trees
+        first, second = tmp_path / "first", tmp_path / "second"
+        run_every_command(first, catalog_csv)
+        run_every_command(second, catalog_csv)
         names = sorted(p.name for p in first.iterdir())
         assert names == sorted(p.name for p in second.iterdir())
+        assert not [name for name in names if name.endswith(".tmp")]
         for name in names:
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+    def test_json_floats_have_at_most_6_significant_digits(self, tmp_path, catalog_csv):
+        run_every_command(tmp_path, catalog_csv)
+        floats: list[str] = []
+        for path in sorted(tmp_path.glob("*.json")):
+            json.loads(path.read_text(encoding="utf-8"), parse_float=floats.append)
+        assert len(floats) > 100
+        for text in floats:
+            assert len(Decimal(text).normalize().as_tuple().digits) <= 6, text

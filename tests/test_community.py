@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from castnet.community import (
@@ -12,9 +14,10 @@ from castnet.community import (
     filter_interactions,
     louvain,
     modularity,
+    Partition,
 )
 from castnet.errors import EmptyGraphError
-from castnet.graph import CoGraph
+from castnet.graph import CoGraph, build_bipartite, project
 from castnet.ingest import TitleKind, TitleRecord
 from conftest import make_graph
 
@@ -176,6 +179,45 @@ class TestClusterGraph:
         assert labels == ["IN", "US"]
         cg2 = build_cluster_graph(g, part, overrides={0: "Hollywood"})
         assert cg2.clusters[0].label == "Hollywood"
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        titles=st.lists(
+            st.tuples(
+                st.lists(st.integers(0, 7), min_size=1, max_size=4, unique=True),
+                st.sampled_from([None, "", "India", "France", "US"]),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        cluster_of=st.lists(st.integers(0, 2), min_size=8, max_size=8),
+    )
+    # Actor x is in a "" title and an India one: x counts for India alone.
+    @example(titles=[([0, 1], ""), ([0, 2], "India")], cluster_of=[0] * 8)
+    @example(titles=[([0], ""), ([0], "India"), ([1], "US")], cluster_of=[0] * 8)
+    def test_country_labels_match_bruteforce(self, titles, cluster_of):
+        records = [
+            TitleRecord(f"t{i}", f"t{i}", TitleKind.MOVIE, 2000, (),
+                        tuple(f"P{p}" for p in cast), country)
+            for i, (cast, country) in enumerate(titles)
+        ]
+        store = build_bipartite(records)
+        g = project(store)
+        actor_country = oracles.plurality_countries(
+            ((p, t) for t, members in enumerate(store.incidence) for p in members),
+            [meta.country for meta in store.title_meta],
+            g.n,
+        )
+        assert g.node_country == actor_country
+        part = Partition(assignment=tuple(cluster_of[: g.n]), q=0.0, seed=0)
+        cg = build_cluster_graph(g, part)
+        expected = oracles.plurality_countries(
+            ((cid, v) for v, cid in enumerate(part.assignment)), actor_country,
+            part.n_communities,
+        )
+        assert [info.label for _, info in sorted(cg.clusters.items())] == [
+            country or f"cluster-{cid}" for cid, country in enumerate(expected)
+        ]
 
     def test_fallback_label(self, two_triangles):
         cg = build_cluster_graph(two_triangles, louvain(two_triangles, seed=42))

@@ -5,7 +5,7 @@ import struct
 import xml.etree.ElementTree as ET
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -275,6 +275,54 @@ class TestGraphml:
         assert len(edges) == g.edge_count
         weights = sorted(int(e.find("g:data", ns).text) for e in edges)
         assert weights == sorted(w for _, _, w in g.edges())
+
+
+def _elementtree_graphml(path, g: CoGraph) -> None:
+    """The GraphML writer as ElementTree builds it: the oracle for the bytes."""
+    root = ET.Element("graphml", xmlns="http://graphml.graphdrawing.org/xmlns")
+    ET.SubElement(
+        root, "key", id="d0", attrib={"for": "node", "attr.name": "name", "attr.type": "string"}
+    )
+    ET.SubElement(
+        root, "key", id="d1", attrib={"for": "edge", "attr.name": "weight", "attr.type": "long"}
+    )
+    graph = ET.SubElement(root, "graph", edgedefault="undirected")
+    for i, label in enumerate(g.labels):
+        node = ET.SubElement(graph, "node", id=f"n{i}")
+        ET.SubElement(node, "data", key="d0").text = label
+    for u, v, w in g.edges():
+        edge = ET.SubElement(graph, "edge", source=f"n{u}", target=f"n{v}")
+        ET.SubElement(edge, "data", key="d1").text = str(w)
+    tree = ET.ElementTree(root)
+    ET.indent(tree)
+    tree.write(path, encoding="utf-8", xml_declaration=True)
+
+
+_label = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
+
+
+@st.composite
+def _labelled_graphs(draw):
+    labels = draw(st.lists(_label, max_size=12))
+    n = len(labels)
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(1, 9))
+    edges = draw(st.lists(pairs, max_size=30)) if n else []
+    return CoGraph.from_weighted_edges(labels, [(u, v, w) for u, v, w in edges if u != v])
+
+
+class TestGraphmlBytes:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_labelled_graphs())
+    @example(CoGraph.from_weighted_edges([], []))
+    @example(CoGraph.from_weighted_edges(["lone"], []))
+    @example(CoGraph.from_weighted_edges(["a&b", "<x>", "", "q\"'", "é", "  "], [(0, 2, 3)]))
+    def test_matches_elementtree(self, tmp_path, g):
+        write_graphml(tmp_path / "streamed.graphml", g)
+        _elementtree_graphml(tmp_path / "tree.graphml", g)
+        assert (tmp_path / "streamed.graphml").read_bytes() == (
+            tmp_path / "tree.graphml"
+        ).read_bytes()
 
 
 class TestClusterOutputs:

@@ -12,6 +12,7 @@ from castnet.centrality import (
     closeness_centrality,
     eigenvector_centrality,
 )
+from castnet.community import louvain, modularity
 from castnet.graph import CoGraph
 
 nx = pytest.importorskip("networkx")
@@ -70,3 +71,24 @@ def test_eigenvector_matches_networkx(n, p, seed):
     table = eigenvector_centrality(_pair(nxg))  # default tolerance
     assert table.params["converged"]
     assert np.abs(table.scores - ref).max() < TOL
+
+
+@pytest.mark.parametrize(
+    "nxg",
+    [
+        pytest.param(_connected(300, 0.025, seed=16), id="connected-300"),
+        pytest.param(nx.gnp_random_graph(2000, 3.0 / 2000, seed=17), id="disconnected-2000"),
+    ],
+)
+def test_modularity_of_louvain_matches_networkx(nxg):
+    rng = np.random.default_rng(18)
+    for u, v in nxg.edges():
+        nxg[u][v]["weight"] = int(rng.integers(1, 5))
+    g = CoGraph.from_weighted_edges(
+        [f"v{i:04d}" for i in range(nxg.number_of_nodes())],
+        [(u, v, w) for u, v, w in nxg.edges(data="weight")],
+    )
+    part = louvain(g, seed=19)
+    groups = [set(members) for members in part.members()]
+    ref = nx.community.modularity(nxg, groups, weight="weight")
+    assert abs(modularity(g, part.assignment) - ref) < TOL

@@ -1,93 +1,77 @@
-"""Actor collaboration network analytics for movie/OTT catalogs."""
+"""Actor collaboration network analytics for movie/OTT catalogs.
 
-from .centrality import (
-    Measure,
-    ScoreTable,
-    betweenness_centrality,
-    closeness_centrality,
-    degree_centrality,
-    eigenvector_centrality,
-)
-from .community import (
-    ClusterGraph,
-    EvolutionTimeline,
-    Partition,
-    build_cluster_graph,
-    community_evolution,
-    crossover_scores,
-    filter_interactions,
-    louvain,
-    modularity,
-)
-from .graph import BipartiteStore, CoGraph, build_bipartite, project
-from .ingest import (
-    PersonRecord,
-    TitleKind,
-    TitleRecord,
-    normalize_name,
-    parse_imdb,
-    parse_netflix,
-)
-from .linkpred import (
-    Method,
-    PairScore,
-    adamic_adar,
-    common_neighbors,
-    jaccard,
-    predict_top,
-    preferential_attachment,
-    resource_allocation,
-)
-from .paths import (
-    AnnotatedPath,
-    Unreachable,
-    distance_histogram,
-    shortest_path,
-    top_partnerships,
-)
-from .stats import CatalogSummary, summarize
+The public names load their module on first use (PEP 562), so importing the
+package, or one command's modules, does not load every module and numpy.
+"""
+
+from __future__ import annotations
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnnotatedPath",
-    "BipartiteStore",
-    "CatalogSummary",
-    "ClusterGraph",
-    "CoGraph",
-    "EvolutionTimeline",
-    "Measure",
-    "Method",
-    "PairScore",
-    "Partition",
-    "PersonRecord",
-    "ScoreTable",
-    "TitleKind",
-    "TitleRecord",
-    "Unreachable",
-    "adamic_adar",
-    "betweenness_centrality",
-    "build_bipartite",
-    "build_cluster_graph",
-    "closeness_centrality",
-    "common_neighbors",
-    "community_evolution",
-    "crossover_scores",
-    "degree_centrality",
-    "distance_histogram",
-    "eigenvector_centrality",
-    "filter_interactions",
-    "jaccard",
-    "louvain",
-    "modularity",
-    "normalize_name",
-    "parse_imdb",
-    "parse_netflix",
-    "predict_top",
-    "preferential_attachment",
-    "project",
-    "resource_allocation",
-    "shortest_path",
-    "summarize",
-    "top_partnerships",
-]
+# The public names, by the module that defines them.
+_EXPORTS = {
+    "centrality": (
+        "Measure",
+        "ScoreTable",
+        "betweenness_centrality",
+        "closeness_centrality",
+        "degree_centrality",
+        "eigenvector_centrality",
+    ),
+    "community": (
+        "ClusterGraph",
+        "EvolutionTimeline",
+        "Partition",
+        "build_cluster_graph",
+        "community_evolution",
+        "crossover_scores",
+        "filter_interactions",
+        "louvain",
+        "modularity",
+    ),
+    "graph": ("BipartiteStore", "CoGraph", "build_bipartite", "project"),
+    "ingest": (
+        "PersonRecord",
+        "TitleKind",
+        "TitleRecord",
+        "normalize_name",
+        "parse_imdb",
+        "parse_netflix",
+    ),
+    "linkpred": (
+        "Method",
+        "PairScore",
+        "adamic_adar",
+        "common_neighbors",
+        "jaccard",
+        "predict_top",
+        "preferential_attachment",
+        "resource_allocation",
+    ),
+    "paths": (
+        "AnnotatedPath",
+        "Unreachable",
+        "distance_histogram",
+        "shortest_path",
+        "top_partnerships",
+    ),
+    "stats": ("CatalogSummary", "summarize"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -9,12 +9,12 @@ Algorithms in the Language of Linear Algebra* (2011).
 scipy is imported inside the functions that need it, never at module level:
 ``import scipy.sparse`` costs about 0.2 s of CPU and 19 MB per process (on a
 2-vCPU Xeon VM), which commands that never traverse all sources should not
-pay.
+pay. The thread pool's module is imported only when a traversal asks for a
+second thread.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from typing import Callable, Iterator, TypeVar
 
@@ -95,6 +95,8 @@ def map_blocks(
         for block in blocks:
             yield fn(adj, block)
         return
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(partial(fn, adj), blocks)
 

@@ -147,13 +147,13 @@ def eigenvector_centrality(
     iterations = 0
     for iterations in range(1, max_iter + 1):
         y = shifted(x)
-        y /= float(np.linalg.norm(y))
-        converged = float(np.linalg.norm(y - x)) < tol
+        y /= _l2(y)
+        converged = _l2(y - x) < tol
         x = y
         if converged:
             break
     # Rayleigh quotient of the unshifted adjacency at the final iterate.
-    lam = float(x @ shifted(x)) - 1.0
+    lam = float(np.sum(x * shifted(x))) - 1.0
     return ScoreTable(
         x,
         Measure.EIGENVECTOR,
@@ -165,6 +165,13 @@ def eigenvector_centrality(
             "lambda": lam,
         },
     )
+
+
+def _l2(x: np.ndarray) -> float:
+    """L2 norm by numpy's pairwise sum. BLAS (``np.linalg.norm``, ``@``) splits
+    long dot products across its threads, which changes the last bits with
+    the machine's thread count."""
+    return float(np.sqrt(np.sum(x * x)))
 
 
 def write_scores_csv(path: str | os.PathLike, g: CoGraph, table: ScoreTable) -> None:

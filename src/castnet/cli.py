@@ -5,6 +5,9 @@ structured ``run_report.json`` (skipped rows, non-convergence, parameters).
 Diagnostics go to stderr; stdout carries machine-readable data only. Same
 inputs + same seed produce byte-identical output trees: no timestamps, fixed
 key order, floats at 6 significant digits. ``_write`` writes every file.
+
+Each command imports the modules it uses when it runs, so a process loads
+only what its command needs, and ``stats`` and ``ingest`` never load numpy.
 """
 
 from __future__ import annotations
@@ -16,25 +19,16 @@ import os
 import sys
 from dataclasses import dataclass, fields
 
-from . import centrality as centrality_mod
-from . import community as community_mod
-from . import graphio, linkpred
-from . import stats as stats_mod
+from ._options import DEFAULT_CANDIDATE_CAP, DEFAULT_MAX_CAST, Method
 from ._write import write_csv, write_json
 from .errors import CastnetError
-from .graph import DEFAULT_MAX_CAST, build_bipartite, project
-from .ingest import (
-    TitleKind,
-    parse_imdb,
-    parse_netflix,
-    person_name_map,
-    read_persons_jsonl,
-    read_records_jsonl,
-    write_persons_jsonl,
-    write_records_jsonl,
-)
 
 DATA_DIR_ENV = "CASTNET_DATA_DIR"
+
+# castnet calls no multi-threaded BLAS routine, so a castnet process should
+# not start a BLAS thread pool. ``console_main`` defaults these to 1; a value
+# already set wins.
+BLAS_THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 EXIT_OK = 0
 EXIT_DATA_ERROR = 1
@@ -119,6 +113,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _build_filters(cfg: RunConfig) -> dict:
+    from .ingest import TitleKind
+
     filters: dict = {"min_cast": cfg.min_cast, "max_cast": cfg.max_cast}
     if cfg.kind:
         try:
@@ -147,13 +143,24 @@ def _require(cfg: RunConfig, attr: str, flag: str) -> str:
 
 
 def _load_records(cfg: RunConfig):
-    path = _require(cfg, "records", "--records")
-    return read_records_jsonl(path)
+    from .ingest import read_records_jsonl
+
+    return read_records_jsonl(_require(cfg, "records", "--records"))
+
+
+def _load_names(cfg: RunConfig) -> dict[str, str] | None:
+    """Person key -> display name from ``--persons``, if given."""
+    if not cfg.persons:
+        return None
+    from .ingest import person_name_map, read_persons_jsonl
+
+    return person_name_map(read_persons_jsonl(cfg.persons))
 
 
 def _load_graph(cfg: RunConfig):
-    path = _require(cfg, "graph", "--graph")
-    return graphio.load_cache(path)
+    from .graphio import load_cache
+
+    return load_cache(_require(cfg, "graph", "--graph"))
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +169,14 @@ def _load_graph(cfg: RunConfig):
 
 
 def cmd_ingest(cfg: RunConfig, args: argparse.Namespace) -> int:
+    from .ingest import (
+        TitleKind,
+        parse_imdb,
+        parse_netflix,
+        write_persons_jsonl,
+        write_records_jsonl,
+    )
+
     records_path = os.path.join(cfg.out, "records.jsonl")
     if cfg.source == "netflix":
         result = parse_netflix(_require(cfg, "input", "--input"))
@@ -200,14 +215,14 @@ def cmd_ingest(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_build(cfg: RunConfig, args: argparse.Namespace) -> int:
+    from .graph import build_bipartite, project
+    from .graphio import save_cache
+
     records = _load_records(cfg)
-    names = None
-    if cfg.persons:
-        names = person_name_map(read_persons_jsonl(cfg.persons))
-    store = build_bipartite(records, names=names, **_build_filters(cfg))
+    store = build_bipartite(records, names=_load_names(cfg), **_build_filters(cfg))
     graph = project(store)
     cache_path = os.path.join(cfg.out, "graph.bin")
-    graphio.save_cache(cache_path, graph)
+    save_cache(cache_path, graph)
     _write_report(
         cfg,
         "build",
@@ -229,29 +244,33 @@ def cmd_build(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_stats(cfg: RunConfig, args: argparse.Namespace) -> int:
-    summary = stats_mod.summarize(_load_records(cfg), top_k=args.top)
+    from .stats import summarize, write_summary_csvs, write_summary_json
+
+    summary = summarize(_load_records(cfg), top_k=args.top)
     json_path = os.path.join(cfg.out, "summary.json")
-    stats_mod.write_summary_json(json_path, summary)
-    csvs = stats_mod.write_summary_csvs(cfg.out, summary)
+    write_summary_json(json_path, summary)
+    csvs = write_summary_csvs(cfg.out, summary)
     _write_report(cfg, "stats", {"outputs": [json_path] + csvs})
     return EXIT_OK
 
 
 def cmd_centrality(cfg: RunConfig, args: argparse.Namespace) -> int:
+    from . import centrality
+
     g = _load_graph(cfg)
     threads = cfg.threads if cfg.threads > 0 else (os.cpu_count() or 1)
     if args.measure == "degree":
-        table = centrality_mod.degree_centrality(g)
+        table = centrality.degree_centrality(g)
     elif args.measure == "betweenness":
-        table = centrality_mod.betweenness_centrality(g, threads=threads)
+        table = centrality.betweenness_centrality(g, threads=threads)
     elif args.measure == "closeness":
-        table = centrality_mod.closeness_centrality(g, threads=threads)
+        table = centrality.closeness_centrality(g, threads=threads)
     else:
-        table = centrality_mod.eigenvector_centrality(g)
+        table = centrality.eigenvector_centrality(g)
     csv_path = os.path.join(cfg.out, f"centrality_{args.measure}.csv")
     json_path = os.path.join(cfg.out, f"centrality_{args.measure}.json")
-    centrality_mod.write_scores_csv(csv_path, g, table)
-    centrality_mod.write_scores_json(json_path, g, table)
+    centrality.write_scores_csv(csv_path, g, table)
+    centrality.write_scores_json(json_path, g, table)
     events = []
     if table.params.get("converged") is False:
         events.append({"type": "no_convergence", "detail": "max_iter reached"})
@@ -269,10 +288,10 @@ def cmd_centrality(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_path(cfg: RunConfig, args: argparse.Namespace) -> int:
-    g = _load_graph(cfg)
     from .errors import UnknownActorError
     from .paths import path_to_dict, render_path, shortest_path
 
+    g = _load_graph(cfg)
     try:
         result = shortest_path(g, args.a, args.b)
     except UnknownActorError as exc:
@@ -292,9 +311,9 @@ def cmd_path(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_partners(cfg: RunConfig, args: argparse.Namespace) -> int:
-    g = _load_graph(cfg)
     from .paths import top_partnerships
 
+    g = _load_graph(cfg)
     rows = top_partnerships(g, args.top)
     out_path = os.path.join(cfg.out, "partners.csv")
     write_csv(out_path, ["actor_a", "actor_b", "shared_titles"], rows)
@@ -303,9 +322,11 @@ def cmd_partners(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_predict(cfg: RunConfig, args: argparse.Namespace) -> int:
+    from .linkpred import predict_top
+
     g = _load_graph(cfg)
-    method = linkpred.Method(args.method)
-    scores = linkpred.predict_top(
+    method = Method(args.method)
+    scores = predict_top(
         g,
         method,
         args.top,
@@ -328,10 +349,13 @@ def cmd_predict(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_communities(cfg: RunConfig, args: argparse.Namespace) -> int:
+    from .community import louvain
+    from .graphio import write_partition_csv
+
     g = _load_graph(cfg)
-    part = community_mod.louvain(g, seed=cfg.seed, resolution=args.resolution)
+    part = louvain(g, seed=cfg.seed, resolution=args.resolution)
     out_path = os.path.join(cfg.out, "communities.csv")
-    graphio.write_partition_csv(out_path, g.labels, part)
+    write_partition_csv(out_path, g.labels, part)
     _write_report(
         cfg,
         "communities",
@@ -349,14 +373,17 @@ def cmd_communities(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_clusters(cfg: RunConfig, args: argparse.Namespace) -> int:
+    from .community import build_cluster_graph, filter_interactions, louvain
+    from .graphio import write_cluster_dot, write_cluster_json
+
     g = _load_graph(cfg)
-    part = community_mod.louvain(g, seed=cfg.seed)
-    cg = community_mod.build_cluster_graph(g, part, overrides=args.labels)
-    cg = community_mod.filter_interactions(cg, args.tau)
+    part = louvain(g, seed=cfg.seed)
+    cg = build_cluster_graph(g, part, overrides=args.labels)
+    cg = filter_interactions(cg, args.tau)
     json_path = os.path.join(cfg.out, "clusters.json")
     dot_path = os.path.join(cfg.out, "clusters.dot")
-    graphio.write_cluster_json(json_path, cg)
-    graphio.write_cluster_dot(dot_path, cg)
+    write_cluster_json(json_path, cg)
+    write_cluster_dot(dot_path, cg)
     _write_report(
         cfg,
         "clusters",
@@ -372,23 +399,24 @@ def cmd_clusters(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_crossover(cfg: RunConfig, args: argparse.Namespace) -> int:
+    from .centrality import write_scores_csv
+    from .community import crossover_scores, louvain
+
     g = _load_graph(cfg)
-    part = community_mod.louvain(g, seed=cfg.seed)
-    table = community_mod.crossover_scores(g, part)
+    part = louvain(g, seed=cfg.seed)
+    table = crossover_scores(g, part)
     out_path = os.path.join(cfg.out, "crossover.csv")
-    centrality_mod.write_scores_csv(out_path, g, table)
+    write_scores_csv(out_path, g, table)
     _write_report(cfg, "crossover", {"seed": cfg.seed, "outputs": [out_path]})
     return EXIT_OK
 
 
 def cmd_evolve(cfg: RunConfig, args: argparse.Namespace) -> int:
+    from .community import community_evolution
+
     records = _load_records(cfg)
-    names = None
-    if cfg.persons:
-        names = person_name_map(read_persons_jsonl(cfg.persons))
-    timeline = community_mod.community_evolution(
-        records, args.window, args.step, cfg.seed, names=names
-    )
+    names = _load_names(cfg)
+    timeline = community_evolution(records, args.window, args.step, cfg.seed, names=names)
     payload = {
         "windows": [
             {
@@ -425,14 +453,16 @@ def cmd_evolve(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_export(cfg: RunConfig, args: argparse.Namespace) -> int:
+    from .graphio import write_dot, write_graphml
+
     g = _load_graph(cfg)
     fmt = args.format or cfg.format
     if fmt == "dot":
         out_path = os.path.join(cfg.out, "graph.dot")
-        graphio.write_dot(out_path, g)
+        write_dot(out_path, g)
     elif fmt == "graphml":
         out_path = os.path.join(cfg.out, "graph.graphml")
-        graphio.write_graphml(out_path, g)
+        write_graphml(out_path, g)
     else:
         raise UsageError(f"unknown export format {fmt!r} (dot or graphml)")
     _write_report(cfg, "export", {"format": fmt, "outputs": [out_path]})
@@ -544,11 +574,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("predict", help="rank candidate future collaborations")
     common(p)
-    p.add_argument("method", choices=[m.value for m in linkpred.Method])
+    p.add_argument("method", choices=[m.value for m in Method])
     p.add_argument("--top", type=_positive_int, required=True)
     p.add_argument("--min-common", dest="min_common", type=_count, default=1)
     p.add_argument("--allow-zero-common", action="store_true")
-    p.add_argument("--cap", type=_positive_int, default=linkpred.DEFAULT_CANDIDATE_CAP,
+    p.add_argument("--cap", type=_positive_int, default=DEFAULT_CANDIDATE_CAP,
                    help="fail when more candidate pairs than this are found (default: no cap)")
     p.add_argument("--graph")
     p.set_defaults(func=cmd_predict)
@@ -593,7 +623,7 @@ def _check_flag_pairs(parser: argparse.ArgumentParser, args: argparse.Namespace)
     if args.command == "evolve" and args.window < args.step:
         parser.error(f"argument --window: expected >= --step ({args.step}), got {args.window}")
     if args.command == "predict" and args.min_common == 0 and not (
-        args.allow_zero_common and args.method == linkpred.Method.PREFERENTIAL_ATTACHMENT.value
+        args.allow_zero_common and args.method == Method.PREFERENTIAL_ATTACHMENT.value
     ):
         parser.error(
             "argument --min-common: 0 needs --allow-zero-common and preferential_attachment"
@@ -616,5 +646,13 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_DATA_ERROR
 
 
+def console_main() -> int:
+    """The ``castnet`` program and ``python -m castnet.cli``: ``main`` in a
+    process that starts no BLAS thread pool when a command loads numpy."""
+    for var in BLAS_THREAD_ENV:
+        os.environ.setdefault(var, "1")
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console_main())

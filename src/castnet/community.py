@@ -12,14 +12,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .centrality import Measure, ScoreTable
 from .errors import EmptyGraphError, EmptyInputError
 from .graph import CoGraph, build_bipartite, plurality_countries, project
-from .ingest import TitleRecord
+
+if TYPE_CHECKING:
+    from .centrality import ScoreTable
+    from .ingest import TitleRecord
 
 
 @dataclass
@@ -318,6 +320,8 @@ def crossover_scores(g: CoGraph, partition: Partition) -> ScoreTable:
     Measures how evenly an actor's collaborations spread across communities;
     0 for degree-0 nodes and for actors confined to one community.
     """
+    from .centrality import Measure, ScoreTable
+
     if len(partition.assignment) != g.n:
         raise ValueError("partition does not cover the graph")
     comm = partition.assignment

@@ -10,14 +10,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from ._options import DEFAULT_MAX_CAST
 from .errors import EmptyInputError, NodeOutOfRangeError, UnknownActorError
-from .ingest import TitleKind, TitleRecord
 
-DEFAULT_MAX_CAST = 500
+if TYPE_CHECKING:
+    from .ingest import TitleKind, TitleRecord
 
 
 @dataclass(frozen=True)

@@ -11,13 +11,16 @@ from __future__ import annotations
 import math
 import os
 import struct
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ._write import fmt_score, replacing, write_csv, write_json
-from .community import ClusterGraph, Partition
 from .errors import CacheFormatError
 from .graph import CoGraph
+
+if TYPE_CHECKING:
+    from .community import ClusterGraph, Partition
 
 CACHE_MAGIC = b"CASTNETG"
 CACHE_VERSION = 2

@@ -103,11 +103,21 @@ class ImdbResult:
     report: IngestReport
 
 
+# C0 and C1 controls that are not whitespace, and U+FFFE and U+FFFF: XML 1.0
+# cannot carry them, not even as character references.
+_DROPPED_CHARS = dict.fromkeys(
+    c for c in [*range(0x20), *range(0x7F, 0xA0), 0xFFFE, 0xFFFF] if not chr(c).isspace()
+)
+
+
 def normalize_name(raw: str) -> str:
-    """Trim and collapse internal whitespace runs to single spaces.
+    """Trim and collapse internal whitespace runs to single spaces, and drop
+    control characters.
 
     No case folding: names differing in case stay distinct.
     """
+    if not raw.isprintable():  # printable text holds none; translate is slow
+        raw = raw.translate(_DROPPED_CHARS)
     return " ".join(raw.split())
 
 

@@ -9,33 +9,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import partial
 from typing import Iterator
 
 import numpy as np
 
 from . import _bfs
+from ._options import DEFAULT_CANDIDATE_CAP, Method
 from .errors import CandidateExplosionError
 from .graph import CoGraph, name_ranks, top_pairs
-
-# No candidate limit unless one is asked for: memory is bounded by the row
-# blocks, not by the candidate count.
-DEFAULT_CANDIDATE_CAP: int | None = None
 
 # Two-hop entries (u, w, v) expanded per row block, counted before the v > u
 # filter: a row's work is the sum of its neighbors' degrees. A block holds a
 # few int64 arrays of this length, a few MB. Fixed, so blocks never depend on
 # the thread count or any option.
 BLOCK_WORK = 1 << 18
-
-
-class Method(str, Enum):
-    COMMON_NEIGHBORS = "common_neighbors"
-    JACCARD = "jaccard"
-    RESOURCE_ALLOCATION = "resource_allocation"
-    ADAMIC_ADAR = "adamic_adar"
-    PREFERENTIAL_ATTACHMENT = "preferential_attachment"
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,14 @@
 import math
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import oracles
+import castnet
 from castnet.centrality import (
     Measure,
     betweenness_centrality,
@@ -117,6 +121,37 @@ class TestEigenvector:
             g = make_graph(n, sorted(edges))
             scores = eigenvector_centrality(g).scores
             assert np.all(scores > 0)
+
+    def test_bytes_independent_of_blas_threads(self):
+        """OpenBLAS splits long dot products across its threads; on this
+        12k-node graph that changed the last bits of the scores and of lambda."""
+        code = (
+            "import hashlib, numpy as np\n"
+            "from castnet.centrality import eigenvector_centrality\n"
+            "from castnet.graph import CoGraph\n"
+            "n = 12_000\n"
+            "u, v = np.random.default_rng(7).integers(0, n, (2, 120_000))\n"
+            "keep = u < v\n"
+            "edges = zip(u[keep].tolist(), v[keep].tolist(), [1] * int(keep.sum()))\n"
+            "g = CoGraph.from_weighted_edges([str(i) for i in range(n)], edges)\n"
+            "table = eigenvector_centrality(g)\n"
+            "print(hashlib.sha256(table.scores.tobytes()).hexdigest(), repr(table.params['lambda']))"
+        )
+        outputs = set()
+        for threads in ("1", "2"):
+            env = dict(
+                os.environ,
+                PYTHONPATH=os.path.dirname(os.path.dirname(castnet.__file__)),
+                OPENBLAS_NUM_THREADS=threads,
+                OMP_NUM_THREADS=threads,
+                MKL_NUM_THREADS=threads,
+            )
+            proc = subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.add(proc.stdout)
+        assert len(outputs) == 1
 
 
 class TestOracleAgreement:

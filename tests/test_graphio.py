@@ -22,7 +22,7 @@ from castnet.graphio import (
     write_graphml,
     write_partition_csv,
 )
-from castnet.ingest import TitleKind, TitleRecord
+from castnet.ingest import TitleKind, TitleRecord, normalize_name
 from conftest import make_graph
 
 
@@ -323,6 +323,21 @@ class TestGraphmlBytes:
         assert (tmp_path / "streamed.graphml").read_bytes() == (
             tmp_path / "tree.graphml"
         ).read_bytes()
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_labelled_graphs())
+@example(CoGraph.from_weighted_edges(["a\x01b", "\x00", "\x1b[0m", "x\x9f\uffff"], [(0, 1, 1)]))
+def test_graphml_of_ingested_names_is_well_formed(tmp_path, g):
+    """Names reach the graph through ``normalize_name``, as ingest passes them."""
+    g = dataclasses.replace(g, labels=[normalize_name(label) for label in g.labels],
+                            _label_index={})
+    write_graphml(tmp_path / "graph.graphml", g)
+    root = ET.parse(tmp_path / "graph.graphml").getroot()
+    names = [data.text or "" for data in root.iter("{http://graphml.graphdrawing.org/xmlns}data")
+             if data.get("key") == "d0"]
+    assert names == g.labels
 
 
 class TestClusterOutputs:

@@ -1,0 +1,92 @@
+"""What a castnet process imports: each command loads only the modules it uses."""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+import castnet
+from castnet.cli import BLAS_THREAD_ENV
+from castnet.graphio import save_cache
+from conftest import make_graph
+
+SRC = os.path.dirname(os.path.dirname(castnet.__file__))
+
+
+def run_python(code: str, **env: str) -> str:
+    """Runs ``code`` with this castnet, no BLAS thread variable set but ``env``."""
+    base = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_ENV}
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=dict(base, PYTHONPATH=SRC, **env), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def test_importing_the_package_or_the_cli_does_not_load_numpy():
+    for module in ("castnet", "castnet.cli"):
+        assert run_python(f"import sys, {module}; print('numpy' in sys.modules)") == "False"
+
+
+def test_stats_and_ingest_do_not_load_numpy(tmp_path, catalog_csv):
+    out = str(tmp_path)
+    records = str(tmp_path / "records.jsonl")
+    for argv in (
+        ["ingest", "--source", "netflix", "--input", str(catalog_csv), "--out", out],
+        ["stats", "--records", records, "--out", out],
+    ):
+        code = (
+            "import sys, castnet.cli\n"
+            f"code = castnet.cli.main({argv!r})\n"
+            "print(code, 'numpy' in sys.modules)"
+        )
+        assert run_python(code) == "0 False", argv
+
+
+def test_every_public_name_resolves_and_is_listed():
+    code = (
+        "import castnet\n"
+        "unlisted = sorted(set(castnet.__all__) - set(dir(castnet)))\n"
+        "print(unlisted, [n for n in castnet.__all__ if getattr(castnet, n, None) is None],"
+        " hasattr(castnet, 'no_such_name'))"
+    )
+    assert run_python(code) == "[] [] False"
+
+
+@pytest.mark.parametrize(
+    "argv,modules",
+    [
+        (["centrality", "degree"], "_bfs _options _write centrality cli errors graph graphio"),
+        (["communities"], "_options _write cli community errors graph graphio"),
+        (["export", "--format", "dot"], "_options _write cli errors graph graphio"),
+    ],
+)
+def test_graph_commands_load_only_their_modules(tmp_path, argv, modules):
+    graph = tmp_path / "graph.bin"
+    save_cache(graph, make_graph(3, [(0, 1), (1, 2)]))
+    argv = [*argv, "--graph", str(graph), "--out", str(tmp_path)]
+    code = (
+        "import sys, castnet.cli\n"
+        f"code = castnet.cli.main({argv!r})\n"
+        "print(code, *sorted(m[8:] for m in sys.modules if m.startswith('castnet.')))"
+    )
+    assert run_python(code) == f"0 {modules}"
+
+
+
+def test_cli_process_starts_no_blas_thread_pool(tmp_path):
+    """A ``BLAS_THREAD_ENV`` value the user set wins over the default of 1."""
+    graph = tmp_path / "graph.bin"
+    save_cache(graph, make_graph(3, [(0, 1), (1, 2)]))
+    argv = ["castnet", "centrality", "eigenvector", "--graph", str(graph), "--out", str(tmp_path)]
+    code = (
+        "import os, sys, castnet.cli\n"
+        f"sys.argv = {argv!r}\n"
+        "code = castnet.cli.console_main()\n"
+        f"print(code, *(os.environ[v] for v in {BLAS_THREAD_ENV!r}), "
+        "len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else 1)"
+    )
+    assert run_python(code).split() == ["0", "1", "1", "1", "1"]  # exit code, variables, threads
+    assert run_python(code, OPENBLAS_NUM_THREADS="3").split()[:2] == ["0", "3"]

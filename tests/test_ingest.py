@@ -33,6 +33,9 @@ class TestNormalizeName:
             ("", ""),
             ("Om\tPuri", "Om Puri"),
             ("One", "One"),
+            ("a\x01b", "ab"),
+            ("a \x00 b\x7f", "a b"),
+            ("Zo\x9f\ufffe\uffffë\x85Ray", "Zoë Ray"),
         ],
     )
     def test_examples(self, raw, expected):
@@ -44,6 +47,7 @@ class TestNormalizeName:
         assert normalize_name(once) == once
         assert "  " not in once
         assert once == once.strip()
+        assert not any(c < " " or "\x7f" <= c < "\xa0" or c in "\ufffe\uffff" for c in once)
 
     def test_preserves_case(self):
         assert normalize_name("anupam KHER") == "anupam KHER"

@@ -1,8 +1,11 @@
+import json
 import os
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from castnet._write import write_csv, write_json
+from castnet._write import _rounded, write_csv, write_json
 
 
 def test_json_floats_at_6_significant_digits(tmp_path):
@@ -41,3 +44,40 @@ def test_failed_write_keeps_previous_file(tmp_path, write):
         write(path, ["new"] * 10_000 + ["\ud800"])
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["out"]
+
+
+_text = st.text(st.characters(blacklist_categories=("Cs",)))  # UTF-8 cannot hold surrogates
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _text,
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(_text, inner, max_size=5),
+    max_leaves=40,
+)
+
+
+def _indent_2(payload, sort_keys=False) -> bytes:
+    text = json.dumps(_rounded(payload), ensure_ascii=False, indent=2, sort_keys=sort_keys)
+    return (text + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"scores": [{"name": "Zoë", "score": 0.25}, {"name": "},\n    {", "score": 1e-7}]},
+        {"windows": [{"years": [2001, 2005], "communities": [["a", "b"], ["ç"]], "q": None}]},
+        {"empty": [{}, [], [[]], [{}], {"x": {}}], "rows": [[1, 2], [3]], "mixed": [[1], {"a": 2}]},
+        [[], {}, "", 0, False, float("nan"), float("-inf")],
+        {1: "int key", 2.5: "float key", True: "bool key", None: "null key"},
+        {}, [], "plain", 3.0,
+    ],
+)
+def test_json_matches_indent_2(tmp_path, payload):
+    write_json(tmp_path / "out.json", payload)
+    assert (tmp_path / "out.json").read_bytes() == _indent_2(payload)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_json_values, st.booleans())
+def test_json_matches_indent_2_on_any_payload(tmp_path, payload, sort_keys):
+    write_json(tmp_path / "out.json", payload, sort_keys=sort_keys)
+    assert (tmp_path / "out.json").read_bytes() == _indent_2(payload, sort_keys)

@@ -210,10 +210,6 @@ def _aggregate(level: _Level) -> tuple[_Level, dict[int, int]]:
             cw = remap[level.comm[w]]
             if cv != cw:
                 adj[cv][cw] = adj[cv].get(cw, 0) + weight
-    # Each inter-community edge was added from both endpoints; halve it.
-    for d in adj:
-        for key in d:
-            d[key] //= 2
     new_level = _Level(n_new, adj, selfw)
     new_remap = {v: remap[level.comm[v]] for v in range(level.n)}
     return new_level, new_remap

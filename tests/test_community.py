@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from castnet import community
 from castnet.community import (
     build_cluster_graph,
     community_evolution,
@@ -95,6 +96,19 @@ class TestLouvain:
         assert part.passes == len(part.q_history)
         for earlier, later in zip(part.q_history, part.q_history[1:]):
             assert later >= earlier
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_last_level_quality_is_the_reported_q(self, seed, monkeypatch):
+        """Upper levels keep every unit of weight, so the last recorded
+        quality is the modularity of the final assignment."""
+        levels = []
+        aggregate = community._aggregate
+        monkeypatch.setattr(community, "_aggregate", lambda *a: levels.append(1) or aggregate(*a))
+        rng = random.Random(seed)
+        g = make_graph(200, oracles.random_graph(rng, 200, 0.03))
+        part = louvain(g, seed=seed)
+        assert len(levels) >= 2
+        assert part.q_history[-1] == pytest.approx(part.q, abs=1e-12)
 
     def test_bit_identical_across_repeats(self):
         rng = random.Random(31)

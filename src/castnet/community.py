@@ -5,14 +5,16 @@ Fisher-Yates visit order (reshuffled every pass), then aggregation, repeated
 until a full pass moves nothing. At the default resolution all gain
 comparisons are done in exact integer arithmetic (weights are counts), so a
 fixed seed gives bit-identical partitions and the recorded quality trace is
-non-decreasing by construction, not by luck.
+non-decreasing by construction, not by luck. Weight sums go through float64
+``bincount``; they stay exact because every total is an integer far below
+2**53.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
@@ -66,18 +68,23 @@ def modularity(g: CoGraph, assignment: Sequence[int]) -> float:
 
 
 class _Level:
-    """One Louvain level: adjacency dicts plus running community sums."""
+    """One Louvain level: edges ``rows -> cols`` of weight ``w`` (each once
+    per direction, sorted by row), internal weight ``selfw`` per node, the
+    per-node dicts ``_sweep`` reads and running community sums."""
 
-    __slots__ = ("n", "adj", "selfw", "k", "comm", "sigma", "intra")
+    __slots__ = ("n", "rows", "cols", "w", "adj", "selfw", "k", "comm", "sigma", "intra")
 
-    def __init__(self, n: int, adj: list[dict[int, int]], selfw: list[int]):
-        self.n = n
-        self.adj = adj
-        self.selfw = selfw
-        self.k = [2 * selfw[v] + sum(adj[v].values()) for v in range(n)]
+    def __init__(self, rows: np.ndarray, cols: np.ndarray, w: np.ndarray, selfw: np.ndarray):
+        self.n = n = len(selfw)
+        self.rows, self.cols, self.w = rows, cols, w
+        ptr = np.searchsorted(rows, np.arange(n + 1)).tolist()
+        col_list, w_list = cols.tolist(), w.tolist()
+        self.adj = [dict(zip(col_list[a:b], w_list[a:b])) for a, b in zip(ptr, ptr[1:])]
+        self.selfw = selfw.tolist()
+        self.k = (2 * selfw + np.bincount(rows, weights=w, minlength=n).astype(np.int64)).tolist()
         self.comm = list(range(n))
         self.sigma = list(self.k)  # total degree per community
-        self.intra = list(selfw)  # intra-community edge weight per community
+        self.intra = list(self.selfw)  # intra-community edge weight per community
 
     def quality_numerator(self, m: int, resolution: float):
         """Modularity numerator over denominator 4m^2 (exact int at res=1)."""
@@ -105,14 +112,9 @@ def louvain(g: CoGraph, seed: int, resolution: float = 1.0) -> Partition:
     m = g.total_edge_weight
     m2 = 2 * m
 
-    adj: list[dict[int, int]] = []
-    for u in range(g.n):
-        lo, hi = int(g.indptr[u]), int(g.indptr[u + 1])
-        adj.append(
-            {int(v): int(w) for v, w in zip(g.indices[lo:hi], g.weights[lo:hi])}
-        )
-    level = _Level(g.n, adj, [0] * g.n)
-    node_map = list(range(g.n))
+    rows = np.repeat(np.arange(g.n), np.diff(g.indptr))
+    level = _Level(rows, g.indices.astype(np.int64), g.weights, np.zeros(g.n, np.int64))
+    node_map = np.arange(g.n)
 
     passes = 0
     q_num_history: list = []
@@ -128,20 +130,15 @@ def louvain(g: CoGraph, seed: int, resolution: float = 1.0) -> Partition:
         if not moved_in_level:
             break
         prev_n = level.n
-        level, remap = _aggregate(level)
-        node_map = [remap[node_map[i]] for i in range(g.n)]
+        level, new_id = _aggregate(level)
+        node_map = new_id[node_map]
         if level.n >= prev_n or level.n <= 1:
             break  # no compression left (every accepted move shrinks live communities)
 
-    # Flatten to original nodes and renumber contiguously in node order.
-    raw = [level.comm[node_map[i]] for i in range(g.n)]
-    relabel: dict[int, int] = {}
-    assignment = []
-    for cid in raw:
-        if cid not in relabel:
-            relabel[cid] = len(relabel)
-        assignment.append(relabel[cid])
-    assignment = tuple(assignment)
+    # Flatten to original nodes and number communities by their first node.
+    raw = np.asarray(level.comm)[node_map]
+    _, first, inverse = np.unique(raw, return_index=True, return_inverse=True)
+    assignment = tuple(np.argsort(np.argsort(first))[inverse].tolist())
 
     denom = 4.0 * m * m
     q_history = tuple(float(num) / denom for num in q_num_history)
@@ -195,24 +192,21 @@ def _sweep(level: _Level, m2: int, resolution: float, rng: random.Random) -> int
     return moved
 
 
-def _aggregate(level: _Level) -> tuple[_Level, dict[int, int]]:
-    """Collapse communities into nodes of the next level."""
-    live = sorted({level.comm[v] for v in range(level.n)})
-    remap = {old: new for new, old in enumerate(live)}
-    n_new = len(live)
-    adj: list[dict[int, int]] = [{} for _ in range(n_new)]
-    selfw = [0] * n_new
-    for old_cid in live:
-        selfw[remap[old_cid]] = level.intra[old_cid]
-    for v in range(level.n):
-        cv = remap[level.comm[v]]
-        for w, weight in level.adj[v].items():
-            cw = remap[level.comm[w]]
-            if cv != cw:
-                adj[cv][cw] = adj[cv].get(cw, 0) + weight
-    new_level = _Level(n_new, adj, selfw)
-    new_remap = {v: remap[level.comm[v]] for v in range(level.n)}
-    return new_level, new_remap
+def _aggregate(level: _Level) -> tuple[_Level, np.ndarray]:
+    """Collapse communities into nodes of the next level, in community order.
+
+    Also returns each node's index in the next level. A link between two
+    communities weighs the sum of the edges between them (Blondel et al.
+    2008).
+    """
+    live, new_id = np.unique(level.comm, return_inverse=True)
+    c = len(live)
+    cu, cv = new_id[level.rows], new_id[level.cols]
+    cross = cu != cv
+    keys, slot = np.unique(cu[cross] * c + cv[cross], return_inverse=True)
+    w = np.bincount(slot, weights=level.w[cross], minlength=len(keys)).astype(np.int64)
+    rows, cols = np.divmod(keys, c)
+    return _Level(rows, cols, w, np.asarray(level.intra, np.int64)[live]), new_id
 
 
 # ---------------------------------------------------------------------------
@@ -239,65 +233,40 @@ class ClusterGraph:
     links: dict[tuple[int, int], ClusterLink] = field(default_factory=dict)
 
 
-Labeler = Callable[[int, Sequence[int]], str]
-
-
 def build_cluster_graph(
-    g: CoGraph,
-    partition: Partition,
-    labeler: Labeler | None = None,
-    overrides: Mapping[int, str] | None = None,
+    g: CoGraph, partition: Partition, overrides: Mapping[int, str] | None = None
 ) -> ClusterGraph:
     """Community-level meta-graph with interaction frequencies.
 
     Frequency between two clusters is the inter-cluster edge weight divided
-    by the smaller cluster volume. The default labeler picks the plurality
-    country of member actors, falling back to ``cluster-<id>``.
+    by the smaller cluster volume. A cluster is labelled by ``overrides``,
+    else by the plurality country of its member actors, else
+    ``cluster-<id>``.
     """
     if len(partition.assignment) != g.n:
         raise ValueError("partition does not cover the graph")
-    comm = partition.assignment
+    comm = np.asarray(partition.assignment, np.int64)
     n_comm = partition.n_communities
-    sizes = [0] * n_comm
-    volumes = [0] * n_comm
-    for v in range(g.n):
-        sizes[comm[v]] += 1
-    strengths = np.bincount(
-        np.repeat(np.arange(g.n), np.diff(g.indptr)), weights=g.weights, minlength=g.n
-    )
-    for v in range(g.n):
-        volumes[comm[v]] += int(strengths[v])
+    cu = comm[np.repeat(np.arange(g.n), np.diff(g.indptr))]
+    cv = comm[g.indices]
+    volumes = np.bincount(cu, weights=g.weights, minlength=n_comm).astype(np.int64)
+    up = cu < cv  # each inter-cluster edge once
+    keys, slot = np.unique(cu[up] * n_comm + cv[up], return_inverse=True)
+    inter = np.bincount(slot, weights=g.weights[up], minlength=len(keys)).astype(np.int64)
+    a, b = np.divmod(keys, n_comm)
+    frequency = inter / np.minimum(volumes[a], volumes[b])
 
-    inter: dict[tuple[int, int], int] = {}
-    for u, v, w in g.edges():
-        cu, cv = comm[u], comm[v]
-        if cu != cv:
-            key = (cu, cv) if cu < cv else (cv, cu)
-            inter[key] = inter.get(key, 0) + w
-
-    members = partition.members()
-    pick = labeler if labeler is not None else _country_plurality_labeler(g, partition)
-    clusters = {}
-    for cid in range(n_comm):
-        label = pick(cid, members[cid])
-        if overrides and cid in overrides:
-            label = overrides[cid]
-        clusters[cid] = ClusterInfo(label=label, size=sizes[cid], volume=volumes[cid])
+    country = plurality_countries(g.node_country or [None] * g.n, np.arange(g.n), comm, n_comm)
+    sizes = np.bincount(comm, minlength=n_comm)
+    clusters = {
+        cid: ClusterInfo((overrides or {}).get(cid, country[cid] or f"cluster-{cid}"), size, vol)
+        for cid, (size, vol) in enumerate(zip(sizes.tolist(), volumes.tolist()))
+    }
     links = {
-        key: ClusterLink(weight=w, frequency=w / min(volumes[key[0]], volumes[key[1]]))
-        for key, w in sorted(inter.items())
+        (x, y): ClusterLink(weight=wt, frequency=f)
+        for x, y, wt, f in zip(a.tolist(), b.tolist(), inter.tolist(), frequency.tolist())
     }
     return ClusterGraph(clusters=clusters, links=links)
-
-
-def _country_plurality_labeler(g: CoGraph, partition: Partition) -> Labeler:
-    best = plurality_countries(
-        g.node_country or [None] * g.n,
-        np.arange(g.n),
-        np.array(partition.assignment, np.int64),
-        partition.n_communities,
-    )
-    return lambda cid, _members: best[cid] or f"cluster-{cid}"
 
 
 def filter_interactions(cg: ClusterGraph, tau: float) -> ClusterGraph:
@@ -313,25 +282,24 @@ def filter_interactions(cg: ClusterGraph, tau: float) -> ClusterGraph:
 def crossover_scores(g: CoGraph, partition: Partition) -> ScoreTable:
     """Participation coefficient: 1 - sum((edges into c / degree)^2).
 
-    Measures how evenly an actor's collaborations spread across communities;
-    0 for degree-0 nodes and for actors confined to one community.
+    Measures how evenly an actor's collaborations spread across communities
+    (Guimerà & Amaral 2005); 0 for degree-0 nodes and for actors confined to
+    one community. Each score is ``(deg^2 - sum count^2) / deg^2`` from exact
+    integers, so it is the correctly rounded value and equal participations
+    give equal scores.
     """
     from .centrality import Measure, ScoreTable
 
     if len(partition.assignment) != g.n:
         raise ValueError("partition does not cover the graph")
-    comm = partition.assignment
+    comm = np.asarray(partition.assignment, np.int64)
+    n_comm = partition.n_communities
+    rows = np.repeat(np.arange(g.n), np.diff(g.indptr))
+    keys, counts = np.unique(rows * n_comm + comm[g.indices], return_counts=True)
+    squares = np.bincount(keys // n_comm, weights=counts * counts, minlength=g.n)
+    deg2 = g.degrees() ** 2
     scores = np.zeros(g.n, np.float64)
-    for u in range(g.n):
-        row = g.neighbors(u)
-        deg = len(row)
-        if deg == 0:
-            continue
-        counts: dict[int, int] = {}
-        for v in row:
-            c = comm[int(v)]
-            counts[c] = counts.get(c, 0) + 1
-        scores[u] = 1.0 - sum((cnt / deg) ** 2 for cnt in counts.values())
+    np.divide(deg2 - squares, deg2, out=scores, where=deg2 > 0)
     return ScoreTable(scores, Measure.PARTICIPATION, {"definition": "participation"})
 
 

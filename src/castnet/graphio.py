@@ -43,16 +43,25 @@ def write_dot(path: str | os.PathLike, g: CoGraph) -> None:
         fh.write("}\n")
 
 
+# C0 controls other than tab, LF and CR, and U+FFFE and U+FFFF: XML 1.0
+# cannot carry them, not even as character references.
+_XML_FORBIDDEN = dict.fromkeys(
+    [*(c for c in range(0x20) if chr(c) not in "\t\n\r"), 0xFFFE, 0xFFFF]
+)
+
+
 def _xml_text(text: str) -> str:
+    if not text.isprintable():  # printable text holds none; translate is slow
+        text = text.translate(_XML_FORBIDDEN)
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def write_graphml(path: str | os.PathLike, g: CoGraph) -> None:
     """GraphML export: node attribute ``name``, edge attribute ``weight``.
 
-    The text is what ElementTree writes for the same tree after
-    ``ET.indent``: two-space indent, empty elements as ``<x />``, no newline
-    after the root.
+    Labels lose the characters XML 1.0 forbids. The text is what
+    ElementTree writes for the same tree after ``ET.indent``: two-space
+    indent, empty elements as ``<x />``, no newline after the root.
     """
     with replacing(path) as fh:
         fh.write(
@@ -66,7 +75,8 @@ def write_graphml(path: str | os.PathLike, g: CoGraph) -> None:
             return
         fh.write('  <graph edgedefault="undirected">\n')
         for i, label in enumerate(g.labels):
-            data = f'<data key="d0">{_xml_text(label)}</data>' if label else '<data key="d0" />'
+            text = _xml_text(label)
+            data = f'<data key="d0">{text}</data>' if text else '<data key="d0" />'
             fh.write(f'    <node id="n{i}">\n      {data}\n    </node>\n')
         for u, v, w in g.edges():
             fh.write(

@@ -4,8 +4,9 @@ Everything here deliberately avoids the production code paths: distances
 come from Floyd-Warshall or a queue BFS, betweenness from explicit path
 counting over the distance matrix (not Brandes accumulation), closeness
 straight from the distance matrix, eigenvector from a dense power method,
-link indices from Python set arithmetic, and modularity from exact rational
-arithmetic.
+link indices from Python set arithmetic, modularity and participation from
+exact rational arithmetic, and cluster sizes, volumes and links from one
+loop over the edges.
 """
 
 from __future__ import annotations
@@ -222,3 +223,34 @@ def plurality_countries(pairs, item_country, n: int) -> list[str | None]:
         if country:
             counts[owner][country] = counts[owner].get(country, 0) + 1
     return [min(c, key=lambda k: (-c[k], k)) if c else None for c in counts]
+
+
+def participation_exact(n: int, edges, assignment) -> list[Fraction]:
+    """Participation coefficient per node, 1 - sum((k_c / k)^2), as exact
+    rationals over the binary adjacency; 0 for degree-0 nodes."""
+    out = []
+    for neigh in adj_sets(n, edges):
+        counts: dict[int, int] = {}
+        for v in neigh:
+            counts[assignment[v]] = counts.get(assignment[v], 0) + 1
+        squares = sum(Fraction(c, len(neigh)) ** 2 for c in counts.values())
+        out.append(1 - squares if neigh else Fraction(0))
+    return out
+
+
+def cluster_counts(weighted_edges, assignment, n_comm: int):
+    """``(sizes, volumes, links)`` of a partition by one pass over the edges:
+    ``links`` maps ``(a, b)``, a < b, to the summed weight between clusters."""
+    sizes = [0] * n_comm
+    for cid in assignment:
+        sizes[cid] += 1
+    volumes = [0] * n_comm
+    links: dict[tuple[int, int], int] = {}
+    for u, v, w in weighted_edges:
+        a, b = assignment[u], assignment[v]
+        volumes[a] += w
+        volumes[b] += w
+        if a != b:
+            key = (min(a, b), max(a, b))
+            links[key] = links.get(key, 0) + w
+    return sizes, volumes, links

@@ -29,6 +29,22 @@ def weighted(edges):
     return [(u, v, 1) for u, v in edges]
 
 
+@st.composite
+def partitioned_graphs(draw):
+    """Up to 10 nodes, some isolated, repeated edges allowed, and each node's
+    cluster among up to 4 (some may be empty)."""
+    n = draw(st.integers(1, 10))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(1, 5))
+    edges = [(u, v, w) for u, v, w in draw(st.lists(pair, max_size=25)) if u != v]
+    assignment = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    return n, edges, assignment
+
+
+def graph_and_partition(n, edges, assignment):
+    g = CoGraph.from_weighted_edges([f"n{i}" for i in range(n)], edges)
+    return g, Partition(assignment=tuple(assignment), q=0.0, seed=0)
+
+
 class TestModularity:
     def test_single_community_zero(self, k3):
         assert modularity(k3, [0, 0, 0]) == pytest.approx(0.0, abs=1e-15)
@@ -125,6 +141,8 @@ class TestLouvain:
         g = make_graph(40, oracles.random_graph(rng, 40, 0.1))
         part = louvain(g, seed=3)
         assert sorted(set(part.assignment)) == list(range(part.n_communities))
+        # numbered in order of each community's first node
+        assert list(dict.fromkeys(part.assignment)) == list(range(part.n_communities))
 
     def test_q_in_valid_range(self):
         for seed in range(5):
@@ -233,16 +251,26 @@ class TestClusterGraph:
             country or f"cluster-{cid}" for cid, country in enumerate(expected)
         ]
 
+    @settings(max_examples=200, deadline=None)
+    @given(partitioned_graphs())
+    @example((3, [], [0, 1, 1]))  # edgeless: no volume and no link
+    @example((4, [(0, 1, 2), (1, 0, 1), (2, 3, 4)], [0, 1, 2, 2]))  # singletons, repeated edge
+    def test_sizes_volumes_and_links_match_bruteforce(self, case):
+        n, edges, assignment = case
+        g, part = graph_and_partition(n, edges, assignment)
+        cg = build_cluster_graph(g, part)
+        sizes, volumes, links = oracles.cluster_counts(edges, assignment, part.n_communities)
+        assert [(c.size, c.volume) for _, c in sorted(cg.clusters.items())] == list(
+            zip(sizes, volumes)
+        )
+        assert list(cg.links) == sorted(links)
+        for (a, b), link in cg.links.items():
+            assert link.weight == links[a, b]
+            assert link.frequency == float(Fraction(links[a, b], min(volumes[a], volumes[b])))
+
     def test_fallback_label(self, two_triangles):
         cg = build_cluster_graph(two_triangles, louvain(two_triangles, seed=42))
         assert {info.label for info in cg.clusters.values()} == {"cluster-0", "cluster-1"}
-
-    def test_custom_labeler(self, two_triangles):
-        part = louvain(two_triangles, seed=42)
-        cg = build_cluster_graph(
-            two_triangles, part, labeler=lambda cid, members: f"group{len(members)}"
-        )
-        assert all(info.label == "group3" for info in cg.clusters.values())
 
 
 class TestFilterInteractions:
@@ -306,6 +334,17 @@ class TestCrossover:
 
         part = Partition(assignment=(0, 0, 1), q=0.0, seed=0)
         assert crossover_scores(g, part).scores[2] == 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(partitioned_graphs())
+    # A hub with one neighbor in each of three clusters: 1 - 3 * (1/3)**2
+    # summed in floats gives 0.6666666666666667, one ulp above 2/3.
+    @example((4, [(0, 1, 1), (0, 2, 1), (0, 3, 1)], [0, 0, 1, 2]))
+    def test_scores_are_the_exact_participation_rounded_once(self, case):
+        n, edges, assignment = case
+        g, part = graph_and_partition(n, edges, assignment)
+        exact = oracles.participation_exact(n, edges, assignment)
+        assert crossover_scores(g, part).scores.tolist() == [float(p) for p in exact]
 
     def test_bridge_scores_highest(self):
         g = CoGraph.from_weighted_edges(

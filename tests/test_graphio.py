@@ -261,6 +261,13 @@ class TestDot:
 
 
 class TestGraphml:
+    def test_labels_lose_characters_xml_forbids(self, tmp_path):
+        path = tmp_path / "g.graphml"
+        write_graphml(path, CoGraph.from_weighted_edges(["a\x01b", "c"], [(0, 1, 1)]))
+        root = ET.parse(path).getroot()
+        names = [data.text for data in root.iter("{http://graphml.graphdrawing.org/xmlns}data")]
+        assert names == ["ab", "c", "1"]
+
     def test_parses_and_round_trips_attributes(self, tmp_path):
         g = full_featured_graph()
         path = tmp_path / "g.graphml"
@@ -277,8 +284,16 @@ class TestGraphml:
         assert weights == sorted(w for _, _, w in g.edges())
 
 
+def _xml_chars(label: str) -> str:
+    """``label`` without the characters XML 1.0 forbids."""
+    return "".join(
+        ch for ch in label if ch in "\t\n\r" or not (ch < " " or ch in "\ufffe\uffff")
+    )
+
+
 def _elementtree_graphml(path, g: CoGraph) -> None:
-    """The GraphML writer as ElementTree builds it: the oracle for the bytes."""
+    """The GraphML writer as ElementTree builds it, from labels cleaned by
+    ``_xml_chars``: the oracle for the bytes."""
     root = ET.Element("graphml", xmlns="http://graphml.graphdrawing.org/xmlns")
     ET.SubElement(
         root, "key", id="d0", attrib={"for": "node", "attr.name": "name", "attr.type": "string"}
@@ -289,7 +304,7 @@ def _elementtree_graphml(path, g: CoGraph) -> None:
     graph = ET.SubElement(root, "graph", edgedefault="undirected")
     for i, label in enumerate(g.labels):
         node = ET.SubElement(graph, "node", id=f"n{i}")
-        ET.SubElement(node, "data", key="d0").text = label
+        ET.SubElement(node, "data", key="d0").text = _xml_chars(label)
     for u, v, w in g.edges():
         edge = ET.SubElement(graph, "edge", source=f"n{u}", target=f"n{v}")
         ET.SubElement(edge, "data", key="d1").text = str(w)
@@ -317,6 +332,7 @@ class TestGraphmlBytes:
     @example(CoGraph.from_weighted_edges([], []))
     @example(CoGraph.from_weighted_edges(["lone"], []))
     @example(CoGraph.from_weighted_edges(["a&b", "<x>", "", "q\"'", "é", "  "], [(0, 2, 3)]))
+    @example(CoGraph.from_weighted_edges(["\x01", "t\tn\nr\r", "\x7f\x85\uffff"], [(0, 1, 1)]))
     def test_matches_elementtree(self, tmp_path, g):
         write_graphml(tmp_path / "streamed.graphml", g)
         _elementtree_graphml(tmp_path / "tree.graphml", g)

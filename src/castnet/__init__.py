@@ -15,6 +15,7 @@ _EXPORTS = {
     "centrality": (
         "Measure",
         "ScoreTable",
+        "Scores",
         "betweenness_centrality",
         "closeness_centrality",
         "degree_centrality",
@@ -53,7 +54,6 @@ _EXPORTS = {
     "paths": (
         "AnnotatedPath",
         "Unreachable",
-        "distance_histogram",
         "shortest_path",
         "top_partnerships",
     ),

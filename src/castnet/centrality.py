@@ -28,20 +28,17 @@ class Measure(str, Enum):
     BETWEENNESS = "betweenness"
     CLOSENESS = "closeness"
     EIGENVECTOR = "eigenvector"
-    PARTICIPATION = "participation"  # crossover scores share this table type
 
 
 @dataclass
-class ScoreTable:
-    """Per-node scores for one measure plus the solver settings used."""
+class Scores:
+    """Per-node scores, finite and non-negative, ranked for output."""
 
     scores: np.ndarray  # float64, dense by node index
-    measure: Measure
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not np.all(np.isfinite(self.scores)) or np.any(self.scores < 0):
-            raise ValueError(f"{self.measure.value} scores must be finite and non-negative")
+            raise ValueError("scores must be finite and non-negative")
 
     def ranked(self, labels: Sequence[str]) -> list[tuple[str, float]]:
         """(name, score) sorted by descending score, ties by ascending name."""
@@ -50,6 +47,14 @@ class ScoreTable:
 
     def top(self, labels: Sequence[str], k: int) -> list[tuple[str, float]]:
         return self.ranked(labels)[:k]
+
+
+@dataclass
+class ScoreTable(Scores):
+    """One centrality measure's scores plus the solver settings used."""
+
+    measure: Measure
+    params: dict = field(default_factory=dict)
 
 
 def degree_centrality(g: CoGraph) -> ScoreTable:
@@ -174,7 +179,7 @@ def _l2(x: np.ndarray) -> float:
     return float(np.sqrt(np.sum(x * x)))
 
 
-def write_scores_csv(path: str | os.PathLike, g: CoGraph, table: ScoreTable) -> None:
+def write_scores_csv(path: str | os.PathLike, g: CoGraph, table: Scores) -> None:
     write_csv(path, ["name", "score"], table.ranked(g.labels))
 
 

@@ -17,7 +17,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
 
 from ._options import DEFAULT_CANDIDATE_CAP, DEFAULT_MAX_CAST, Method
 from ._write import write_csv, write_json
@@ -35,132 +34,65 @@ EXIT_DATA_ERROR = 1
 EXIT_USAGE = 2
 
 
-@dataclass
-class RunConfig:
-    """Effective settings: defaults < config file < command-line flags."""
-
-    source: str = "netflix"
-    input: str | None = None
-    basics: str | None = None
-    principals: str | None = None
-    names: str | None = None
-    records: str | None = None
-    persons: str | None = None
-    graph: str | None = None
-    out: str = "out"
-    seed: int = 42
-    threads: int = 1
-    format: str = "csv"
-    kind: str | None = None
-    year_min: int | None = None
-    year_max: int | None = None
-    min_cast: int = 0
-    max_cast: int = DEFAULT_MAX_CAST
-
-    _INT_FIELDS = {"seed", "threads", "year_min", "year_max", "min_cast", "max_cast"}
-
-
 class UsageError(Exception):
     pass
 
 
-def load_config_file(path: str) -> dict:
-    """Parse the simple ``key = value`` config format (# comments)."""
-    known = {f.name for f in fields(RunConfig) if not f.name.startswith("_")}
-    out: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key not in known:
-                raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-            if key in RunConfig._INT_FIELDS:
-                try:
-                    out[key] = int(value)
-                except ValueError:
-                    raise UsageError(f"{path}:{lineno}: {key} must be an integer") from None
-                if key == "threads" and out[key] < 0:
-                    raise UsageError(f"{path}:{lineno}: threads must be >= 0 (0 = all cores)")
-            else:
-                out[key] = value
-    return out
-
-
-def resolve_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    if getattr(args, "config", None):
-        for key, value in load_config_file(args.config).items():
-            setattr(cfg, key, value)
-    for f in fields(RunConfig):
-        if f.name.startswith("_"):
-            continue
-        value = getattr(args, f.name, None)
-        if value is not None:
-            setattr(cfg, f.name, value)
+def _resolve_data_paths(args: argparse.Namespace) -> None:
     data_dir = os.environ.get(DATA_DIR_ENV)
     if data_dir:
         for key in ("input", "basics", "principals", "names", "records", "persons", "graph"):
-            value = getattr(cfg, key)
+            value = getattr(args, key, None)
             if value and not os.path.isabs(value) and not os.path.exists(value):
-                setattr(cfg, key, os.path.join(data_dir, value))
-    return cfg
+                setattr(args, key, os.path.join(data_dir, value))
 
 
-def _build_filters(cfg: RunConfig) -> dict:
+def _build_filters(args: argparse.Namespace) -> dict:
     from .ingest import TitleKind
 
-    filters: dict = {"min_cast": cfg.min_cast, "max_cast": cfg.max_cast}
-    if cfg.kind:
-        try:
-            filters["kind"] = TitleKind(cfg.kind)
-        except ValueError:
-            raise UsageError(f"unknown kind {cfg.kind!r} (movie or tv_show)") from None
-    if cfg.year_min is not None or cfg.year_max is not None:
-        filters["year_range"] = (cfg.year_min, cfg.year_max)
+    filters: dict = {"min_cast": args.min_cast, "max_cast": args.max_cast}
+    if args.kind:
+        filters["kind"] = TitleKind(args.kind)
+    if args.year_min is not None or args.year_max is not None:
+        filters["year_range"] = (args.year_min, args.year_max)
     return filters
 
 
-def _write_report(cfg: RunConfig, command: str, payload: dict) -> None:
+def _write_report(args: argparse.Namespace, command: str, payload: dict) -> None:
     report = {"command": command, **payload}
     if "outputs" in report:
         # Relative to the output dir so identical runs into different
         # directories still produce byte-identical trees.
-        report["outputs"] = [os.path.relpath(p, cfg.out) for p in report["outputs"]]
-    write_json(os.path.join(cfg.out, "run_report.json"), report, sort_keys=True)
+        report["outputs"] = [os.path.relpath(p, args.out) for p in report["outputs"]]
+    write_json(os.path.join(args.out, "run_report.json"), report, sort_keys=True)
 
 
-def _require(cfg: RunConfig, attr: str, flag: str) -> str:
-    value = getattr(cfg, attr)
+def _require(args: argparse.Namespace, key: str) -> str:
+    value = getattr(args, key)
     if not value:
-        raise UsageError(f"missing {flag} (flag or config key '{attr}')")
+        raise UsageError(f"missing {_flag(key)} (flag or config key '{key}')")
     return value
 
 
-def _load_records(cfg: RunConfig):
+def _load_records(args: argparse.Namespace):
     from .ingest import read_records_jsonl
 
-    return read_records_jsonl(_require(cfg, "records", "--records"))
+    return read_records_jsonl(_require(args, "records"))
 
 
-def _load_names(cfg: RunConfig) -> dict[str, str] | None:
+def _load_names(args: argparse.Namespace) -> dict[str, str] | None:
     """Person key -> display name from ``--persons``, if given."""
-    if not cfg.persons:
+    if not args.persons:
         return None
     from .ingest import person_name_map, read_persons_jsonl
 
-    return person_name_map(read_persons_jsonl(cfg.persons))
+    return person_name_map(read_persons_jsonl(args.persons))
 
 
-def _load_graph(cfg: RunConfig):
+def _load_graph(args: argparse.Namespace):
     from .graphio import load_cache
 
-    return load_cache(_require(cfg, "graph", "--graph"))
+    return load_cache(_require(args, "graph"))
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +100,7 @@ def _load_graph(cfg: RunConfig):
 # ---------------------------------------------------------------------------
 
 
-def cmd_ingest(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_ingest(args: argparse.Namespace) -> int:
     from .ingest import (
         TitleKind,
         parse_imdb,
@@ -177,30 +109,25 @@ def cmd_ingest(cfg: RunConfig, args: argparse.Namespace) -> int:
         write_records_jsonl,
     )
 
-    records_path = os.path.join(cfg.out, "records.jsonl")
-    if cfg.source == "netflix":
-        result = parse_netflix(_require(cfg, "input", "--input"))
+    records_path = os.path.join(args.out, "records.jsonl")
+    persons_path = None
+    if args.source == "netflix":
+        result = parse_netflix(_require(args, "input"))
         records, report = result.records, result.report
-        persons_path = None
-    elif cfg.source == "imdb":
-        kinds = {TitleKind(cfg.kind)} if cfg.kind else None
+    else:
+        kinds = {TitleKind(args.kind)} if args.kind else None
         result = parse_imdb(
-            _require(cfg, "basics", "--basics"),
-            _require(cfg, "principals", "--principals"),
-            _require(cfg, "names", "--names"),
-            kinds,
+            _require(args, "basics"), _require(args, "principals"), _require(args, "names"), kinds
         )
         records, report = result.titles, result.report
-        persons_path = os.path.join(cfg.out, "persons.jsonl")
+        persons_path = os.path.join(args.out, "persons.jsonl")
         write_persons_jsonl(persons_path, result.persons)
-    else:
-        raise UsageError(f"unknown source {cfg.source!r} (netflix or imdb)")
     write_records_jsonl(records_path, records)
     _write_report(
-        cfg,
+        args,
         "ingest",
         {
-            "source": cfg.source,
+            "source": args.source,
             "rows": report.rows,
             "records": len(records),
             "skipped": [
@@ -214,17 +141,17 @@ def cmd_ingest(cfg: RunConfig, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_build(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_build(args: argparse.Namespace) -> int:
     from .graph import build_bipartite, project
     from .graphio import save_cache
 
-    records = _load_records(cfg)
-    store = build_bipartite(records, names=_load_names(cfg), **_build_filters(cfg))
+    records = _load_records(args)
+    store = build_bipartite(records, names=_load_names(args), **_build_filters(args))
     graph = project(store)
-    cache_path = os.path.join(cfg.out, "graph.bin")
+    cache_path = os.path.join(args.out, "graph.bin")
     save_cache(cache_path, graph)
     _write_report(
-        cfg,
+        args,
         "build",
         {
             "titles": store.n_titles,
@@ -243,22 +170,22 @@ def cmd_build(cfg: RunConfig, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_stats(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_stats(args: argparse.Namespace) -> int:
     from .stats import summarize, write_summary_csvs, write_summary_json
 
-    summary = summarize(_load_records(cfg), top_k=args.top)
-    json_path = os.path.join(cfg.out, "summary.json")
+    summary = summarize(_load_records(args), top_k=args.top)
+    json_path = os.path.join(args.out, "summary.json")
     write_summary_json(json_path, summary)
-    csvs = write_summary_csvs(cfg.out, summary)
-    _write_report(cfg, "stats", {"outputs": [json_path] + csvs})
+    csvs = write_summary_csvs(args.out, summary)
+    _write_report(args, "stats", {"outputs": [json_path] + csvs})
     return EXIT_OK
 
 
-def cmd_centrality(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_centrality(args: argparse.Namespace) -> int:
     from . import centrality
 
-    g = _load_graph(cfg)
-    threads = cfg.threads if cfg.threads > 0 else (os.cpu_count() or 1)
+    g = _load_graph(args)
+    threads = args.threads if args.threads > 0 else (os.cpu_count() or 1)
     if args.measure == "degree":
         table = centrality.degree_centrality(g)
     elif args.measure == "betweenness":
@@ -267,15 +194,15 @@ def cmd_centrality(cfg: RunConfig, args: argparse.Namespace) -> int:
         table = centrality.closeness_centrality(g, threads=threads)
     else:
         table = centrality.eigenvector_centrality(g)
-    csv_path = os.path.join(cfg.out, f"centrality_{args.measure}.csv")
-    json_path = os.path.join(cfg.out, f"centrality_{args.measure}.json")
+    csv_path = os.path.join(args.out, f"centrality_{args.measure}.csv")
+    json_path = os.path.join(args.out, f"centrality_{args.measure}.json")
     centrality.write_scores_csv(csv_path, g, table)
     centrality.write_scores_json(json_path, g, table)
     events = []
     if table.params.get("converged") is False:
         events.append({"type": "no_convergence", "detail": "max_iter reached"})
     _write_report(
-        cfg,
+        args,
         "centrality",
         {
             "measure": args.measure,
@@ -287,11 +214,11 @@ def cmd_centrality(cfg: RunConfig, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_path(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_path(args: argparse.Namespace) -> int:
     from .errors import UnknownActorError
     from .paths import path_to_dict, render_path, shortest_path
 
-    g = _load_graph(cfg)
+    g = _load_graph(args)
     try:
         result = shortest_path(g, args.a, args.b)
     except UnknownActorError as exc:
@@ -304,27 +231,27 @@ def cmd_path(cfg: RunConfig, args: argparse.Namespace) -> int:
             ) from None
         raise
     print(render_path(result))
-    json_path = os.path.join(cfg.out, "path.json")
+    json_path = os.path.join(args.out, "path.json")
     write_json(json_path, path_to_dict(result))
-    _write_report(cfg, "path", {"a": args.a, "b": args.b, "outputs": [json_path]})
+    _write_report(args, "path", {"a": args.a, "b": args.b, "outputs": [json_path]})
     return EXIT_OK
 
 
-def cmd_partners(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_partners(args: argparse.Namespace) -> int:
     from .paths import top_partnerships
 
-    g = _load_graph(cfg)
+    g = _load_graph(args)
     rows = top_partnerships(g, args.top)
-    out_path = os.path.join(cfg.out, "partners.csv")
+    out_path = os.path.join(args.out, "partners.csv")
     write_csv(out_path, ["actor_a", "actor_b", "shared_titles"], rows)
-    _write_report(cfg, "partners", {"top": args.top, "outputs": [out_path]})
+    _write_report(args, "partners", {"top": args.top, "outputs": [out_path]})
     return EXIT_OK
 
 
-def cmd_predict(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_predict(args: argparse.Namespace) -> int:
     from .linkpred import predict_top
 
-    g = _load_graph(cfg)
+    g = _load_graph(args)
     method = Method(args.method)
     scores = predict_top(
         g,
@@ -334,13 +261,13 @@ def cmd_predict(cfg: RunConfig, args: argparse.Namespace) -> int:
         allow_zero_common=args.allow_zero_common,
         cap=args.cap,
     )
-    out_path = os.path.join(cfg.out, "predictions.csv")
+    out_path = os.path.join(args.out, "predictions.csv")
     rows = [(ps.u, ps.v, ps.method.value, ps.score) for ps in scores]
     write_csv(out_path, ["actor_a", "actor_b", "method", "score"], rows)
-    json_path = os.path.join(cfg.out, "predictions.json")
+    json_path = os.path.join(args.out, "predictions.json")
     write_json(json_path, [{"u": u, "v": v, "method": m, "score": s} for u, v, m, s in rows])
     _write_report(
-        cfg,
+        args,
         "predict",
         {"method": method.value, "top": args.top, "min_common": args.min_common,
          "outputs": [out_path, json_path]},
@@ -348,19 +275,19 @@ def cmd_predict(cfg: RunConfig, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_communities(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_communities(args: argparse.Namespace) -> int:
     from .community import louvain
     from .graphio import write_partition_csv
 
-    g = _load_graph(cfg)
-    part = louvain(g, seed=cfg.seed, resolution=args.resolution)
-    out_path = os.path.join(cfg.out, "communities.csv")
+    g = _load_graph(args)
+    part = louvain(g, seed=args.seed, resolution=args.resolution)
+    out_path = os.path.join(args.out, "communities.csv")
     write_partition_csv(out_path, g.labels, part)
     _write_report(
-        cfg,
+        args,
         "communities",
         {
-            "seed": cfg.seed,
+            "seed": args.seed,
             "resolution": args.resolution,
             "q": part.q,
             "passes": part.passes,
@@ -372,23 +299,23 @@ def cmd_communities(cfg: RunConfig, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_clusters(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_clusters(args: argparse.Namespace) -> int:
     from .community import build_cluster_graph, filter_interactions, louvain
     from .graphio import write_cluster_dot, write_cluster_json
 
-    g = _load_graph(cfg)
-    part = louvain(g, seed=cfg.seed)
+    g = _load_graph(args)
+    part = louvain(g, seed=args.seed)
     cg = build_cluster_graph(g, part, overrides=args.labels)
     cg = filter_interactions(cg, args.tau)
-    json_path = os.path.join(cfg.out, "clusters.json")
-    dot_path = os.path.join(cfg.out, "clusters.dot")
+    json_path = os.path.join(args.out, "clusters.json")
+    dot_path = os.path.join(args.out, "clusters.dot")
     write_cluster_json(json_path, cg)
     write_cluster_dot(dot_path, cg)
     _write_report(
-        cfg,
+        args,
         "clusters",
         {
-            "seed": cfg.seed,
+            "seed": args.seed,
             "tau": args.tau,
             "clusters": len(cg.clusters),
             "links": len(cg.links),
@@ -398,25 +325,25 @@ def cmd_clusters(cfg: RunConfig, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_crossover(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_crossover(args: argparse.Namespace) -> int:
     from .centrality import write_scores_csv
     from .community import crossover_scores, louvain
 
-    g = _load_graph(cfg)
-    part = louvain(g, seed=cfg.seed)
+    g = _load_graph(args)
+    part = louvain(g, seed=args.seed)
     table = crossover_scores(g, part)
-    out_path = os.path.join(cfg.out, "crossover.csv")
+    out_path = os.path.join(args.out, "crossover.csv")
     write_scores_csv(out_path, g, table)
-    _write_report(cfg, "crossover", {"seed": cfg.seed, "outputs": [out_path]})
+    _write_report(args, "crossover", {"seed": args.seed, "outputs": [out_path]})
     return EXIT_OK
 
 
-def cmd_evolve(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_evolve(args: argparse.Namespace) -> int:
     from .community import community_evolution
 
-    records = _load_records(cfg)
-    names = _load_names(cfg)
-    timeline = community_evolution(records, args.window, args.step, cfg.seed, names=names)
+    records = _load_records(args)
+    names = _load_names(args)
+    timeline = community_evolution(records, args.window, args.step, args.seed, names=names)
     payload = {
         "windows": [
             {
@@ -442,30 +369,23 @@ def cmd_evolve(cfg: RunConfig, args: argparse.Namespace) -> int:
             for step in timeline.matches
         ],
     }
-    out_path = os.path.join(cfg.out, "evolution.json")
+    out_path = os.path.join(args.out, "evolution.json")
     write_json(out_path, payload)
     _write_report(
-        cfg,
+        args,
         "evolve",
-        {"window": args.window, "step": args.step, "seed": cfg.seed, "outputs": [out_path]},
+        {"window": args.window, "step": args.step, "seed": args.seed, "outputs": [out_path]},
     )
     return EXIT_OK
 
 
-def cmd_export(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_export(args: argparse.Namespace) -> int:
     from .graphio import write_dot, write_graphml
 
-    g = _load_graph(cfg)
-    fmt = args.format or cfg.format
-    if fmt == "dot":
-        out_path = os.path.join(cfg.out, "graph.dot")
-        write_dot(out_path, g)
-    elif fmt == "graphml":
-        out_path = os.path.join(cfg.out, "graph.graphml")
-        write_graphml(out_path, g)
-    else:
-        raise UsageError(f"unknown export format {fmt!r} (dot or graphml)")
-    _write_report(cfg, "export", {"format": fmt, "outputs": [out_path]})
+    g = _load_graph(args)
+    out_path = os.path.join(args.out, f"graph.{args.format}")
+    (write_dot if args.format == "dot" else write_graphml)(out_path, g)
+    _write_report(args, "export", {"format": args.format, "outputs": [out_path]})
     return EXIT_OK
 
 
@@ -476,6 +396,8 @@ def cmd_export(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """Reports a bad command line as one stderr line (exit 2), no usage dump."""
+
+    settings_of: dict[str, set[str]]  # command -> the ``SETTINGS`` keys it reads
 
     def error(self, message: str):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
@@ -513,107 +435,100 @@ def _label_overrides(path: str) -> dict[int, str]:
         raise argparse.ArgumentTypeError(f"{path!r} is not a JSON object of id -> label") from None
 
 
-def build_parser() -> argparse.ArgumentParser:
+# The settings a config file may hold, each declared once as the keywords of
+# its flag: key ``year_min`` is flag ``--year-min``. A command declares the
+# flags of the keys it reads, and ``main`` passes a config file to the parser
+# as those flags, so a value is checked the same wherever it comes from.
+SETTINGS: dict[str, dict] = {
+    "source": {"choices": ["netflix", "imdb"], "default": "netflix"},
+    "input": {"help": "netflix_titles.csv (source=netflix)"},
+    "basics": {"help": "title.basics.tsv[.gz] (source=imdb)"},
+    "principals": {"help": "title.principals.tsv[.gz] (source=imdb)"},
+    "names": {"help": "name.basics.tsv[.gz] (source=imdb)"},
+    "records": {"help": "records.jsonl from ingest"},
+    "persons": {"help": "persons.jsonl (IMDb display names)"},
+    "graph": {"help": "graph.bin from build"},
+    "out": {"default": "out", "help": "output directory (default: out)"},
+    "seed": {"type": int, "default": 42, "help": "RNG seed (default: 42)"},
+    "threads": {"type": _thread_count, "default": 1,
+                "help": "worker threads, 0 = auto (default: 1)"},
+    "format": {"choices": ["dot", "graphml"], "required": True},
+    "kind": {"choices": ["movie", "tv_show"]},
+    "year_min": {"type": int},
+    "year_max": {"type": int},
+    "min_cast": {"type": _count, "default": 0},
+    "max_cast": {"type": _positive_int, "default": DEFAULT_MAX_CAST},
+}
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def build_parser() -> _Parser:
     parser = _Parser(
         prog="castnet",
         description="Actor collaboration network analytics over movie/OTT catalogs.",
     )
+    parser.settings_of = {}
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def command(name: str, func, help: str, *settings: str) -> argparse.ArgumentParser:
+        """A subcommand that reads ``--config``, ``--out`` and ``settings``."""
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="key = value config file")
-        p.add_argument("--out", help="output directory (default: out)")
-        p.add_argument("--seed", type=int, help="RNG seed (default: 42)")
-        p.add_argument("--threads", type=_thread_count, help="worker threads, 0 = auto (default: 1)")
+        for key in ("out", *settings):
+            p.add_argument(_flag(key), **SETTINGS[key])
+        parser.settings_of[name] = {"out", *settings}
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("ingest", help="parse a raw catalog into records.jsonl")
-    common(p)
-    p.add_argument("--source", choices=["netflix", "imdb"])
-    p.add_argument("--input", help="netflix_titles.csv (source=netflix)")
-    p.add_argument("--basics", help="title.basics.tsv[.gz] (source=imdb)")
-    p.add_argument("--principals", help="title.principals.tsv[.gz] (source=imdb)")
-    p.add_argument("--names", help="name.basics.tsv[.gz] (source=imdb)")
-    p.add_argument("--kind", choices=["movie", "tv_show"])
-    p.set_defaults(func=cmd_ingest)
+    command("ingest", cmd_ingest, "parse a raw catalog into records.jsonl",
+            "source", "input", "basics", "principals", "names", "kind")
 
-    p = sub.add_parser("build", help="build the co-appearance graph cache")
-    common(p)
-    p.add_argument("--records", help="records.jsonl from ingest")
-    p.add_argument("--persons", help="persons.jsonl (IMDb display names)")
-    p.add_argument("--kind", choices=["movie", "tv_show"])
-    p.add_argument("--year-min", dest="year_min", type=int)
-    p.add_argument("--year-max", dest="year_max", type=int)
-    p.add_argument("--min-cast", dest="min_cast", type=int)
-    p.add_argument("--max-cast", dest="max_cast", type=int)
-    p.set_defaults(func=cmd_build)
+    command("build", cmd_build, "build the co-appearance graph cache",
+            "records", "persons", "kind", "year_min", "year_max", "min_cast", "max_cast")
 
-    p = sub.add_parser("stats", help="catalog summary and per-figure CSVs")
-    common(p)
-    p.add_argument("--records")
+    p = command("stats", cmd_stats, "catalog summary and per-figure CSVs", "records")
     p.add_argument("--top", type=_positive_int, default=5)
-    p.set_defaults(func=cmd_stats)
 
-    p = sub.add_parser("centrality", help="compute one centrality measure")
-    common(p)
+    p = command("centrality", cmd_centrality, "compute one centrality measure",
+                "graph", "threads")
     p.add_argument("measure", choices=["degree", "betweenness", "closeness", "eigenvector"])
-    p.add_argument("--graph", help="graph.bin from build")
-    p.set_defaults(func=cmd_centrality)
 
-    p = sub.add_parser("path", help="shortest collaboration path between two actors")
-    common(p)
+    p = command("path", cmd_path, "shortest collaboration path between two actors", "graph")
     p.add_argument("a")
     p.add_argument("b")
-    p.add_argument("--graph")
-    p.set_defaults(func=cmd_path)
 
-    p = sub.add_parser("partners", help="top co-acting partnerships by shared titles")
-    common(p)
+    p = command("partners", cmd_partners, "top co-acting partnerships by shared titles",
+                "graph")
     p.add_argument("--top", type=_positive_int, required=True)
-    p.add_argument("--graph")
-    p.set_defaults(func=cmd_partners)
 
-    p = sub.add_parser("predict", help="rank candidate future collaborations")
-    common(p)
+    p = command("predict", cmd_predict, "rank candidate future collaborations", "graph")
     p.add_argument("method", choices=[m.value for m in Method])
     p.add_argument("--top", type=_positive_int, required=True)
     p.add_argument("--min-common", dest="min_common", type=_count, default=1)
     p.add_argument("--allow-zero-common", action="store_true")
     p.add_argument("--cap", type=_positive_int, default=DEFAULT_CANDIDATE_CAP,
                    help="fail when more candidate pairs than this are found (default: no cap)")
-    p.add_argument("--graph")
-    p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("communities", help="Louvain community detection")
-    common(p)
+    p = command("communities", cmd_communities, "Louvain community detection", "graph", "seed")
     p.add_argument("--resolution", type=_resolution, default=1.0)
-    p.add_argument("--graph")
-    p.set_defaults(func=cmd_communities)
 
-    p = sub.add_parser("clusters", help="threshold-filtered cluster meta-graph")
-    common(p)
+    p = command("clusters", cmd_clusters, "threshold-filtered cluster meta-graph",
+                "graph", "seed")
     p.add_argument("--tau", type=_tau, required=True)
     p.add_argument("--labels", type=_label_overrides, help="JSON file: community id -> label")
-    p.add_argument("--graph")
-    p.set_defaults(func=cmd_clusters)
 
-    p = sub.add_parser("crossover", help="participation scores across communities")
-    common(p)
-    p.add_argument("--graph")
-    p.set_defaults(func=cmd_crossover)
+    command("crossover", cmd_crossover, "participation scores across communities",
+            "graph", "seed")
 
-    p = sub.add_parser("evolve", help="temporal community evolution")
-    common(p)
+    p = command("evolve", cmd_evolve, "temporal community evolution",
+                "records", "persons", "seed")
     p.add_argument("--window", type=_positive_int, required=True)
     p.add_argument("--step", type=_positive_int, required=True)
-    p.add_argument("--records")
-    p.add_argument("--persons")
-    p.set_defaults(func=cmd_evolve)
 
-    p = sub.add_parser("export", help="export the graph as DOT or GraphML")
-    common(p)
-    p.add_argument("--format", choices=["dot", "graphml"])
-    p.add_argument("--graph")
-    p.set_defaults(func=cmd_export)
+    command("export", cmd_export, "export the graph as DOT or GraphML", "graph", "format")
 
     return parser
 
@@ -628,16 +543,65 @@ def _check_flag_pairs(parser: argparse.ArgumentParser, args: argparse.Namespace)
         parser.error(
             "argument --min-common: 0 needs --allow-zero-common and preferential_attachment"
         )
+    if args.command == "build":
+        for low, high in (("min_cast", "max_cast"), ("year_min", "year_max")):
+            lo, hi = getattr(args, low), getattr(args, high)
+            if lo is not None and hi is not None and lo > hi:
+                parser.error(f"argument {_flag(low)}: expected <= {_flag(high)} ({hi}), got {lo}")
+
+
+def load_config_file(path: str, settings: set[str]) -> list[str]:
+    """A ``key = value`` config file (# comments) as ``--key=value`` flags.
+
+    Every key must be one of ``SETTINGS``. Keys outside ``settings``, the
+    ones the command does not read, are skipped.
+    """
+    flags = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise UsageError(f"{path}:{lineno}: expected 'key = value'")
+            key, _, value = line.partition("=")
+            key = key.strip()
+            if key not in SETTINGS:
+                raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
+            if key in settings:
+                flags.append(f"{_flag(key)}={value.strip()}")
+    return flags
+
+
+def _config_flags(parser: _Parser, argv: list[str]) -> list[str]:
+    """The settings of the command's ``--config`` file as flags, if it has one."""
+    settings = parser.settings_of.get(argv[0]) if argv else None
+    if settings is None:
+        return []
+    pre = _Parser(prog=f"{parser.prog} {argv[0]}", add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv[1:])[0].config
+    return load_config_file(path, settings) if path else []
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
-    _check_flag_pairs(parser, args)
     try:
-        cfg = resolve_config(args)
-        os.makedirs(cfg.out, exist_ok=True)
-        return args.func(cfg, args)
+        from_file = _config_flags(parser, argv)
+        # argparse keeps the last value of a flag, so flags on the command
+        # line, which follow the file's, win.
+        try:
+            args = parser.parse_args(argv[:1] + from_file + argv[1:])
+            _check_flag_pairs(parser, args)
+        except SystemExit as exc:
+            if not from_file:
+                raise
+            # The bad value may be the file's: return, as for the file's other errors.
+            return exc.code
+        _resolve_data_paths(args)
+        os.makedirs(args.out, exist_ok=True)
+        return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

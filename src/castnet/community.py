@@ -22,7 +22,7 @@ from .errors import EmptyGraphError, EmptyInputError
 from .graph import CoGraph, build_bipartite, plurality_countries, project
 
 if TYPE_CHECKING:
-    from .centrality import ScoreTable
+    from .centrality import Scores
     from .ingest import TitleRecord
 
 
@@ -279,7 +279,7 @@ def filter_interactions(cg: ClusterGraph, tau: float) -> ClusterGraph:
     )
 
 
-def crossover_scores(g: CoGraph, partition: Partition) -> ScoreTable:
+def crossover_scores(g: CoGraph, partition: Partition) -> Scores:
     """Participation coefficient: 1 - sum((edges into c / degree)^2).
 
     Measures how evenly an actor's collaborations spread across communities
@@ -288,7 +288,7 @@ def crossover_scores(g: CoGraph, partition: Partition) -> ScoreTable:
     integers, so it is the correctly rounded value and equal participations
     give equal scores.
     """
-    from .centrality import Measure, ScoreTable
+    from .centrality import Scores
 
     if len(partition.assignment) != g.n:
         raise ValueError("partition does not cover the graph")
@@ -300,7 +300,7 @@ def crossover_scores(g: CoGraph, partition: Partition) -> ScoreTable:
     deg2 = g.degrees() ** 2
     scores = np.zeros(g.n, np.float64)
     np.divide(deg2 - squares, deg2, out=scores, where=deg2 > 0)
-    return ScoreTable(scores, Measure.PARTICIPATION, {"definition": "participation"})
+    return Scores(scores)
 
 
 # ---------------------------------------------------------------------------
@@ -378,29 +378,28 @@ def community_evolution(
     return EvolutionTimeline(windows=windows, matches=matches)
 
 
-def _member_name_sets(window: EvolutionWindow) -> list[set[str]]:
-    if window.partition is None:
-        return []
-    return [
-        {window.names[v] for v in group} for group in window.partition.members()
-    ]
-
-
 def _match_windows(prev: EvolutionWindow, cur: EvolutionWindow) -> dict[int, CommunityMatch]:
-    old_sets = _member_name_sets(prev)
-    new_sets = _member_name_sets(cur)
-    out: dict[int, CommunityMatch] = {}
-    if not old_sets or not new_sets:
-        return out
-    for old_cid, old_members in enumerate(old_sets):
-        best_cid = 0
-        best_overlap = -1.0
-        for new_cid, new_members in enumerate(new_sets):
-            inter = len(old_members & new_members)
-            union = len(old_members | new_members)
-            overlap = inter / union if union else 0.0
-            if overlap > best_overlap:
-                best_overlap = overlap
-                best_cid = new_cid
-        out[old_cid] = CommunityMatch(new_cid=best_cid, overlap=best_overlap)
+    """Each old community's best new one by Jaccard overlap of member names,
+    ties to the smallest new id; id 0 at overlap 0.0 when it shares no name.
+
+    One count of (old, new) community pairs over the names both windows hold
+    gives every intersection, and a union is ``|old| + |new| - shared``.
+    Names are graph labels, so they are unique within a window.
+    """
+    if prev.partition is None or cur.partition is None:
+        return {}
+    old = np.asarray(prev.partition.assignment, np.int64)
+    new = np.asarray(cur.partition.assignment, np.int64)
+    n_new = cur.partition.n_communities
+    _, i_old, i_new = np.intersect1d(
+        prev.names, cur.names, assume_unique=True, return_indices=True
+    )
+    keys, shared = np.unique(old[i_old] * n_new + new[i_new], return_counts=True)
+    a, b = np.divmod(keys, n_new)
+    overlap = shared / (np.bincount(old)[a] + np.bincount(new)[b] - shared)
+    order = np.lexsort((b, -overlap, a))  # by old id, then best overlap, then new id
+    heads, first = np.unique(a[order], return_index=True)
+    out = {cid: CommunityMatch(0, 0.0) for cid in range(prev.partition.n_communities)}
+    for cid, j in zip(heads.tolist(), order[first].tolist()):
+        out[cid] = CommunityMatch(int(b[j]), float(overlap[j]))
     return out

@@ -129,18 +129,8 @@ def _open_text(source: Source) -> Iterator[IO[str]]:
     closed), or a binary stream (sniffed for the gzip magic).
     """
     if isinstance(source, (str, os.PathLike)):
-        with open(source, "rb") as raw:
-            if raw.read(2) == GZIP_MAGIC:
-                raw.seek(0)
-                with gzip.open(raw, "rt", encoding="utf-8-sig", newline="") as fh:
-                    yield fh
-            else:
-                raw.seek(0)
-                wrapper = io.TextIOWrapper(raw, encoding="utf-8-sig", newline="")
-                try:
-                    yield wrapper
-                finally:
-                    wrapper.detach()
+        with open(source, "rb") as raw, _open_text(raw) as fh:
+            yield fh
         return
     if isinstance(source, io.TextIOBase) or hasattr(source, "encoding"):
         yield source
@@ -161,6 +151,22 @@ def _open_text(source: Source) -> Iterator[IO[str]]:
             yield wrapper
         finally:
             wrapper.detach()
+
+
+def _read_header(reader: Iterator[list[str]], table: str, required: tuple[str, ...]):
+    """The header row and its column name -> index map.
+
+    Raises :class:`MissingColumnError` naming the required columns absent
+    from the header, or all of them when there is no header row.
+    """
+    header = next(reader, None)
+    if header is None:
+        raise MissingColumnError(table, list(required))
+    col = {name.strip(): i for i, name in enumerate(header)}
+    missing = [c for c in required if c not in col]
+    if missing:
+        raise MissingColumnError(table, missing)
+    return header, col
 
 
 def _split_people(cell: str) -> tuple[str, ...]:
@@ -207,13 +213,7 @@ def parse_netflix(source: Source) -> IngestResult:
     records: list[TitleRecord] = []
     with _open_text(source) as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise MissingColumnError("netflix", list(NETFLIX_REQUIRED))
-        col = {name.strip(): i for i, name in enumerate(header)}
-        missing = [c for c in NETFLIX_REQUIRED if c not in col]
-        if missing:
-            raise MissingColumnError("netflix", missing)
+        header, col = _read_header(reader, "netflix", NETFLIX_REQUIRED)
         seen_ids: set[str] = set()
         while True:
             try:
@@ -342,13 +342,7 @@ def parse_imdb(
     all_title_ids: set[object] = set()
     with _open_text(basics) as fh:
         reader = _tsv_reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise MissingColumnError("title.basics", list(BASICS_REQUIRED))
-        col = {name.strip(): i for i, name in enumerate(header)}
-        missing = [c for c in BASICS_REQUIRED if c not in col]
-        if missing:
-            raise MissingColumnError("title.basics", missing)
+        header, col = _read_header(reader, "title.basics", BASICS_REQUIRED)
         for row in reader:
             report.rows += 1
             if len(row) != len(header):
@@ -383,13 +377,7 @@ def parse_imdb(
     roles: dict[object, set[PersonRole]] = {}
     with _open_text(principals) as fh:
         reader = _tsv_reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise MissingColumnError("title.principals", list(PRINCIPALS_REQUIRED))
-        col = {name.strip(): i for i, name in enumerate(header)}
-        missing = [c for c in PRINCIPALS_REQUIRED if c not in col]
-        if missing:
-            raise MissingColumnError("title.principals", missing)
+        header, col = _read_header(reader, "title.principals", PRINCIPALS_REQUIRED)
         for row in reader:
             report.bump("principals_rows")
             if len(row) != len(header):
@@ -426,13 +414,7 @@ def parse_imdb(
     person_names: dict[object, str] = {}
     with _open_text(names) as fh:
         reader = _tsv_reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise MissingColumnError("name.basics", list(NAMES_REQUIRED))
-        col = {name.strip(): i for i, name in enumerate(header)}
-        missing = [c for c in NAMES_REQUIRED if c not in col]
-        if missing:
-            raise MissingColumnError("name.basics", missing)
+        header, col = _read_header(reader, "name.basics", NAMES_REQUIRED)
         for row in reader:
             report.bump("names_rows")
             if len(row) != len(header):

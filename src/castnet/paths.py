@@ -1,8 +1,7 @@
-"""Shortest collaboration paths, distance histograms and top partnerships."""
+"""Shortest collaboration paths and top partnerships."""
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Union
 
@@ -114,40 +113,6 @@ def path_to_dict(result: PathResult) -> dict:
             {"from": hop.a, "to": hop.b, "titles": list(hop.titles)} for hop in result.hops
         ],
     }
-
-
-@dataclass
-class DistanceHistogram:
-    """Ordered-pair distance counts from a seeded sample of sources."""
-
-    counts: dict[int, int]
-    unreachable_pairs: int
-    sample_size: int
-    seed: int
-
-
-def distance_histogram(
-    g: CoGraph, sample_sources: int, seed: int, threads: int = 1
-) -> DistanceHistogram:
-    """BFS from a seeded uniform sample of sources, counting pair distances.
-
-    Self-distances are excluded; pairs with no path are counted separately.
-    Deterministic for a fixed seed.
-    """
-    if sample_sources < 1:
-        raise ValueError("sample_sources must be >= 1")
-    k = min(sample_sources, g.n)
-    rng = random.Random(seed)
-    sources = np.array(sorted(rng.sample(range(g.n), k)), dtype=np.int64)
-    counts: dict[int, int] = {}
-    reached = 0
-    for block in _bfs.map_blocks(g, _bfs.reach_counts, sources, threads):
-        for d, c in enumerate(block.sum(axis=1).tolist()):
-            if c > 0:
-                counts[d] = counts.get(d, 0) + c
-                reached += c
-    unreachable = k * (g.n - 1) - reached
-    return DistanceHistogram(dict(sorted(counts.items())), unreachable, k, seed)
 
 
 def top_partnerships(g: CoGraph, k: int) -> list[tuple[str, str, int]]:

@@ -5,8 +5,8 @@ come from Floyd-Warshall or a queue BFS, betweenness from explicit path
 counting over the distance matrix (not Brandes accumulation), closeness
 straight from the distance matrix, eigenvector from a dense power method,
 link indices from Python set arithmetic, modularity and participation from
-exact rational arithmetic, and cluster sizes, volumes and links from one
-loop over the edges.
+exact rational arithmetic, cluster sizes, volumes and links from one loop
+over the edges, and window matches from Python set intersection and union.
 """
 
 from __future__ import annotations
@@ -254,3 +254,32 @@ def cluster_counts(weighted_edges, assignment, n_comm: int):
             key = (min(a, b), max(a, b))
             links[key] = links.get(key, 0) + w
     return sizes, volumes, links
+
+
+def window_matches(old_names, old_assignment, new_names, new_assignment) -> dict:
+    """Old community id -> (new id, Jaccard overlap of member-name sets), from
+    set intersection and union over every pair; ties to the smaller new id,
+    and ``{}`` when either window has no communities."""
+    def member_sets(names, assignment):
+        sets = [set() for _ in range(max(assignment, default=-1) + 1)]
+        for name, cid in zip(names, assignment):
+            sets[cid].add(name)
+        return sets
+
+    old_sets = member_sets(old_names, old_assignment)
+    new_sets = member_sets(new_names, new_assignment)
+    out = {}
+    if not old_sets or not new_sets:
+        return out
+    for old_cid, old_members in enumerate(old_sets):
+        best_cid = 0
+        best_overlap = -1.0
+        for new_cid, new_members in enumerate(new_sets):
+            inter = len(old_members & new_members)
+            union = len(old_members | new_members)
+            overlap = inter / union if union else 0.0
+            if overlap > best_overlap:
+                best_overlap = overlap
+                best_cid = new_cid
+        out[old_cid] = (best_cid, best_overlap)
+    return out

@@ -253,10 +253,17 @@ class TestExitCodes:
             (("predict", "jaccard", "--top", "5", "--min-common", "0",
               "--allow-zero-common"), "--min-common"),
             (("predict", "jaccard", "--top", "5", "--cap", "-1"), "--cap"),
+            (("build", "--max-cast", "0"), "--max-cast"),
+            (("build", "--min-cast", "9", "--max-cast", "3"), "--min-cast"),
+            (("build", "--year-min", "2001", "--year-max", "2000"), "--year-min"),
+            (("stats", "--seed", "3"), "--seed"),
+            (("export",), "--format"),
         ],
         ids=["partners-top", "predict-top", "clusters-tau", "communities-resolution",
              "stats-top", "clusters-labels", "evolve-step", "evolve-window-below-step",
-             "predict-min-common-zero", "predict-min-common-zero-not-pa", "predict-cap"],
+             "predict-min-common-zero", "predict-min-common-zero-not-pa", "predict-cap",
+             "build-max-cast", "build-min-cast-above-max", "build-years-reversed",
+             "stats-takes-no-seed", "export-format-required"],
     )
     def test_bad_flag_value_exits_2_with_one_line(self, pipeline_dir, tmp_path, capsys,
                                                   argv, flag):
@@ -264,7 +271,8 @@ class TestExitCodes:
         labels.write_text('{"0": "unterminated', encoding="utf-8")
         argv = [str(labels) if a == "LABELS" else a for a in argv]
         source = ("--records", str(pipeline_dir / "records.jsonl")) \
-            if argv[0] in ("stats", "evolve") else ("--graph", str(pipeline_dir / "graph.bin"))
+            if argv[0] in ("build", "stats", "evolve") \
+            else ("--graph", str(pipeline_dir / "graph.bin"))
         out = tmp_path / "rejected"
         capsys.readouterr()
         with pytest.raises(SystemExit) as err:
@@ -360,6 +368,47 @@ class TestConfig:
         config = tmp_path / "bad.conf"
         config.write_text("nonsense = 1\n")
         assert run("ingest", "--config", str(config)) == 2
+
+    @pytest.mark.parametrize(
+        "argv, config, flag",
+        [
+            (("ingest", "--source", "imdb", "--basics", "b", "--principals", "p",
+              "--names", "n"), "kind = film", "--kind"),
+            (("ingest", "--input", "CATALOG"), "source = tvdb", "--source"),
+            (("export", "--graph", "GRAPH"), "format = png", "--format"),
+            (("centrality", "closeness", "--graph", "GRAPH"), "threads = many", "--threads"),
+            (("communities", "--graph", "GRAPH"), "seed = 1.5", "--seed"),
+            (("build", "--records", "RECORDS"), "min_cast = -1", "--min-cast"),
+            (("build", "--records", "RECORDS"), "min_cast = 9\nmax_cast = 3", "--min-cast"),
+        ],
+        ids=["kind", "source", "format", "threads", "seed", "min_cast", "min_cast-above-max"],
+    )
+    def test_bad_config_value_exits_2_with_one_line(self, pipeline_dir, catalog_csv, tmp_path,
+                                                    capsys, argv, config, flag):
+        paths = {"CATALOG": catalog_csv, "GRAPH": pipeline_dir / "graph.bin",
+                 "RECORDS": pipeline_dir / "records.jsonl"}
+        conf = tmp_path / "run.conf"
+        conf.write_text(config + "\n", encoding="utf-8")
+        out = tmp_path / "rejected"
+        capsys.readouterr()
+        argv = [str(paths.get(a, a)) for a in argv]
+        assert run(*argv, "--config", str(conf), "--out", str(out)) == 2
+        stderr = capsys.readouterr().err
+        assert len(stderr.splitlines()) == 1 and flag in stderr
+        assert not out.exists()
+
+    def test_flag_overrides_config_value(self, pipeline_dir, tmp_path):
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"seed = 7\ngraph = {pipeline_dir / 'graph.bin'}\n", encoding="utf-8")
+        assert run("crossover", "--config", str(conf), "--seed", "3", "--out", str(tmp_path)) == 0
+        assert json.loads((tmp_path / "run_report.json").read_text())["seed"] == 3
+
+    def test_keys_the_command_does_not_read_are_ignored(self, tmp_path, catalog_csv):
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"input = {catalog_csv}\nseed = 7\nthreads = 2\nformat = dot\n"
+                        "graph = missing.bin\nmax_cast = 0\n", encoding="utf-8")
+        assert run("ingest", "--config", str(conf), "--out", str(tmp_path)) == 0
+        assert (tmp_path / "records.jsonl").exists()
 
     def test_data_dir_env(self, tmp_path, catalog_csv, monkeypatch):
         monkeypatch.setenv(cli.DATA_DIR_ENV, str(catalog_csv.parent))

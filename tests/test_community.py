@@ -413,3 +413,22 @@ class TestEvolution:
             (2002, 2004),
             (2004, 2006),
         ]
+
+    def test_matches_equal_set_jaccard_oracle(self):
+        rng = random.Random(8)
+        pool = [f"actor{i}" for i in range(40)]
+
+        def window():
+            if rng.random() < 0.1:
+                return community.EvolutionWindow((2000, 2000), (), None)
+            names = tuple(rng.sample(pool, rng.randint(1, 30)))
+            k = rng.randint(1, 6)  # ids may skip values: empty communities
+            part = Partition(assignment=tuple(rng.randrange(k) for _ in names), q=0.0, seed=0)
+            return community.EvolutionWindow((2000, 2000), names, part)
+
+        for _ in range(300):
+            prev, cur = window(), window()
+            got = community._match_windows(prev, cur)
+            args = [(w.names, w.partition.assignment if w.partition else ()) for w in (prev, cur)]
+            expected = oracles.window_matches(*args[0], *args[1])
+            assert {c: (m.new_cid, m.overlap) for c, m in got.items()} == expected

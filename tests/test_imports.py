@@ -62,7 +62,7 @@ def test_every_public_name_resolves_and_is_listed():
         (["communities"], "_options _write cli community errors graph graphio"),
         (["export", "--format", "dot"], "_options _write cli errors graph graphio"),
         (["clusters", "--tau", "0.5"], "_options _write cli community errors graph graphio"),
-        # _bfs comes with centrality, whose ScoreTable and writer crossover uses.
+        # _bfs comes with centrality, whose Scores and writer crossover uses.
         (["crossover"], "_bfs _options _write centrality cli community errors graph graphio"),
     ],
 )

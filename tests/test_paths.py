@@ -12,7 +12,6 @@ from castnet.ingest import TitleKind, TitleRecord
 from castnet.paths import (
     AnnotatedPath,
     Unreachable,
-    distance_histogram,
     render_path,
     shortest_path,
     top_partnerships,
@@ -112,45 +111,6 @@ class TestShortestPath:
                 assert isinstance(rev, Unreachable)
             else:
                 assert fwd.length == rev.length
-
-
-class TestDistanceHistogram:
-    def test_k3_full_sample(self, k3):
-        hist = distance_histogram(k3, sample_sources=3, seed=1)
-        assert hist.counts == {1: 6}
-        assert hist.unreachable_pairs == 0
-
-    def test_two_disjoint_edges(self):
-        g = CoGraph.from_weighted_edges(["a", "b", "c", "d"], [(0, 1, 1), (2, 3, 1)])
-        hist = distance_histogram(g, sample_sources=4, seed=1)
-        assert hist.counts == {1: 4}
-        assert hist.unreachable_pairs == 8
-
-    def test_sampled_sources_count_unreachable(self):
-        # whichever two sources the seed picks, each reaches one node at
-        # distance 1 and misses the two nodes of the other component
-        g = make_graph(4, [(0, 1), (2, 3)])
-        hist = distance_histogram(g, sample_sources=2, seed=3)
-        assert hist.counts == {1: 2}
-        assert hist.unreachable_pairs == 4
-
-    def test_p4_full_sample(self):
-        g = make_graph(4, [(0, 1), (1, 2), (2, 3)])
-        hist = distance_histogram(g, sample_sources=4, seed=1)
-        assert hist.counts == {1: 6, 2: 4, 3: 2}
-
-    def test_deterministic_for_seed(self):
-        g = make_graph(30, oracles.random_graph(random.Random(1), 30, 0.1))
-        a = distance_histogram(g, sample_sources=10, seed=77)
-        b = distance_histogram(g, sample_sources=10, seed=77)
-        assert a.counts == b.counts and a.unreachable_pairs == b.unreachable_pairs
-
-    def test_sample_larger_than_graph_clamped(self, k3):
-        assert distance_histogram(k3, sample_sources=100, seed=0).sample_size == 3
-
-    def test_invalid_sample_size(self, k3):
-        with pytest.raises(ValueError):
-            distance_histogram(k3, sample_sources=0, seed=0)
 
 
 class TestTopPartnerships:

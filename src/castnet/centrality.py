@@ -20,7 +20,7 @@ import numpy as np
 from . import _bfs
 from ._write import write_csv, write_json
 from .errors import EmptyGraphError, TooFewNodesError
-from .graph import CoGraph
+from .graph import CoGraph, name_ranks
 
 
 class Measure(str, Enum):
@@ -42,7 +42,8 @@ class Scores:
 
     def ranked(self, labels: Sequence[str]) -> list[tuple[str, float]]:
         """(name, score) sorted by descending score, ties by ascending name."""
-        order = sorted(range(len(labels)), key=lambda i: (-self.scores[i], labels[i]))
+        rank, _ = name_ranks(labels)
+        order = np.lexsort((rank, -self.scores)).tolist()
         return [(labels[i], float(self.scores[i])) for i in order]
 
     def top(self, labels: Sequence[str], k: int) -> list[tuple[str, float]]:

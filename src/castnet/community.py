@@ -70,9 +70,14 @@ def modularity(g: CoGraph, assignment: Sequence[int]) -> float:
 class _Level:
     """One Louvain level: edges ``rows -> cols`` of weight ``w`` (each once
     per direction, sorted by row), internal weight ``selfw`` per node, the
-    per-node dicts ``_sweep`` reads and running community sums."""
+    per-node dicts ``_sweep`` reads and running community sums.
 
-    __slots__ = ("n", "rows", "cols", "w", "adj", "selfw", "k", "comm", "sigma", "intra")
+    ``links[v]`` maps each community to the weight of v's edges into it, as
+    last counted; ``stale[v]`` says a neighbour has moved since then."""
+
+    __slots__ = (
+        "n", "rows", "cols", "w", "adj", "selfw", "k", "comm", "sigma", "intra", "links", "stale"
+    )
 
     def __init__(self, rows: np.ndarray, cols: np.ndarray, w: np.ndarray, selfw: np.ndarray):
         self.n = n = len(selfw)
@@ -85,6 +90,8 @@ class _Level:
         self.comm = list(range(n))
         self.sigma = list(self.k)  # total degree per community
         self.intra = list(self.selfw)  # intra-community edge weight per community
+        self.links: list[dict[int, int] | None] = [None] * n
+        self.stale = [True] * n
 
     def quality_numerator(self, m: int, resolution: float):
         """Modularity numerator over denominator 4m^2 (exact int at res=1)."""
@@ -153,41 +160,53 @@ def louvain(g: CoGraph, seed: int, resolution: float = 1.0) -> Partition:
 
 
 def _sweep(level: _Level, m2: int, resolution: float, rng: random.Random) -> int:
-    """One full pass of local moving; returns the number of nodes moved."""
+    """One full pass of local moving; returns the number of nodes moved.
+
+    A node's community weights change only when a neighbour moves, so a
+    node recounts them from its edges only when it is stale, and marks its
+    neighbours stale when it moves. A node linked to no other community
+    than its own has no candidate and is skipped. The best candidate is the
+    largest gain; the home community wins ties, then the smallest id.
+    """
     order = list(range(level.n))
     rng.shuffle(order)
+    comm, k, sigma, intra, selfw = level.comm, level.k, level.sigma, level.intra, level.selfw
+    adj, links, stale = level.adj, level.links, level.stale
     moved = 0
-    exact = resolution == 1.0
+    r = 1 if resolution == 1.0 else resolution  # an int 1 keeps the gains exact
     for v in order:
-        home = level.comm[v]
-        kv = level.k[v]
-        to_comm: dict[int, int] = {}
-        for w, weight in level.adj[v].items():
-            c = level.comm[w]
-            to_comm[c] = to_comm.get(c, 0) + weight
-        # Remove v from its community, then compare insertion scores.
-        level.sigma[home] -= kv
-        kin_home = to_comm.get(home, 0)
-        if exact:
-            best_score = m2 * kin_home - level.sigma[home] * kv
+        home = comm[v]
+        if stale[v]:
+            to_comm: dict[int, int] = {}
+            for w, weight in adj[v].items():
+                c = comm[w]
+                to_comm[c] = to_comm.get(c, 0) + weight
+            links[v] = to_comm
+            stale[v] = False
         else:
-            best_score = m2 * kin_home - resolution * level.sigma[home] * kv
+            to_comm = links[v]
+        if len(to_comm) - (home in to_comm) == 0:
+            continue
+        kv = k[v]
+        # Remove v from its community, then compare insertion scores.
+        sigma[home] -= kv
+        kin_home = to_comm.get(home, 0)
+        best_score = m2 * kin_home - r * sigma[home] * kv
         best = home
-        for c in sorted(to_comm):
+        for c, kin in to_comm.items():
             if c == home:
                 continue
-            if exact:
-                score = m2 * to_comm[c] - level.sigma[c] * kv
-            else:
-                score = m2 * to_comm[c] - resolution * level.sigma[c] * kv
-            if score > best_score:
+            score = m2 * kin - r * sigma[c] * kv
+            if score > best_score or (score == best_score and best != home and c < best):
                 best_score = score
                 best = c
-        level.sigma[best] += kv
+        sigma[best] += kv
         if best != home:
-            level.comm[v] = best
-            level.intra[home] -= kin_home + level.selfw[v]
-            level.intra[best] += to_comm.get(best, 0) + level.selfw[v]
+            comm[v] = best
+            intra[home] -= kin_home + selfw[v]
+            intra[best] += to_comm[best] + selfw[v]
+            for w in adj[v]:
+                stale[w] = True
             moved += 1
     return moved
 

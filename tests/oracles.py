@@ -6,7 +6,9 @@ counting over the distance matrix (not Brandes accumulation), closeness
 straight from the distance matrix, eigenvector from a dense power method,
 link indices from Python set arithmetic, modularity and participation from
 exact rational arithmetic, cluster sizes, volumes and links from one loop
-over the edges, and window matches from Python set intersection and union.
+over the edges, window matches from Python set intersection and union,
+Louvain's local moving from a full recount of every node's community
+weights, and community connectivity from a queue BFS inside each community.
 """
 
 from __future__ import annotations
@@ -283,3 +285,69 @@ def window_matches(old_names, old_assignment, new_names, new_assignment) -> dict
                 best_cid = new_cid
         out[old_cid] = (best_cid, best_overlap)
     return out
+
+
+def louvain_sweep_full_recount(level, m2: int, resolution: float, rng: random.Random) -> int:
+    """One pass of Louvain local moving over a ``community._Level`` that
+    recounts every node's community weights from all of its edges and scans
+    the candidates in ascending id order; returns the number of nodes moved.
+
+    Same visit order and gains as ``community._sweep``, so substituting it
+    must leave every partition and quality trace unchanged.
+    """
+    order = list(range(level.n))
+    rng.shuffle(order)
+    moved = 0
+    exact = resolution == 1.0
+    for v in order:
+        home = level.comm[v]
+        kv = level.k[v]
+        to_comm: dict[int, int] = {}
+        for w, weight in level.adj[v].items():
+            c = level.comm[w]
+            to_comm[c] = to_comm.get(c, 0) + weight
+        level.sigma[home] -= kv
+        kin_home = to_comm.get(home, 0)
+        if exact:
+            best_score = m2 * kin_home - level.sigma[home] * kv
+        else:
+            best_score = m2 * kin_home - resolution * level.sigma[home] * kv
+        best = home
+        for c in sorted(to_comm):
+            if c == home:
+                continue
+            if exact:
+                score = m2 * to_comm[c] - level.sigma[c] * kv
+            else:
+                score = m2 * to_comm[c] - resolution * level.sigma[c] * kv
+            if score > best_score:
+                best_score = score
+                best = c
+        level.sigma[best] += kv
+        if best != home:
+            level.comm[v] = best
+            level.intra[home] -= kin_home + level.selfw[v]
+            level.intra[best] += to_comm.get(best, 0) + level.selfw[v]
+            moved += 1
+    return moved
+
+
+def disconnected_communities(n: int, edges, assignment) -> int:
+    """Number of communities whose induced subgraph is disconnected, by a
+    queue BFS from one member that may cross only edges inside the community."""
+    neigh = adj_sets(n, edges)
+    members: dict[int, list[int]] = {}
+    for node, cid in enumerate(assignment):
+        members.setdefault(cid, []).append(node)
+    count = 0
+    for cid, nodes in members.items():
+        seen = {nodes[0]}
+        queue = deque(seen)
+        while queue:
+            u = queue.popleft()
+            for w in neigh[u]:
+                if w not in seen and assignment[w] == cid:
+                    seen.add(w)
+                    queue.append(w)
+        count += len(seen) < len(nodes)
+    return count

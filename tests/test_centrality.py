@@ -11,6 +11,7 @@ import oracles
 import castnet
 from castnet.centrality import (
     Measure,
+    Scores,
     betweenness_centrality,
     closeness_centrality,
     degree_centrality,
@@ -206,6 +207,18 @@ class TestProperties:
     def test_ranked_tie_break_lexicographic(self, two_triangles):
         ranked = degree_centrality(two_triangles).ranked(two_triangles.labels)
         assert [name for name, _ in ranked] == sorted(two_triangles.labels)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_ranked_matches_sort_by_score_then_name(self, seed):
+        """Equal scores and repeated labels keep the order of the key
+        ``(-score, label)`` under a stable sort."""
+        rng = random.Random(seed)
+        n = rng.randint(1, 60)
+        labels = [rng.choice("abcdef") * rng.randint(1, 2) for _ in range(n)]
+        scores = np.array([rng.choice([0.0, 0.25, 0.5, 1.0, 1 / 3]) for _ in range(n)])
+        order = sorted(range(n), key=lambda i: (-scores[i], labels[i]))
+        expected = [(labels[i], float(scores[i])) for i in order]
+        assert Scores(scores).ranked(labels) == expected
 
     def test_measure_recorded(self, k3):
         assert degree_centrality(k3).measure is Measure.DEGREE

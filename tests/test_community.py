@@ -173,6 +173,50 @@ class TestLouvain:
         assert part.assignment[0] == part.assignment[1]
         assert part.assignment[2] == part.assignment[3]
 
+    @pytest.mark.parametrize("resolution", [1.0, 0.5, 2.0])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_lazy_recount_matches_full_recount_oracle(self, seed, resolution, monkeypatch):
+        """Recounting a node's community weights only after a neighbour
+        moved changes no partition, quality trace or pass count."""
+        rng = random.Random(seed)
+        levels = []
+        aggregate = community._aggregate
+        monkeypatch.setattr(community, "_aggregate", lambda *a: levels.append(1) or aggregate(*a))
+        for n, p in ((rng.randint(10, 60), 0.15), (200, 0.03)):
+            g = CoGraph.from_weighted_edges(*weighted_random_graph(rng, n, p, isolated=5))
+            levels.clear()
+            lazy = louvain(g, seed=seed, resolution=resolution)
+            aggregations = len(levels)
+            with monkeypatch.context() as patch:
+                patch.setattr(community, "_sweep", oracles.louvain_sweep_full_recount)
+                full = louvain(g, seed=seed, resolution=resolution)
+            assert lazy.assignment == full.assignment
+            assert lazy.q == full.q
+            assert lazy.q_history == full.q_history
+            assert lazy.passes == full.passes
+        assert aggregations >= 2  # the 200-node graph
+
+    def test_disconnected_communities_are_counted_not_prevented(self):
+        """Louvain can leave a community internally disconnected (Traag,
+        Waltman & van Eck 2019). On 60 sparse 200-node graphs it does so
+        once: seed 56 splits one community in two."""
+        assert oracles.disconnected_communities(4, [(0, 1), (2, 3)], [0, 0, 0, 1]) == 1
+        found = {}
+        for seed in range(60):
+            labels, edges = weighted_random_graph(random.Random(seed), 200, 0.01)
+            part = louvain(CoGraph.from_weighted_edges(labels, edges), seed=seed)
+            count = oracles.disconnected_communities(200, edges, part.assignment)
+            if count:
+                found[seed] = count
+        assert found == {56: 1}
+
+
+def weighted_random_graph(rng: random.Random, n: int, p: float, isolated: int = 0):
+    """Labels and weighted edges of ``oracles.random_graph`` over ``n`` nodes,
+    weights 1 to 5, plus ``isolated`` nodes with no edge."""
+    edges = [(u, v, rng.randint(1, 5)) for u, v in oracles.random_graph(rng, n, p)]
+    return [f"n{i}" for i in range(n + isolated)], edges
+
 
 class TestClusterGraph:
     def test_joined_triangles_frequency(self):

@@ -64,19 +64,29 @@ def test_every_public_name_resolves_and_is_listed():
         (["clusters", "--tau", "0.5"], "_options _write cli community errors graph graphio"),
         # _bfs comes with centrality, whose Scores and writer crossover uses.
         (["crossover"], "_bfs _options _write centrality cli community errors graph graphio"),
+        (["evolve", "--window", "5", "--step", "5"],
+         "_options _write cli community errors graph ingest"),
     ],
 )
-def test_graph_commands_load_only_their_modules(tmp_path, argv, modules):
-    graph = tmp_path / "graph.bin"
-    save_cache(graph, make_graph(3, [(0, 1), (1, 2)]))
-    argv = [*argv, "--graph", str(graph), "--out", str(tmp_path)]
+def test_graph_commands_load_only_their_modules(tmp_path, catalog_csv, argv, modules):
+    """None of these commands loads scipy: ``import scipy.sparse`` costs
+    about 0.2 s of CPU per process."""
+    if argv[0] == "evolve":
+        castnet.cli.main(["ingest", "--source", "netflix", "--input", str(catalog_csv),
+                          "--out", str(tmp_path)])
+        source = ["--records", str(tmp_path / "records.jsonl")]
+    else:
+        graph = tmp_path / "graph.bin"
+        save_cache(graph, make_graph(3, [(0, 1), (1, 2)]))
+        source = ["--graph", str(graph)]
+    argv = [*argv, *source, "--out", str(tmp_path)]
     code = (
         "import sys, castnet.cli\n"
         f"code = castnet.cli.main({argv!r})\n"
-        "print(code, *sorted(m[8:] for m in sys.modules if m.startswith('castnet.')))"
+        "print(code, *sorted(m[8:] for m in sys.modules if m.startswith('castnet.')),"
+        " *(['scipy'] if 'scipy' in sys.modules else []))"
     )
     assert run_python(code) == f"0 {modules}"
-
 
 
 def test_cli_process_starts_no_blas_thread_pool(tmp_path):

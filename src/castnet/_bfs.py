@@ -1,16 +1,24 @@
 """Breadth-first search over the CSR adjacency, as array code.
 
-All-source traversals advance a block of sources together: the n x B
-frontier matrix is multiplied by the binary adjacency, so one sparse-times-
-dense product per BFS level replaces B queue-based searches. This is the
-level-synchronous form of BFS and Brandes given by Kepner & Gilbert, *Graph
-Algorithms in the Language of Linear Algebra* (2011).
+All-source traversals advance a block of sources together, one BFS level
+per step. Two kernels do this:
 
-scipy is imported inside the functions that need it, never at module level:
-``import scipy.sparse`` costs about 0.2 s of CPU and 19 MB per process (on a
-2-vCPU Xeon VM), which commands that never traverse all sources should not
-pay. The thread pool's module is imported only when a traversal asks for a
-second thread.
+- ``reach_counts`` (closeness) only needs how many nodes each source reaches
+  at each distance. It keeps one bit per source: a block of up to 64 sources
+  is one ``uint64`` word per node, and a level is a gather of the frontier
+  words over the CSR plus an OR-reduction per row. This is the multi-source
+  BFS of Then et al., "The More the Merrier: Efficient Multi-Source Graph
+  Traversal" (PVLDB 2014), and it needs numpy only.
+- ``levels`` (Brandes' betweenness) also carries shortest-path counts, so
+  its n x B float frontier is multiplied by the binary adjacency: one
+  sparse-times-dense product per level replaces B queue-based searches.
+  This is the level-synchronous form of BFS and Brandes given by Kepner &
+  Gilbert, *Graph Algorithms in the Language of Linear Algebra* (2011).
+
+scipy is imported inside ``adjacency``, never at module level: ``import
+scipy.sparse`` costs about 0.2 s of CPU and 19 MB per process (on a 2-vCPU
+Xeon VM), which only betweenness pays. The thread pool's module is imported
+only when a traversal asks for a second thread.
 """
 
 from __future__ import annotations
@@ -24,10 +32,15 @@ from .graph import CoGraph
 
 # Sources per block, for every all-source traversal. Fixed, never derived
 # from the thread count, so per-block float partials are always summed in
-# the same order. Each block holds a few n x BLOCK float64 arrays (7 MB each
-# at 14k nodes); larger blocks measured no faster, since the sparse
-# products dominate and their cost is linear in the block width.
+# the same order. A Brandes block holds a few n x BLOCK float64 arrays (7 MB
+# each at 14k nodes); larger blocks measured no faster, since the sparse
+# products dominate and their cost is linear in the block width. A
+# ``reach_counts`` block is one bit per source in a word per node.
 BLOCK = 64
+
+# The word of ``reach_counts``: little-endian, so its bytes read in
+# ``np.unpackbits(..., bitorder="little")`` order put bit j at column j.
+_WORD = np.dtype("<u8")
 
 T = TypeVar("T")
 
@@ -68,37 +81,62 @@ def levels(adj, sources: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarr
         yield level, new, frontier
 
 
-def reach_counts(adj, sources: np.ndarray) -> np.ndarray:
+def reach_counts(indptr: np.ndarray, indices: np.ndarray, sources: np.ndarray) -> np.ndarray:
     """``counts[d, j]``: number of nodes at distance d >= 1 from ``sources[j]``
-    (row 0 is all zero), as exact int64."""
-    rows = [np.zeros(len(sources), np.int64)]
-    for _, new, _ in levels(adj, sources):
-        rows.append(np.count_nonzero(new, axis=0).astype(np.int64))
-    return np.stack(rows)
+    (row 0 is all zero), as exact int64, for at most ``BLOCK`` distinct
+    sources of the CSR graph ``indptr``, ``indices``.
+
+    Bit j of ``seen[v]`` says ``sources[j]`` has reached v. A node is
+    reached at the next level from every source that reached one of its
+    neighbours at this one, so a level ORs the frontier words of each row's
+    neighbours; the bits not seen before are that level's new nodes.
+    """
+    if len(sources) > BLOCK:
+        raise ValueError(f"at most {BLOCK} sources per call")
+    n = len(indptr) - 1
+    indices = indices.astype(np.intp, copy=False)  # int32 indices are recast on every gather
+    frontier = np.zeros(n, _WORD)
+    frontier[sources] = np.left_shift(1, np.arange(len(sources), dtype=_WORD))
+    seen = frontier.copy()
+    reach = np.zeros(n, _WORD)  # rows without neighbours stay 0
+    nonempty = np.flatnonzero(np.diff(indptr))
+    starts = indptr[nonempty]
+    counts = [np.zeros(len(sources), np.int64)]
+    while len(starts):
+        reach[nonempty] = np.bitwise_or.reduceat(frontier[indices], starts)
+        new = reach & ~seen
+        hit = new[new != 0]
+        if not len(hit):
+            break
+        seen |= new
+        octets = hit.astype(_WORD, copy=False).view(np.uint8)
+        bits = np.unpackbits(octets, bitorder="little").reshape(len(hit), 64)
+        counts.append(bits.sum(axis=0, dtype=np.int64)[: len(sources)])
+        frontier = new
+    return np.stack(counts)
 
 
 def map_blocks(
-    g: CoGraph, fn: Callable[[object, np.ndarray], T], sources: np.ndarray, threads: int
+    fn: Callable[[object, np.ndarray], T], operand: object, sources: np.ndarray, threads: int
 ) -> Iterator[T]:
-    """``fn(adjacency(g), block)`` for consecutive blocks of ``BLOCK`` sources,
+    """``fn(operand, block)`` for consecutive blocks of ``BLOCK`` sources,
     yielded in block order.
 
     The partition never depends on ``threads``, and callers reduce the
     results in the order they arrive, so output is the same for every
-    thread count. The sparse products and array operations release the
-    interpreter lock, so threads overlap real work.
+    thread count. numpy's gathers and reductions and scipy's sparse
+    products release the interpreter lock, so threads overlap real work.
     """
-    adj = adjacency(g)
     blocks = [sources[lo : lo + BLOCK] for lo in range(0, len(sources), BLOCK)]
     workers = min(threads, len(blocks))
     if workers <= 1:
         for block in blocks:
-            yield fn(adj, block)
+            yield fn(operand, block)
         return
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(partial(fn, adj), blocks)
+        yield from pool.map(partial(fn, operand), blocks)
 
 
 def gather_neighbors(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray) -> np.ndarray:

@@ -76,7 +76,7 @@ def betweenness_centrality(g: CoGraph, threads: int = 1) -> ScoreTable:
     if g.n < 3:
         raise TooFewNodesError("betweenness centrality needs at least 3 nodes")
     raw = np.zeros(g.n, np.float64)
-    for part in _bfs.map_blocks(g, _brandes_block, np.arange(g.n), threads):
+    for part in _bfs.map_blocks(_brandes_block, _bfs.adjacency(g), np.arange(g.n), threads):
         raw += part
     scores = raw / float((g.n - 1) * (g.n - 2))
     return ScoreTable(scores, Measure.BETWEENNESS, {"algorithm": "brandes", "pairs": "ordered"})
@@ -111,18 +111,17 @@ def closeness_centrality(g: CoGraph, threads: int = 1) -> ScoreTable:
     """
     if g.n < 2:
         raise TooFewNodesError("closeness centrality needs at least 2 nodes")
-    blocks = _bfs.map_blocks(g, _closeness_block, np.arange(g.n), threads)
+    blocks = _bfs.map_blocks(_closeness_block, g, np.arange(g.n), threads)
     scores = np.concatenate(list(blocks))
     return ScoreTable(scores, Measure.CLOSENESS, {"scaling": "component"})
 
 
-def _closeness_block(adj, sources: np.ndarray) -> np.ndarray:
-    counts = _bfs.reach_counts(adj, sources)
+def _closeness_block(g: CoGraph, sources: np.ndarray) -> np.ndarray:
+    counts = _bfs.reach_counts(g.indptr, g.indices, sources)
     reached = counts.sum(axis=0)
     total = np.arange(len(counts)) @ counts
-    n = adj.shape[0]
     with np.errstate(divide="ignore", invalid="ignore"):
-        scores = (reached / (n - 1.0)) * (reached / total)
+        scores = (reached / (g.n - 1.0)) * (reached / total)
     return np.where(reached > 0, scores, 0.0)
 
 

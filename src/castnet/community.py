@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
@@ -82,9 +83,8 @@ class _Level:
     def __init__(self, rows: np.ndarray, cols: np.ndarray, w: np.ndarray, selfw: np.ndarray):
         self.n = n = len(selfw)
         self.rows, self.cols, self.w = rows, cols, w
-        ptr = np.searchsorted(rows, np.arange(n + 1)).tolist()
-        col_list, w_list = cols.tolist(), w.tolist()
-        self.adj = [dict(zip(col_list[a:b], w_list[a:b])) for a, b in zip(ptr, ptr[1:])]
+        pairs = zip(cols.tolist(), w.tolist())  # one iterator, consumed row by row
+        self.adj = [dict(islice(pairs, d)) for d in np.bincount(rows, minlength=n).tolist()]
         self.selfw = selfw.tolist()
         self.k = (2 * selfw + np.bincount(rows, weights=w, minlength=n).astype(np.int64)).tolist()
         self.comm = list(range(n))

@@ -1,4 +1,5 @@
-"""The level-synchronous traversal primitive and its thread-count contract."""
+"""The traversal kernels (bit-parallel reach counts, level-synchronous Brandes
+levels) and their thread-count contract."""
 
 import os
 import random
@@ -6,6 +7,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 import castnet
 import oracles
@@ -38,19 +40,71 @@ def test_levels_match_distance_and_path_count_oracles():
         assert np.array_equal(sigma, oracles.path_counts(n, edges, fw))
 
 
+def _distance_histograms(n, edges, sources):
+    """``counts[d, j]`` for ``sources[j]`` from queue-BFS distances, with as
+    many rows as the farthest source needs."""
+    dists = [oracles.bfs_distances(n, edges, int(s)) for s in sources]
+    depth = max([int(d.max()) for d in dists] + [0])
+    return np.stack(
+        [np.bincount(d[d > 0], minlength=depth + 1) for d in dists], axis=1
+    ).reshape(depth + 1, len(sources))
+
+
 def test_reach_counts_are_per_source_distance_histograms():
     rng = random.Random(7)
     n = 45
     edges = oracles.random_graph(rng, n, 0.06)
     g = make_graph(n, edges)
     sources = np.array([0, 3, 17, 44])
-    counts = _bfs.reach_counts(_bfs.adjacency(g), sources)
+    counts = _bfs.reach_counts(g.indptr, g.indices, sources)
     assert counts.dtype == np.int64
     assert not counts[0].any()
     for j, s in enumerate(sources):
         dist = oracles.bfs_distances(n, edges, int(s))
         expected = np.bincount(dist[dist > 0], minlength=len(counts))
         assert np.array_equal(counts[:, j], expected)
+
+
+def test_bit_parallel_reach_counts_match_bfs_oracle():
+    """Every block of a shuffled source order, the last one shorter than 64
+    unless n is a multiple of it, on sparse and dense random graphs."""
+    rng = random.Random(64)
+    for n in (1, 2, 63, 64, 65, 130):
+        for p in (1.5 / n, 4.0 / n, 0.3):
+            edges = oracles.random_graph(rng, n, min(p, 1.0)) if n > 1 else []
+            g = make_graph(n, edges)
+            order = list(range(n))
+            rng.shuffle(order)
+            for lo in range(0, n, _bfs.BLOCK):
+                sources = np.array(order[lo : lo + _bfs.BLOCK])
+                counts = _bfs.reach_counts(g.indptr, g.indices, sources)
+                assert counts.dtype == np.int64
+                assert np.array_equal(counts, _distance_histograms(n, edges, sources)), (n, p, lo)
+
+
+def test_reach_counts_skip_isolated_nodes():
+    n = 70
+    edges = [(0, 1), (1, 2), (2, 3), (10, 11), (40, 69)]  # every other node is isolated
+    g = make_graph(n, edges)
+    sources = np.array([69, 5, 3, 0, 11, 68, 40, 2])
+    counts = _bfs.reach_counts(g.indptr, g.indices, sources)
+    assert np.array_equal(counts, _distance_histograms(n, edges, sources))
+    assert counts.tolist() == [[0] * 8, [1, 0, 1, 1, 1, 0, 1, 2], [0, 0, 1, 1, 0, 0, 0, 1],
+                               [0, 0, 1, 1, 0, 0, 0, 0]]
+
+
+def test_reach_counts_of_edgeless_graph_are_one_zero_row():
+    g = make_graph(5, [])
+    counts = _bfs.reach_counts(g.indptr, g.indices, np.array([4, 0, 2]))
+    assert counts.dtype == np.int64
+    assert counts.tolist() == [[0, 0, 0]]
+
+
+def test_reach_counts_take_at_most_one_block():
+    n = _bfs.BLOCK + 1
+    g = make_graph(n, [(0, 1)])
+    with pytest.raises(ValueError):
+        _bfs.reach_counts(g.indptr, g.indices, np.arange(n))
 
 
 def test_levels_of_edgeless_graph_yield_nothing():
@@ -61,9 +115,11 @@ def test_levels_of_edgeless_graph_yield_nothing():
 def test_map_blocks_partition_is_fixed_and_ordered():
     g = make_graph(150, [(0, 1)])
     for threads in (1, 2, 5):
-        blocks = list(_bfs.map_blocks(g, lambda adj, b: b, np.arange(150), threads))
+        results = list(_bfs.map_blocks(lambda op, b: (op, b), g, np.arange(150), threads))
+        assert all(op is g for op, _ in results)  # the caller's operand, passed through
+        blocks = [b for _, b in results]
         assert [(b[0], b[-1]) for b in blocks] == [(0, 63), (64, 127), (128, 149)]
-    assert list(_bfs.map_blocks(g, lambda adj, b: b, np.arange(0), 2)) == []
+    assert list(_bfs.map_blocks(lambda op, b: b, g, np.arange(0), 2)) == []
 
 
 def test_gather_neighbors_concatenates_rows_in_order():
@@ -87,12 +143,15 @@ def test_thread_counts_bit_identical_across_blocks():
             closeness_centrality(g, threads=threads).scores.tobytes(),
         ))
     assert results[0] == results[1] == results[2]
-    reached = _bfs.reach_counts(_bfs.adjacency(g), np.arange(n)).sum()
+    reached = sum(
+        _bfs.reach_counts(g.indptr, g.indices, np.arange(lo, min(lo + _bfs.BLOCK, n))).sum()
+        for lo in range(0, n, _bfs.BLOCK)
+    )
     assert reached < n * (n - 1)  # the graph really is disconnected
 
 
 def test_importing_the_cli_does_not_load_scipy():
-    """scipy costs ~0.2 s per process; only all-source traversals import it."""
+    """scipy costs ~0.2 s per process; only betweenness imports it."""
     code = "import sys, castnet.cli; print(sorted(m for m in sys.modules if 'scipy' in m))"
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(castnet.__file__)))
     proc = subprocess.run(

@@ -59,6 +59,9 @@ def test_every_public_name_resolves_and_is_listed():
     "argv,modules",
     [
         (["centrality", "degree"], "_bfs _options _write centrality cli errors graph graphio"),
+        (["centrality", "closeness"], "_bfs _options _write centrality cli errors graph graphio"),
+        (["centrality", "closeness", "--threads", "2"],
+         "_bfs _options _write centrality cli errors graph graphio"),
         (["communities"], "_options _write cli community errors graph graphio"),
         (["export", "--format", "dot"], "_options _write cli errors graph graphio"),
         (["clusters", "--tau", "0.5"], "_options _write cli community errors graph graphio"),
@@ -70,14 +73,15 @@ def test_every_public_name_resolves_and_is_listed():
 )
 def test_graph_commands_load_only_their_modules(tmp_path, catalog_csv, argv, modules):
     """None of these commands loads scipy: ``import scipy.sparse`` costs
-    about 0.2 s of CPU per process."""
+    about 0.2 s of CPU per process, and only betweenness needs it."""
     if argv[0] == "evolve":
         castnet.cli.main(["ingest", "--source", "netflix", "--input", str(catalog_csv),
                           "--out", str(tmp_path)])
         source = ["--records", str(tmp_path / "records.jsonl")]
     else:
         graph = tmp_path / "graph.bin"
-        save_cache(graph, make_graph(3, [(0, 1), (1, 2)]))
+        # A path over three source blocks, so `--threads 2` starts its pool.
+        save_cache(graph, make_graph(150, [(i, i + 1) for i in range(149)]))
         source = ["--graph", str(graph)]
     argv = [*argv, *source, "--out", str(tmp_path)]
     code = (

@@ -45,9 +45,7 @@ def _distance_histograms(n, edges, sources):
     many rows as the farthest source needs."""
     dists = [oracles.bfs_distances(n, edges, int(s)) for s in sources]
     depth = max([int(d.max()) for d in dists] + [0])
-    return np.stack(
-        [np.bincount(d[d > 0], minlength=depth + 1) for d in dists], axis=1
-    ).reshape(depth + 1, len(sources))
+    return np.stack([np.bincount(d[d > 0], minlength=depth + 1) for d in dists], axis=1)
 
 
 def test_reach_counts_are_per_source_distance_histograms():
@@ -84,7 +82,7 @@ def test_bit_parallel_reach_counts_match_bfs_oracle():
 
 def test_reach_counts_skip_isolated_nodes():
     n = 70
-    edges = [(0, 1), (1, 2), (2, 3), (10, 11), (40, 69)]  # every other node is isolated
+    edges = [(0, 1), (1, 2), (2, 3), (10, 11), (40, 69)]  # the other 62 nodes are isolated
     g = make_graph(n, edges)
     sources = np.array([69, 5, 3, 0, 11, 68, 40, 2])
     counts = _bfs.reach_counts(g.indptr, g.indices, sources)
@@ -144,7 +142,7 @@ def test_thread_counts_bit_identical_across_blocks():
         ))
     assert results[0] == results[1] == results[2]
     reached = sum(
-        _bfs.reach_counts(g.indptr, g.indices, np.arange(lo, min(lo + _bfs.BLOCK, n))).sum()
+        _bfs.reach_counts(g.indptr, g.indices, np.arange(n)[lo : lo + _bfs.BLOCK]).sum()
         for lo in range(0, n, _bfs.BLOCK)
     )
     assert reached < n * (n - 1)  # the graph really is disconnected

@@ -59,9 +59,6 @@ def test_every_public_name_resolves_and_is_listed():
     "argv,modules",
     [
         (["centrality", "degree"], "_bfs _options _write centrality cli errors graph graphio"),
-        (["centrality", "closeness"], "_bfs _options _write centrality cli errors graph graphio"),
-        (["centrality", "closeness", "--threads", "2"],
-         "_bfs _options _write centrality cli errors graph graphio"),
         (["communities"], "_options _write cli community errors graph graphio"),
         (["export", "--format", "dot"], "_options _write cli errors graph graphio"),
         (["clusters", "--tau", "0.5"], "_options _write cli community errors graph graphio"),
@@ -69,6 +66,9 @@ def test_every_public_name_resolves_and_is_listed():
         (["crossover"], "_bfs _options _write centrality cli community errors graph graphio"),
         (["evolve", "--window", "5", "--step", "5"],
          "_options _write cli community errors graph ingest"),
+        (["centrality", "closeness"], "_bfs _options _write centrality cli errors graph graphio"),
+        (["centrality", "closeness", "--threads", "2"],
+         "_bfs _options _write centrality cli errors graph graphio"),
     ],
 )
 def test_graph_commands_load_only_their_modules(tmp_path, catalog_csv, argv, modules):

@@ -41,16 +41,7 @@ _EXPORTS = {
         "parse_imdb",
         "parse_netflix",
     ),
-    "linkpred": (
-        "Method",
-        "PairScore",
-        "adamic_adar",
-        "common_neighbors",
-        "jaccard",
-        "predict_top",
-        "preferential_attachment",
-        "resource_allocation",
-    ),
+    "linkpred": ("Method", "PairScore", "predict_top"),
     "paths": (
         "AnnotatedPath",
         "Unreachable",

@@ -16,6 +16,15 @@ class MissingColumnError(CastnetError):
         super().__init__(f"{source}: missing required column(s): {', '.join(missing)}")
 
 
+class JsonlFormatError(CastnetError):
+    """A line of a records or persons JSON Lines file does not parse."""
+
+    def __init__(self, path, line: int, reason: str):
+        self.path = path
+        self.line = line
+        super().__init__(f"{path}:{line}: {reason}")
+
+
 class EmptyInputError(CastnetError):
     """No titles survived filtering; nothing to build."""
 

@@ -21,14 +21,6 @@ if TYPE_CHECKING:
     from .ingest import TitleKind, TitleRecord
 
 
-@dataclass(frozen=True)
-class TitleMeta:
-    year: int | None
-    kind: TitleKind
-    country: str | None
-    directors: tuple[str, ...]
-
-
 @dataclass
 class BipartiteStore:
     """Interned person/title tables plus per-title cast incidence."""
@@ -40,7 +32,7 @@ class BipartiteStore:
     title_ids: list[str]
     title_names: list[str]
     incidence: list[list[int]]  # per title: sorted, duplicate-free person indices
-    title_meta: list[TitleMeta]
+    title_country: list[str | None]
     oversize_titles: int = 0  # casts above the cap, rejected as data errors
 
     @property
@@ -77,7 +69,7 @@ def build_bipartite(
         title_ids=[],
         title_names=[],
         incidence=[],
-        title_meta=[],
+        title_country=[],
     )
     lo, hi = year_range if year_range else (None, None)
     for rec in records:
@@ -110,14 +102,7 @@ def build_bipartite(
                 store.person_keys.append(key)
             members.add(pidx)
         store.incidence.append(sorted(members))
-        store.title_meta.append(
-            TitleMeta(
-                year=rec.release_year,
-                kind=rec.kind,
-                country=rec.country,
-                directors=rec.directors,
-            )
-        )
+        store.title_country.append(rec.country)
     if not store.title_ids:
         raise EmptyInputError("no titles survive the configured filters")
     store.person_labels = _display_labels(store.person_keys, names)
@@ -177,28 +162,10 @@ class CoGraph:
         if not 0 <= u < self.n:
             raise NodeOutOfRangeError(f"node {u} outside [0, {self.n})")
 
-    def degree(self, u: int) -> int:
-        self._check(u)
-        return int(self.indptr[u + 1] - self.indptr[u])
-
     def neighbors(self, u: int) -> np.ndarray:
         """Sorted neighbor indices of ``u`` (a read-only view)."""
         self._check(u)
         return self.indices[self.indptr[u] : self.indptr[u + 1]]
-
-    def neighbor_weights(self, u: int) -> np.ndarray:
-        self._check(u)
-        return self.weights[self.indptr[u] : self.indptr[u + 1]]
-
-    def weight(self, u: int, v: int) -> int:
-        """Shared-title count for the pair, 0 if not adjacent."""
-        self._check(u)
-        self._check(v)
-        row = self.neighbors(u)
-        pos = int(np.searchsorted(row, v))
-        if pos < len(row) and row[pos] == v:
-            return int(self.weights[self.indptr[u] + pos])
-        return 0
 
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
@@ -208,9 +175,6 @@ class CoGraph:
             return self._label_index[name]
         except KeyError:
             raise UnknownActorError(name) from None
-
-    def has_node(self, name: str) -> bool:
-        return name in self._label_index
 
     def titles_for_edge(self, u: int, v: int) -> tuple[str, ...]:
         """Names of the titles whose cast holds both actors, sorted by name."""
@@ -346,7 +310,7 @@ def project(store: BipartiteStore) -> CoGraph:
         title_ptr=title_ptr,
         title_members=members.astype(np.int32),
         node_country=plurality_countries(
-            [meta.country for meta in store.title_meta],
+            store.title_country,
             np.repeat(np.arange(len(sizes)), sizes),
             members,
             store.n_persons,

@@ -17,12 +17,13 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import date, datetime
 from enum import Enum
-from typing import IO, Iterable, Iterator, Union
+from typing import IO, Callable, Iterable, Iterator, TypeVar, Union
 
 from ._write import replacing
-from .errors import MissingColumnError
+from .errors import JsonlFormatError, MissingColumnError
 
 Source = Union[str, "os.PathLike[str]", IO]
+T = TypeVar("T")
 
 YEAR_MIN = 1870
 YEAR_MAX = 2100
@@ -529,13 +530,7 @@ def write_records_jsonl(path: str | os.PathLike, records: Iterable[TitleRecord])
 
 
 def read_records_jsonl(path: str | os.PathLike) -> list[TitleRecord]:
-    out = []
-    with _open_text(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(record_from_json(line))
-    return out
+    return _read_jsonl(path, record_from_json)
 
 
 def write_persons_jsonl(path: str | os.PathLike, persons: Iterable[PersonRecord]) -> None:
@@ -550,19 +545,41 @@ def write_persons_jsonl(path: str | os.PathLike, persons: Iterable[PersonRecord]
             fh.write("\n")
 
 
+def _person_from_json(line: str) -> PersonRecord:
+    payload = json.loads(line)
+    return PersonRecord(
+        person_id=payload["person_id"],
+        name=payload["name"],
+        roles=frozenset(PersonRole(r) for r in payload["roles"]),
+    )
+
+
 def read_persons_jsonl(path: str | os.PathLike) -> list[PersonRecord]:
+    return _read_jsonl(path, _person_from_json)
+
+
+def _read_jsonl(path: str | os.PathLike, parse: Callable[[str], T]) -> list[T]:
+    """``parse`` of each non-blank line of ``path``.
+
+    A line that is not JSON, or not the object ``parse`` expects, raises
+    :class:`JsonlFormatError` naming the file and the line. Text that is not
+    UTF-8 is reported at the line whose read failed; the decoder reads ahead,
+    so the bad byte may sit a few lines further on.
+    """
     out = []
-    with _open_text(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            payload = json.loads(line)
-            out.append(
-                PersonRecord(
-                    person_id=payload["person_id"],
-                    name=payload["name"],
-                    roles=frozenset(PersonRole(r) for r in payload["roles"]),
-                )
-            )
+    number = 0
+    try:
+        with _open_text(path) as fh:
+            for number, line in enumerate(fh, 1):
+                line = line.strip()
+                if line:
+                    out.append(parse(line))
+    except UnicodeDecodeError:
+        raise JsonlFormatError(path, number + 1, "not UTF-8 text") from None
+    except json.JSONDecodeError as exc:
+        raise JsonlFormatError(path, number, f"not JSON: {exc.msg} (column {exc.colno})") from None
+    except KeyError as exc:
+        raise JsonlFormatError(path, number, f"missing key {exc}") from None
+    except (ValueError, TypeError, AttributeError) as exc:
+        raise JsonlFormatError(path, number, str(exc)) from None
     return out

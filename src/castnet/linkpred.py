@@ -2,12 +2,12 @@
 
 All five indices are set/count based on binary adjacency. Scores are raw
 index values, explicitly not probabilities; only the Jaccard coefficient is
-bounded to [0, 1].
+bounded to [0, 1]. :func:`predict_top` is the one scorer: it scores the
+candidate pairs of a block of rows together, with numpy.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Iterator
@@ -34,57 +34,6 @@ class PairScore:
     v: str
     method: Method
     score: float
-
-
-def _pair(g: CoGraph, u: int, v: int) -> tuple[np.ndarray, np.ndarray]:
-    if u == v:
-        raise ValueError("link prediction needs two distinct nodes")
-    return g.neighbors(u), g.neighbors(v)
-
-
-def common_neighbors(g: CoGraph, u: int, v: int) -> int:
-    """|N(u) ∩ N(v)|."""
-    nu, nv = _pair(g, u, v)
-    return int(np.intersect1d(nu, nv, assume_unique=True).size)
-
-
-def jaccard(g: CoGraph, u: int, v: int) -> float:
-    """Intersection over union of the neighborhoods; 0 when both empty."""
-    nu, nv = _pair(g, u, v)
-    if len(nu) == 0 and len(nv) == 0:
-        return 0.0
-    inter = int(np.intersect1d(nu, nv, assume_unique=True).size)
-    union = len(nu) + len(nv) - inter
-    return inter / union
-
-
-def resource_allocation(g: CoGraph, u: int, v: int) -> float:
-    """Sum of 1/degree over common neighbors."""
-    nu, nv = _pair(g, u, v)
-    common = np.intersect1d(nu, nv, assume_unique=True)
-    total = 0.0
-    for z in common:
-        total += 1.0 / g.degree(int(z))
-    return total
-
-
-def adamic_adar(g: CoGraph, u: int, v: int) -> float:
-    """Sum of 1/ln(degree) over common neighbors (natural log).
-
-    A common neighbor always has degree >= 2, so the log never vanishes.
-    """
-    nu, nv = _pair(g, u, v)
-    common = np.intersect1d(nu, nv, assume_unique=True)
-    total = 0.0
-    for z in common:
-        total += 1.0 / math.log(g.degree(int(z)))
-    return total
-
-
-def preferential_attachment(g: CoGraph, u: int, v: int) -> float:
-    """degree(u) * degree(v)."""
-    _pair(g, u, v)
-    return float(g.degree(u) * g.degree(v))
 
 
 def predict_top(

@@ -33,15 +33,7 @@ from castnet.centrality import (
 from castnet.community import build_cluster_graph, filter_interactions, louvain
 from castnet.graph import CoGraph, build_bipartite, project
 from castnet.ingest import parse_netflix
-from castnet.linkpred import (
-    Method,
-    adamic_adar,
-    common_neighbors,
-    jaccard,
-    predict_top,
-    preferential_attachment,
-    resource_allocation,
-)
+from castnet.linkpred import Method, predict_top
 from castnet.stats import summarize
 from conftest import make_graph
 
@@ -119,20 +111,30 @@ def test_oracle_equivalence_200_random_graphs():
             ref = oracles.eigenvector_power_dense(n, edges, iterations=300)
             assert np.allclose(mine, ref, atol=1e-9)
 
-            # five link-prediction indices over every non-adjacent pair
+            # five link-prediction indices over every non-adjacent pair: the
+            # pairs predict_top lists score as the matrices say, and the
+            # pairs it omits have no common neighbor
             deg, common, ra, aa = _linkpred_oracle_matrices(adj)
-            for u in range(n):
-                for v in range(u + 1, n):
-                    if adj[u, v]:
-                        continue
-                    cn = common_neighbors(g, u, v)
-                    assert cn == int(common[u, v])
-                    union = deg[u] + deg[v] - common[u, v]
-                    expect_j = common[u, v] / union if union else 0.0
-                    assert abs(jaccard(g, u, v) - expect_j) < 1e-12
-                    assert abs(resource_allocation(g, u, v) - ra[u, v]) < 1e-12
-                    assert abs(adamic_adar(g, u, v) - aa[u, v]) < 1e-12
-                    assert preferential_attachment(g, u, v) == deg[u] * deg[v]
+            union = deg[:, None] + deg[None, :] - common
+            expected = {
+                Method.COMMON_NEIGHBORS: common,
+                Method.JACCARD: np.divide(common, union, out=np.zeros_like(common), where=union > 0),
+                Method.RESOURCE_ALLOCATION: ra,
+                Method.ADAMIC_ADAR: aa,
+                Method.PREFERENTIAL_ATTACHMENT: np.outer(deg, deg),
+            }
+            index = {label: i for i, label in enumerate(g.labels)}
+            for method, scores in expected.items():
+                listed = set()
+                for ps in predict_top(g, method, n * n):
+                    u, v = index[ps.u], index[ps.v]
+                    assert not adj[u, v]
+                    assert abs(ps.score - scores[u, v]) < 1e-12
+                    listed.add((min(u, v), max(u, v)))
+                for u in range(n):
+                    for v in range(u + 1, n):
+                        if not adj[u, v] and (u, v) not in listed:
+                            assert common[u, v] == 0
         elapsed = time.perf_counter() - started
         print(f"\n  200 graphs checked in {elapsed:.1f}s")
         assert elapsed < 30.0, f"oracle suite took {elapsed:.1f}s (budget 30s)"
@@ -321,10 +323,11 @@ def _find_imdb_dumps() -> dict[str, Path] | None:
 
 def _resolve_label(g, name: str) -> str:
     """Exact label, or the highest-degree node among '[key]'-suffixed ones."""
-    if g.has_node(name):
+    if name in g.labels:
         return name
     prefix = f"{name} ["
-    candidates = [(g.degree(i), lbl) for i, lbl in enumerate(g.labels) if lbl.startswith(prefix)]
+    degrees = g.degrees().tolist()
+    candidates = [(degrees[i], lbl) for i, lbl in enumerate(g.labels) if lbl.startswith(prefix)]
     if not candidates:
         raise AssertionError(f"no node labeled {name!r}")
     return max(candidates)[1]
@@ -402,30 +405,35 @@ def test_cluster_metagraph_threshold_monotonicity():
 # ---------------------------------------------------------------------------
 # 6. Link prediction: structural guarantees (scores are indices, not
 #    probabilities, so there is no published number to pin; the contract is
-#    symmetry, monotonicity, and a candidate set free of existing edges)
+#    one listing per unordered pair, monotonicity, and a candidate set free
+#    of existing edges)
 # ---------------------------------------------------------------------------
 
 
+def _pair_score(g: CoGraph, method: Method, u: int, v: int) -> float:
+    """``predict_top``'s score of the pair (u, v), 0 when it is not listed."""
+    pair = tuple(sorted((g.labels[u], g.labels[v])))
+    listed = {(ps.u, ps.v): ps.score for ps in predict_top(g, method, g.n * g.n)}
+    return listed.get(pair, 0.0)
+
+
 def test_linkpred_substituted_properties():
-    with criterion("link prediction: symmetry, monotonicity, no adjacent candidates"):
+    with criterion("link prediction: one listing per pair, monotonicity, no adjacent candidates"):
         rng = random.Random(424242)
         for trial in range(10):
             n = rng.randint(8, 40)
             edge_pairs = oracles.random_graph(rng, n, 0.18)
             g = make_graph(n, edge_pairs)
-            # symmetry of every index
-            for _ in range(20):
-                u, v = rng.sample(range(n), 2)
-                for fn in (common_neighbors, jaccard, resource_allocation,
-                           adamic_adar, preferential_attachment):
-                    assert fn(g, u, v) == fn(g, v, u)
-            # the candidate set provably excludes all adjacent pairs
+            # the candidate set provably excludes all adjacent pairs, and
+            # names each unordered pair once, in name order
             edge_names = {
                 tuple(sorted((g.labels[u], g.labels[v]))) for u, v in edge_pairs
             }
             for method in Method:
-                for ps in predict_top(g, method, 10_000):
-                    assert (ps.u, ps.v) not in edge_names
+                pairs = [(ps.u, ps.v) for ps in predict_top(g, method, 10_000)]
+                assert all(a < b for a, b in pairs)
+                assert len(set(pairs)) == len(pairs)
+                assert not set(pairs) & edge_names
 
             # monotone under a supporting edge: (u,z), z in N(v) never lowers
             # common-neighbors / resource-allocation / adamic-adar for (u,v)
@@ -446,15 +454,11 @@ def test_linkpred_substituted_properties():
             if not found:
                 continue
             u, v, z = found
-            before = (
-                common_neighbors(g, u, v),
-                resource_allocation(g, u, v),
-                adamic_adar(g, u, v),
-            )
             g2 = make_graph(n, sorted(set(edge_pairs) | {(min(u, z), max(u, z))}))
-            assert common_neighbors(g2, u, v) >= before[0]
-            assert resource_allocation(g2, u, v) >= before[1] - 1e-12
-            assert adamic_adar(g2, u, v) >= before[2] - 1e-12
+            for method in (Method.COMMON_NEIGHBORS, Method.RESOURCE_ALLOCATION,
+                           Method.ADAMIC_ADAR):
+                before = _pair_score(g, method, u, v)
+                assert _pair_score(g2, method, u, v) >= before - 1e-12
 
 
 # ---------------------------------------------------------------------------

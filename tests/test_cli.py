@@ -319,6 +319,42 @@ class TestExitCodes:
         stderr = capsys.readouterr().err
         assert len(stderr.splitlines()) == 1 and stderr.startswith("error: ")
 
+    @pytest.mark.parametrize("case, reason", [
+        ("truncated", "not JSON: "),
+        ("missing-title", "missing key 'title'"),
+        ("unknown-kind", "'film' is not a valid TitleKind"),
+        ("persons-not-json", "not JSON: "),
+    ])
+    def test_malformed_jsonl_exits_1_with_one_line(self, pipeline_dir, catalog_csv,
+                                                   tmp_path, capsys, case, reason):
+        records = str(pipeline_dir / "records.jsonl")
+        lines = Path(records).read_text(encoding="utf-8").splitlines()
+        rec = json.loads(lines[2])
+        if case == "truncated":
+            lines[2] = lines[2][: len(lines[2]) // 2]
+        elif case == "missing-title":
+            del rec["title"]
+            lines[2] = json.dumps(rec)
+        elif case == "unknown-kind":
+            rec["kind"] = "film"
+            lines[2] = json.dumps(rec)
+        if case == "persons-not-json":
+            bad, line = catalog_csv, 1
+            flags = ["--records", records, "--persons", str(bad)]
+            commands = ["build", "evolve"]
+        else:
+            bad, line = tmp_path / "bad.jsonl", 3
+            bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            flags = ["--records", str(bad)]
+            commands = ["build", "stats", "evolve"]
+        for command in commands:
+            window = ["--window", "5", "--step", "5"] if command == "evolve" else []
+            capsys.readouterr()
+            assert run(command, *flags, *window, "--out", str(tmp_path / "out")) == 1
+            stderr = capsys.readouterr().err
+            assert len(stderr.splitlines()) == 1
+            assert stderr.startswith(f"error: {bad}:{line}: {reason}")
+
     def test_unknown_actor_is_data_error(self, pipeline_dir, tmp_path):
         code = run("path", "Us ActorA", "No Such Person",
                    "--graph", str(pipeline_dir / "graph.bin"), "--out", str(tmp_path))

@@ -281,7 +281,7 @@ class TestClusterGraph:
         g = project(store)
         actor_country = oracles.plurality_countries(
             ((p, t) for t, members in enumerate(store.incidence) for p in members),
-            [meta.country for meta in store.title_meta],
+            store.title_country,
             g.n,
         )
         assert g.node_country == actor_country

@@ -79,21 +79,21 @@ class TestProjection:
 
     def test_repeat_collaboration_weight(self):
         g = project(build_bipartite([rec("t1", ["A", "B"]), rec("t2", ["A", "B"])]))
-        assert g.weight(0, 1) == 2
+        assert list(g.edges()) == [(0, 1, 2)]
 
     def test_solo_cast_isolated_node(self):
         g = project(build_bipartite([rec("t1", ["A", "B"]), rec("t2", ["C"])]))
         assert g.n == 3
-        assert g.degree(2) == 0
+        assert g.degrees().tolist() == [1, 1, 0]
 
     def test_weight_zero_for_nonadjacent(self):
         g = project(build_bipartite([rec("t1", ["A", "B"]), rec("t2", ["C", "D"])]))
-        assert g.weight(0, 2) == 0
+        assert list(g.edges()) == [(0, 1, 1), (2, 3, 1)]  # no (0, 2) edge
 
     def test_large_shared_count(self):
         records = [rec(f"t{i}", ["A", "B"]) for i in range(187)]
         g = project(build_bipartite(records))
-        assert g.weight(0, 1) == 187
+        assert g.edge_arrays()[2].tolist() == [187]
 
     def test_edge_titles_kept_and_sorted(self):
         records = [
@@ -109,7 +109,7 @@ class TestProjection:
         casts = [[f"P{rng.randrange(30)}" for _ in range(rng.randint(1, 6))] for _ in range(20)]
         records = [rec(f"t{i}", sorted(set(c))) for i, c in enumerate(casts)]
         g = project(build_bipartite(records))
-        assert sum(g.degree(u) for u in range(g.n)) == 2 * g.edge_count
+        assert int(g.degrees().sum()) == 2 * g.edge_count
 
     @pytest.mark.parametrize("seed", range(8))
     def test_projection_matches_bruteforce(self, seed):
@@ -177,7 +177,7 @@ class TestProjection:
 
     def test_duplicate_cast_entry_adds_no_self_loop(self):
         g = project(build_bipartite([rec("t1", ["A", "B", "A"])]))
-        assert g.edge_count == 1 and g.weight(0, 1) == 1
+        assert g.edge_count == 1 and list(g.edges()) == [(0, 1, 1)]
         assert g.title_members.tolist() == [0, 1]
 
     def test_plurality_country(self):
@@ -214,7 +214,7 @@ class TestProjection:
         store = build_bipartite(records)
         expected = oracles.plurality_countries(
             ((p, t) for t, members in enumerate(store.incidence) for p in members),
-            [meta.country for meta in store.title_meta],
+            store.title_country,
             store.n_persons,
         )
         assert project(store).node_country == expected
@@ -222,18 +222,16 @@ class TestProjection:
 
 class TestAccessors:
     def test_k3_degree(self, k3):
-        assert [k3.degree(u) for u in range(3)] == [2, 2, 2]
+        assert k3.degrees().tolist() == [2, 2, 2]
 
     def test_neighbors_sorted(self, two_triangles):
         assert list(two_triangles.neighbors(1)) == [0, 2]
 
     def test_out_of_range(self, k3):
         with pytest.raises(NodeOutOfRangeError):
-            k3.degree(3)
+            k3.neighbors(3)
         with pytest.raises(NodeOutOfRangeError):
             k3.neighbors(-1)
-        with pytest.raises(NodeOutOfRangeError):
-            k3.weight(0, 99)
 
     def test_node_lookup(self, k3):
         assert k3.node("b") == 1
@@ -259,7 +257,9 @@ class TestAccessors:
             expected[key] = expected.get(key, 0) + w
         assert list(g.edges()) == [(u, v, w) for (u, v), w in sorted(expected.items())]
         assert g.total_edge_weight == sum(w for _, _, w in edges)
-        assert all(g.weight(v, u) == w for (u, v), w in expected.items())
+        rows = np.repeat(np.arange(g.n), np.diff(g.indptr)).tolist()
+        both = {**expected, **{(v, u): w for (u, v), w in expected.items()}}
+        assert dict(zip(zip(rows, g.indices.tolist()), g.weights.tolist())) == both
 
     def test_from_weighted_edges_rejects_bad_edges(self):
         with pytest.raises(NodeOutOfRangeError):

@@ -14,15 +14,7 @@ import oracles
 from castnet import linkpred
 from castnet.errors import CandidateExplosionError
 from castnet.graph import CoGraph
-from castnet.linkpred import (
-    Method,
-    adamic_adar,
-    common_neighbors,
-    jaccard,
-    predict_top,
-    preferential_attachment,
-    resource_allocation,
-)
+from castnet.linkpred import Method, predict_top
 from conftest import make_graph
 
 
@@ -33,101 +25,119 @@ def hand_fixture():
     return make_graph(6, edges)
 
 
+def _scores(g: CoGraph, method: Method, min_common: int = 1) -> dict[tuple[str, str], float]:
+    """Every pair ``predict_top`` lists, by sorted name pair."""
+    got = predict_top(g, method, g.n * g.n, min_common, allow_zero_common=True)
+    return {(ps.u, ps.v): ps.score for ps in got}
+
+
+def _score(g: CoGraph, method: Method, u: int, v: int) -> float:
+    """The listed score of the pair (u, v); a pair absent from the list scores 0."""
+    return _scores(g, method).get(tuple(sorted((g.labels[u], g.labels[v]))), 0.0)
+
+
 class TestIndices:
     def test_k3_common_neighbor(self, k3):
-        assert common_neighbors(k3, 0, 1) == 1
+        """Each K3 pair has a common neighbor, but is adjacent: no candidate."""
+        assert predict_top(k3, Method.COMMON_NEIGHBORS, 9) == []
 
     def test_cross_component_zero(self, two_triangles):
-        assert common_neighbors(two_triangles, 0, 3) == 0
-        assert jaccard(two_triangles, 0, 3) == 0.0
+        assert _score(two_triangles, Method.COMMON_NEIGHBORS, 0, 3) == 0
+        assert _score(two_triangles, Method.JACCARD, 0, 3) == 0.0
 
     def test_hand_fixture_common(self, hand_fixture):
-        assert common_neighbors(hand_fixture, 0, 1) == 2
+        assert _score(hand_fixture, Method.COMMON_NEIGHBORS, 0, 1) == 2
 
     def test_hand_fixture_jaccard(self, hand_fixture):
-        assert jaccard(hand_fixture, 0, 1) == 0.5
+        assert _score(hand_fixture, Method.JACCARD, 0, 1) == 0.5
 
     def test_jaccard_identical_neighborhoods(self):
         g = make_graph(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
-        assert jaccard(g, 0, 1) == 1.0
+        assert _score(g, Method.JACCARD, 0, 1) == 1.0
 
     def test_jaccard_both_empty(self):
         g = CoGraph.from_weighted_edges(["a", "b", "c", "d"], [(2, 3, 1)])
-        assert jaccard(g, 0, 1) == 0.0  # both neighborhoods empty
+        assert _score(g, Method.JACCARD, 0, 1) == 0.0  # both neighborhoods empty
 
     def test_ra_examples(self):
         g = make_graph(4, [(0, 2), (1, 2), (2, 3)])  # z=2 has degree 3
-        assert resource_allocation(g, 0, 1) == pytest.approx(1 / 3)
+        assert _score(g, Method.RESOURCE_ALLOCATION, 0, 1) == pytest.approx(1 / 3)
         g2 = make_graph(4, [(0, 2), (1, 2)])  # z degree 2
-        assert resource_allocation(g2, 0, 1) == 0.5
+        assert _score(g2, Method.RESOURCE_ALLOCATION, 0, 1) == 0.5
 
     def test_ra_two_common(self):
         # common z-degrees {2, 4} -> 1/2 + 1/4
         edges = [(0, 2), (1, 2), (0, 3), (1, 3), (3, 4), (3, 5)]
         g = make_graph(6, edges)
-        assert resource_allocation(g, 0, 1) == pytest.approx(0.75)
+        assert _score(g, Method.RESOURCE_ALLOCATION, 0, 1) == pytest.approx(0.75)
 
     def test_ra_no_common(self, two_triangles):
-        assert resource_allocation(two_triangles, 0, 3) == 0.0
+        assert _score(two_triangles, Method.RESOURCE_ALLOCATION, 0, 3) == 0.0
 
     def test_aa_single(self):
         g = make_graph(4, [(0, 2), (1, 2)])
-        assert adamic_adar(g, 0, 1) == pytest.approx(1 / math.log(2), abs=1e-12)
+        assert _score(g, Method.ADAMIC_ADAR, 0, 1) == pytest.approx(1 / math.log(2), abs=1e-12)
 
     def test_aa_two_common(self):
         edges = [(0, 2), (1, 2), (0, 3), (1, 3), (3, 4), (3, 5)]
         g = make_graph(6, edges)
         expected = 1 / math.log(2) + 1 / math.log(4)
-        assert adamic_adar(g, 0, 1) == pytest.approx(expected, abs=1e-12)
+        assert _score(g, Method.ADAMIC_ADAR, 0, 1) == pytest.approx(expected, abs=1e-12)
 
     def test_pa(self, p3):
-        assert preferential_attachment(p3, 0, 2) == 1.0
+        assert _score(p3, Method.PREFERENTIAL_ATTACHMENT, 0, 2) == 1.0
         g = make_graph(7, [(0, 1), (0, 2), (0, 3), (6, 1), (6, 2), (6, 3)])
-        assert preferential_attachment(g, 0, 6) == 9.0
+        assert _score(g, Method.PREFERENTIAL_ATTACHMENT, 0, 6) == 9.0
 
     def test_pa_isolated_zero(self):
         g = CoGraph.from_weighted_edges(["a", "b", "c"], [(0, 1, 1)])
-        assert preferential_attachment(g, 0, 2) == 0.0
+        assert _scores(g, Method.PREFERENTIAL_ATTACHMENT, min_common=0)[("a", "c")] == 0.0
 
-    def test_same_node_rejected(self, k3):
-        with pytest.raises(ValueError):
-            common_neighbors(k3, 1, 1)
+
+ORACLES = {
+    Method.COMMON_NEIGHBORS: oracles.common_neighbors,
+    Method.JACCARD: oracles.jaccard,
+    Method.RESOURCE_ALLOCATION: oracles.resource_allocation,
+    Method.ADAMIC_ADAR: oracles.adamic_adar,
+    Method.PREFERENTIAL_ATTACHMENT: oracles.preferential_attachment,
+}
 
 
 class TestOracleAgreement:
     @pytest.mark.parametrize("seed", range(10))
     def test_all_indices_match_set_oracle(self, seed):
+        """Every non-adjacent pair: listed with the oracle's score, or absent
+        and scored 0. Preferential attachment is asked for every pair."""
         rng = random.Random(700 + seed)
         n = rng.randint(4, 50)
         edges = oracles.random_graph(rng, n, rng.uniform(0.05, 0.5))
         g = make_graph(n, edges)
         neigh = oracles.adj_sets(n, edges)
-        for u in range(n):
-            for v in range(u + 1, n):
-                assert common_neighbors(g, u, v) == oracles.common_neighbors(neigh, u, v)
-                assert jaccard(g, u, v) == pytest.approx(
-                    oracles.jaccard(neigh, u, v), abs=1e-12
-                )
-                assert resource_allocation(g, u, v) == pytest.approx(
-                    oracles.resource_allocation(neigh, u, v), abs=1e-12
-                )
-                assert adamic_adar(g, u, v) == pytest.approx(
-                    oracles.adamic_adar(neigh, u, v), abs=1e-12
-                )
-                assert preferential_attachment(g, u, v) == oracles.preferential_attachment(
-                    neigh, u, v
-                )
+        for method, oracle in ORACLES.items():
+            zero_common = method is Method.PREFERENTIAL_ATTACHMENT
+            scores = _scores(g, method, min_common=0 if zero_common else 1)
+            for u in range(n):
+                for v in range(u + 1, n):
+                    if v in neigh[u]:
+                        continue
+                    pair = (g.labels[u], g.labels[v])
+                    got = scores[pair] if zero_common else scores.get(pair, 0.0)
+                    assert got == pytest.approx(oracle(neigh, u, v), abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_symmetry(self, seed):
+        """Numbering the nodes in reverse swaps which end of each pair comes
+        first, and lists the same pairs with the same scores."""
         rng = random.Random(900 + seed)
         n = rng.randint(4, 30)
-        g = make_graph(n, oracles.random_graph(rng, n, 0.2))
-        for _ in range(30):
-            u, v = rng.sample(range(n), 2)
-            for fn in (common_neighbors, jaccard, resource_allocation,
-                       adamic_adar, preferential_attachment):
-                assert fn(g, u, v) == fn(g, v, u)
+        edges = oracles.random_graph(rng, n, 0.2)
+        g = make_graph(n, edges)
+        flipped = CoGraph.from_weighted_edges(
+            g.labels[::-1], [(n - 1 - u, n - 1 - v, 1) for u, v in edges]
+        )
+        for method in Method:
+            scores = _scores(g, method)
+            assert _scores(flipped, method) == pytest.approx(scores, abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_monotone_under_supporting_edge(self, seed):
@@ -152,17 +162,10 @@ class TestOracleAgreement:
         if not found:
             pytest.skip("fixture has no augmentable pair")
         u, v, z = found
-        before = (
-            common_neighbors(g, u, v),
-            resource_allocation(g, u, v),
-            adamic_adar(g, u, v),
-        )
         g2 = make_graph(n, sorted(edges | {(min(u, z), max(u, z))}))
-        after = (
-            common_neighbors(g2, u, v),
-            resource_allocation(g2, u, v),
-            adamic_adar(g2, u, v),
-        )
+        methods = (Method.COMMON_NEIGHBORS, Method.RESOURCE_ALLOCATION, Method.ADAMIC_ADAR)
+        before = [_score(g, method, u, v) for method in methods]
+        after = [_score(g2, method, u, v) for method in methods]
         assert after[0] >= before[0]
         assert after[1] >= before[1] - 1e-12
         assert after[2] >= before[2] - 1e-12
@@ -190,23 +193,6 @@ class TestPredictTop:
             for ps in predict_top(g, method, 1000):
                 assert (ps.u, ps.v) not in edge_names
                 assert ps.u < ps.v
-
-    def test_scores_match_pairwise_functions(self):
-        rng = random.Random(4242)
-        n = 40
-        g = make_graph(n, oracles.random_graph(rng, n, 0.15))
-        fns = {
-            Method.COMMON_NEIGHBORS: common_neighbors,
-            Method.JACCARD: jaccard,
-            Method.RESOURCE_ALLOCATION: resource_allocation,
-            Method.ADAMIC_ADAR: adamic_adar,
-            Method.PREFERENTIAL_ATTACHMENT: preferential_attachment,
-        }
-        label_to_idx = {name: i for i, name in enumerate(g.labels)}
-        for method, fn in fns.items():
-            for ps in predict_top(g, method, 50):
-                u, v = label_to_idx[ps.u], label_to_idx[ps.v]
-                assert ps.score == pytest.approx(fn(g, u, v), abs=1e-12)
 
     def test_ordering_score_then_names(self):
         g = make_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
@@ -256,8 +242,7 @@ def test_jaccard_always_in_unit_interval(seed):
     n = rng.randint(2, 25)
     edges = oracles.random_graph(rng, n, rng.uniform(0.0, 0.6))
     g = make_graph(n, edges)
-    u, v = rng.sample(range(n), 2)
-    assert 0.0 <= jaccard(g, u, v) <= 1.0
+    assert all(0.0 < ps.score <= 1.0 for ps in predict_top(g, Method.JACCARD, n * n))
 
 
 def _oracle_top(g: CoGraph, method: Method, k: int, min_common: int) -> list[tuple]:

@@ -7,6 +7,7 @@ these graphs span several traversal blocks. Skipped without networkx.
 import numpy as np
 import pytest
 
+from castnet import linkpred
 from castnet.centrality import (
     betweenness_centrality,
     closeness_centrality,
@@ -14,6 +15,7 @@ from castnet.centrality import (
 )
 from castnet.community import louvain, modularity
 from castnet.graph import CoGraph
+from castnet.linkpred import Method, predict_top
 
 nx = pytest.importorskip("networkx")
 
@@ -92,3 +94,25 @@ def test_modularity_of_louvain_matches_networkx(nxg):
     groups = [set(members) for members in part.members()]
     ref = nx.community.modularity(nxg, groups, weight="weight")
     assert abs(modularity(g, part.assignment) - ref) < TOL
+
+
+def test_link_prediction_matches_networkx(monkeypatch):
+    """Every index over the non-edges with a common neighbor, with rows split
+    into several blocks."""
+    nxg = GRAPHS["connected-300"]()
+    g = _pair(nxg)
+    monkeypatch.setattr(linkpred, "BLOCK_WORK", 1 << 10)
+    common = {(u, v): len(set(nx.common_neighbors(nxg, u, v))) for u, v in nx.non_edges(nxg)}
+    pairs = [pair for pair, count in common.items() if count]
+    reference = {
+        Method.COMMON_NEIGHBORS: ((u, v, common[u, v]) for u, v in pairs),
+        Method.JACCARD: nx.jaccard_coefficient(nxg, pairs),
+        Method.RESOURCE_ALLOCATION: nx.resource_allocation_index(nxg, pairs),
+        Method.ADAMIC_ADAR: nx.adamic_adar_index(nxg, pairs),
+        Method.PREFERENTIAL_ATTACHMENT: nx.preferential_attachment(nxg, pairs),
+    }
+    for method, triples in reference.items():
+        ref = {tuple(sorted((g.labels[u], g.labels[v]))): s for u, v, s in triples}
+        got = {(ps.u, ps.v): ps.score for ps in predict_top(g, method, g.n * g.n)}
+        assert got.keys() == ref.keys()
+        assert max(abs(got[pair] - ref[pair]) for pair in ref) < TOL

@@ -47,17 +47,6 @@ def _resolve_data_paths(args: argparse.Namespace) -> None:
                 setattr(args, key, os.path.join(data_dir, value))
 
 
-def _build_filters(args: argparse.Namespace) -> dict:
-    from .ingest import TitleKind
-
-    filters: dict = {"min_cast": args.min_cast, "max_cast": args.max_cast}
-    if args.kind:
-        filters["kind"] = TitleKind(args.kind)
-    if args.year_min is not None or args.year_max is not None:
-        filters["year_range"] = (args.year_min, args.year_max)
-    return filters
-
-
 def _write_report(args: argparse.Namespace, command: str, payload: dict) -> None:
     report = {"command": command, **payload}
     if "outputs" in report:
@@ -113,15 +102,14 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     persons_path = None
     if args.source == "netflix":
         result = parse_netflix(_require(args, "input"))
-        records, report = result.records, result.report
     else:
         kinds = {TitleKind(args.kind)} if args.kind else None
         result = parse_imdb(
             _require(args, "basics"), _require(args, "principals"), _require(args, "names"), kinds
         )
-        records, report = result.titles, result.report
         persons_path = os.path.join(args.out, "persons.jsonl")
         write_persons_jsonl(persons_path, result.persons)
+    records, report = result.records, result.report
     write_records_jsonl(records_path, records)
     _write_report(
         args,
@@ -144,9 +132,17 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 def cmd_build(args: argparse.Namespace) -> int:
     from .graph import build_bipartite, project
     from .graphio import save_cache
+    from .ingest import TitleKind
 
-    records = _load_records(args)
-    store = build_bipartite(records, names=_load_names(args), **_build_filters(args))
+    years = (args.year_min, args.year_max)
+    store = build_bipartite(
+        _load_records(args),
+        kind=TitleKind(args.kind) if args.kind else None,
+        year_range=None if years == (None, None) else years,
+        min_cast=args.min_cast,
+        max_cast=args.max_cast,
+        names=_load_names(args),
+    )
     graph = project(store)
     cache_path = os.path.join(args.out, "graph.bin")
     save_cache(cache_path, graph)

@@ -370,30 +370,17 @@ def community_evolution(
     lo, hi = min(years), max(years)
 
     windows: list[EvolutionWindow] = []
-    start = lo
-    while start <= hi:
-        end = start + window_years - 1
-        subset = [
-            r for r in records if r.release_year is not None and start <= r.release_year <= end
-        ]
-        window = EvolutionWindow(years=(start, end), names=(), partition=None)
-        if subset:
-            try:
-                store = build_bipartite(subset, names=names)
-                graph = project(store)
-                window = EvolutionWindow(
-                    years=(start, end),
-                    names=tuple(graph.labels),
-                    partition=louvain(graph, seed=seed) if graph.edge_count else None,
-                )
-            except EmptyInputError:
-                pass
-        windows.append(window)
-        start += step_years
+    for start in range(lo, hi + 1, step_years):
+        span = (start, start + window_years - 1)
+        try:
+            graph = project(build_bipartite(records, year_range=span, names=names))
+        except EmptyInputError:
+            windows.append(EvolutionWindow(span, (), None))
+            continue
+        partition = louvain(graph, seed=seed) if graph.edge_count else None
+        windows.append(EvolutionWindow(span, tuple(graph.labels), partition))
 
-    matches: list[dict[int, CommunityMatch]] = []
-    for prev, cur in zip(windows, windows[1:]):
-        matches.append(_match_windows(prev, cur))
+    matches = [_match_windows(prev, cur) for prev, cur in zip(windows, windows[1:])]
     return EvolutionTimeline(windows=windows, matches=matches)
 
 

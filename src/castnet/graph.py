@@ -28,7 +28,6 @@ class BipartiteStore:
     person_index: dict[str, int]
     person_keys: list[str]
     person_labels: list[str]
-    title_index: dict[str, int]
     title_ids: list[str]
     title_names: list[str]
     incidence: list[list[int]]  # per title: sorted, duplicate-free person indices
@@ -65,13 +64,13 @@ def build_bipartite(
         person_index={},
         person_keys=[],
         person_labels=[],
-        title_index={},
         title_ids=[],
         title_names=[],
         incidence=[],
         title_country=[],
     )
     lo, hi = year_range if year_range else (None, None)
+    seen_titles: set[str] = set()
     for rec in records:
         if kind is not None and rec.kind != kind:
             continue
@@ -87,10 +86,9 @@ def build_bipartite(
         if len(rec.cast) > max_cast:
             store.oversize_titles += 1
             continue
-        if rec.title_id in store.title_index:
+        if rec.title_id in seen_titles:
             continue
-        tidx = len(store.title_ids)
-        store.title_index[rec.title_id] = tidx
+        seen_titles.add(rec.title_id)
         store.title_ids.append(rec.title_id)
         store.title_names.append(rec.title)
         members: set[int] = set()

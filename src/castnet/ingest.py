@@ -1,9 +1,10 @@
 """Catalog ingestion: Netflix CSV and IMDb TSV dumps into normalized records.
 
-Both parsers are tolerant: malformed rows are skipped and counted in an
-:class:`IngestReport`, never fatal. Gzip-compressed inputs are detected by
-magic bytes. Parsing is a pure function of the input bytes, so identical
-streams always yield identical record lists.
+Both parsers return an :class:`IngestResult` and take each input as a path or
+a text stream; a gzip-compressed file is detected by its magic bytes. They
+are tolerant: malformed rows are skipped and counted in an
+:class:`IngestReport`, never fatal. Parsing is a pure function of the input
+bytes, so identical streams always yield identical record lists.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import IO, Callable, Iterable, Iterator, TypeVar, Union
 from ._write import replacing
 from .errors import JsonlFormatError, MissingColumnError
 
-Source = Union[str, "os.PathLike[str]", IO]
+Source = Union[str, "os.PathLike[str]", IO[str]]
 T = TypeVar("T")
 
 YEAR_MIN = 1870
@@ -79,7 +80,6 @@ class IngestReport:
     """Accounting for one parse: every data row is a record, a skip, or
     (IMDb only) filtered out by the title-kind filter."""
 
-    source: str
     rows: int = 0
     skipped: list[SkipEvent] = field(default_factory=list)
     counters: dict[str, int] = field(default_factory=dict)
@@ -95,13 +95,7 @@ class IngestReport:
 class IngestResult:
     records: list[TitleRecord]
     report: IngestReport
-
-
-@dataclass
-class ImdbResult:
-    titles: list[TitleRecord]
-    persons: list[PersonRecord]
-    report: IngestReport
+    persons: list[PersonRecord] = field(default_factory=list)  # IMDb names; Netflix has none
 
 
 # C0 and C1 controls that are not whitespace, and U+FFFE and U+FFFF: XML 1.0
@@ -124,34 +118,24 @@ def normalize_name(raw: str) -> str:
 
 @contextmanager
 def _open_text(source: Source) -> Iterator[IO[str]]:
-    """Open ``source`` as a UTF-8 text stream, transparently gunzipping.
+    """Open ``source`` as a UTF-8 text stream.
 
-    Accepts a filesystem path, an existing text stream (used as-is, not
-    closed), or a binary stream (sniffed for the gzip magic).
+    A filesystem path is opened, and gunzipped when it starts with the gzip
+    magic. A text stream is used as-is and not closed. Anything else, a
+    binary stream included, raises :class:`TypeError`.
     """
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, "rb") as raw, _open_text(raw) as fh:
-            yield fh
-        return
-    if isinstance(source, io.TextIOBase) or hasattr(source, "encoding"):
+    if isinstance(source, io.TextIOBase):
         yield source
         return
-    # Binary stream: sniff the first two bytes without consuming them.
-    if hasattr(source, "peek"):
-        head = source.peek(2)[:2]
-    else:
-        pos = source.tell()
-        head = source.read(2)
-        source.seek(pos)
-    if head == GZIP_MAGIC:
-        with gzip.open(source, "rt", encoding="utf-8-sig", newline="") as fh:
+    if not isinstance(source, (str, os.PathLike)):
+        raise TypeError(f"expected a path or a text stream, not {type(source).__name__}")
+    with open(source, "rb") as raw:
+        if raw.peek(2)[:2] == GZIP_MAGIC:
+            fh = gzip.open(raw, "rt", encoding="utf-8-sig", newline="")
+        else:
+            fh = io.TextIOWrapper(raw, encoding="utf-8-sig", newline="")
+        with fh:
             yield fh
-    else:
-        wrapper = io.TextIOWrapper(source, encoding="utf-8-sig", newline="")
-        try:
-            yield wrapper
-        finally:
-            wrapper.detach()
 
 
 def _read_header(reader: Iterator[list[str]], table: str, required: tuple[str, ...]):
@@ -210,7 +194,7 @@ def parse_netflix(source: Source) -> IngestResult:
     trimmed; rows with a bad arity, an unknown type, or a duplicate show_id
     are skipped and counted.
     """
-    report = IngestReport(source="netflix")
+    report = IngestReport()
     records: list[TitleRecord] = []
     with _open_text(source) as fh:
         reader = csv.reader(fh)
@@ -250,7 +234,6 @@ def parse_netflix(source: Source) -> IngestResult:
                     directors=_split_people(row[col["director"]]),
                     cast=_split_people(row[col["cast"]]),
                     country=_first_country(_cell(row, col, "country")),
-                    language_hint=None,
                     rating=_cell(row, col, "rating") or None,
                     date_added=_parse_date_added(_cell(row, col, "date_added")),
                 )
@@ -301,8 +284,6 @@ KIND_BY_TITLE_TYPE = {
 
 CAST_CATEGORIES = frozenset({"actor", "actress"})
 
-TitleKindFilter = Union[frozenset, set, None]
-
 
 def _tsv_reader(fh: IO[str]) -> Iterator[list[str]]:
     return csv.reader(fh, delimiter="\t", quoting=csv.QUOTE_NONE)
@@ -324,8 +305,8 @@ def parse_imdb(
     basics: Source,
     principals: Source,
     names: Source,
-    kinds: TitleKindFilter = None,
-) -> ImdbResult:
+    kinds: Iterable[TitleKind] | None = None,
+) -> IngestResult:
     """Join title.basics, title.principals and name.basics into records.
 
     Only principals rows with category actor/actress populate ``cast``
@@ -335,11 +316,10 @@ def parse_imdb(
     unknown tconst/nconst are counted as dangling and skipped.
     """
     wanted = frozenset(kinds) if kinds else frozenset(TitleKind)
-    report = IngestReport(source="imdb")
+    report = IngestReport()
 
     # Pass 1: title.basics -> kept titles (+ id set for dangling detection).
     kept: dict[object, dict] = {}
-    kept_order: list[object] = []
     all_title_ids: set[object] = set()
     with _open_text(basics) as fh:
         reader = _tsv_reader(fh)
@@ -370,11 +350,9 @@ def parse_imdb(
                 "cast": [],  # (ordering, nconst key) pairs
                 "directors": [],
             }
-            kept_order.append(key)
     report.bump("basics_kept", len(kept))
 
     # Pass 2: title.principals -> cast/director entries per kept title.
-    needed_people: set[object] = set()
     roles: dict[object, set[PersonRole]] = {}
     with _open_text(principals) as fh:
         reader = _tsv_reader(fh)
@@ -399,7 +377,6 @@ def parse_imdb(
                 report.bump("principals_dangling_person")
                 continue
             nkey = _id_key(nconst)
-            needed_people.add(nkey)
             try:
                 ordering = int(row[col["ordering"]])
             except ValueError:
@@ -422,7 +399,7 @@ def parse_imdb(
                 report.bump("names_bad_arity")
                 continue
             nkey = _id_key(row[col["nconst"]].strip())
-            if nkey not in needed_people:
+            if nkey not in roles:
                 continue
             name = normalize_name(row[col["primaryName"]])
             if name:
@@ -430,8 +407,7 @@ def parse_imdb(
 
     # Assembly: resolve entries, count dangling person references.
     titles: list[TitleRecord] = []
-    persons: list[PersonRecord] = []
-    persons_seen: set[object] = set()
+    persons: dict[object, PersonRecord] = {}  # in order of first reference
 
     def _resolve(entries: list, as_ids: bool) -> tuple[str, ...]:
         out: list[str] = []
@@ -445,19 +421,11 @@ def parse_imdb(
                 continue
             seen.add(nkey)
             out.append(nconst if as_ids else name)
-            if nkey not in persons_seen:
-                persons_seen.add(nkey)
-                persons.append(
-                    PersonRecord(
-                        person_id=nconst,
-                        name=name,
-                        roles=frozenset(roles.get(nkey, set())),
-                    )
-                )
+            if nkey not in persons:
+                persons[nkey] = PersonRecord(nconst, name, frozenset(roles[nkey]))
         return tuple(out)
 
-    for key in kept_order:
-        meta = kept[key]
+    for meta in kept.values():
         # Cast keys are nconsts (the stable IMDb identity); directors are
         # resolved to display names, mirroring the Netflix side.
         cast = _resolve(meta["cast"], as_ids=True)
@@ -470,13 +438,9 @@ def parse_imdb(
                 release_year=meta["year"],
                 directors=directors,
                 cast=cast,
-                country=None,
-                language_hint=None,
-                rating=None,
-                date_added=None,
             )
         )
-    return ImdbResult(titles, persons, report)
+    return IngestResult(titles, report, list(persons.values()))
 
 
 def person_name_map(persons: Iterable[PersonRecord]) -> dict[str, str]:
@@ -505,28 +469,53 @@ def record_to_json(rec: TitleRecord) -> str:
     return json.dumps(payload, ensure_ascii=False, separators=(",", ":"))
 
 
+def _typed(key: str, value: T, ok: bool, expected: str) -> T:
+    """``value`` when ``ok``, else a TypeError naming ``key``'s expected type."""
+    if not ok:
+        raise TypeError(f"{key!r} must be {expected}, not {type(value).__name__}")
+    return value
+
+
+def _str(payload: dict, key: str) -> str:
+    value = payload[key]
+    return _typed(key, value, isinstance(value, str), "a string")
+
+
+def _str_or_null(payload: dict, key: str) -> str | None:
+    value = payload.get(key)
+    return _typed(key, value, value is None or isinstance(value, str), "a string or null")
+
+
+def _strs(payload: dict, key: str) -> tuple[str, ...]:
+    value = payload[key]
+    ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
+    return tuple(_typed(key, value, ok, "a list of strings"))
+
+
 def record_from_json(line: str) -> TitleRecord:
+    """The record ``record_to_json`` wrote; a field of the wrong JSON type
+    raises :class:`TypeError` naming it."""
     payload = json.loads(line)
-    added = payload.get("date_added")
+    year = payload["release_year"]
+    # bool is an int subclass, but true is not a year
+    _typed("release_year", year, year is None or type(year) is int, "an integer or null")
+    added = _str_or_null(payload, "date_added")
     return TitleRecord(
-        title_id=payload["title_id"],
-        title=payload["title"],
+        title_id=_str(payload, "title_id"),
+        title=_str(payload, "title"),
         kind=TitleKind(payload["kind"]),
-        release_year=payload["release_year"],
-        directors=tuple(payload["directors"]),
-        cast=tuple(payload["cast"]),
-        country=payload.get("country"),
-        language_hint=payload.get("language_hint"),
-        rating=payload.get("rating"),
+        release_year=year,
+        directors=_strs(payload, "directors"),
+        cast=_strs(payload, "cast"),
+        country=_str_or_null(payload, "country"),
+        language_hint=_str_or_null(payload, "language_hint"),
+        rating=_str_or_null(payload, "rating"),
         date_added=date.fromisoformat(added) if added else None,
     )
 
 
 def write_records_jsonl(path: str | os.PathLike, records: Iterable[TitleRecord]) -> None:
-    with replacing(path) as fh:
-        for rec in records:
-            fh.write(record_to_json(rec))
-            fh.write("\n")
+    _write_jsonl(path, map(record_to_json, records))
 
 
 def read_records_jsonl(path: str | os.PathLike) -> list[TitleRecord]:
@@ -534,28 +523,34 @@ def read_records_jsonl(path: str | os.PathLike) -> list[TitleRecord]:
 
 
 def write_persons_jsonl(path: str | os.PathLike, persons: Iterable[PersonRecord]) -> None:
-    with replacing(path) as fh:
-        for p in persons:
-            payload = {
-                "person_id": p.person_id,
-                "name": p.name,
-                "roles": sorted(r.value for r in p.roles),
-            }
-            fh.write(json.dumps(payload, ensure_ascii=False, separators=(",", ":")))
-            fh.write("\n")
+    _write_jsonl(path, map(_person_to_json, persons))
+
+
+def _person_to_json(p: PersonRecord) -> str:
+    payload = {"person_id": p.person_id, "name": p.name, "roles": sorted(r.value for r in p.roles)}
+    return json.dumps(payload, ensure_ascii=False, separators=(",", ":"))
 
 
 def _person_from_json(line: str) -> PersonRecord:
     payload = json.loads(line)
     return PersonRecord(
-        person_id=payload["person_id"],
-        name=payload["name"],
-        roles=frozenset(PersonRole(r) for r in payload["roles"]),
+        person_id=_str(payload, "person_id"),
+        name=_str(payload, "name"),
+        roles=frozenset(map(PersonRole, _strs(payload, "roles"))),
     )
 
 
 def read_persons_jsonl(path: str | os.PathLike) -> list[PersonRecord]:
     return _read_jsonl(path, _person_from_json)
+
+
+def _write_jsonl(path: str | os.PathLike, lines: Iterable[str]) -> None:
+    """Each of ``lines`` and a newline, written to ``path`` in place of
+    whatever was there."""
+    with replacing(path) as fh:
+        for line in lines:
+            fh.write(line)
+            fh.write("\n")
 
 
 def _read_jsonl(path: str | os.PathLike, parse: Callable[[str], T]) -> list[T]:

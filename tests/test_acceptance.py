@@ -343,7 +343,7 @@ def test_imdb_movie_graph_landmarks():
     result = parse_imdb(
         dumps["basics"], dumps["principals"], dumps["names"], {TitleKind.MOVIE}
     )
-    g = project(build_bipartite(result.titles, names=person_name_map(result.persons)))
+    g = project(build_bipartite(result.records, names=person_name_map(result.persons)))
     pairs = {(a.split(" [")[0], b.split(" [")[0]): w for a, b, w in top_partnerships(g, 10)}
     flat = {name for pair in pairs for name in pair}
     assert "Adoor Bhasi" in flat and "Bahadur" in flat

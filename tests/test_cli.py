@@ -319,11 +319,31 @@ class TestExitCodes:
         stderr = capsys.readouterr().err
         assert len(stderr.splitlines()) == 1 and stderr.startswith("error: ")
 
+    # case -> the field of the third record it replaces, and the bad value
+    FIELD_VALUES = {
+        "unknown-kind": ("kind", "film"),
+        "string-year": ("release_year", "2010"),
+        "bool-year": ("release_year", True),
+        "string-cast": ("cast", "Us ActorA"),
+        "number-in-cast": ("cast", ["Us ActorA", 7]),
+        "object-directors": ("directors", {"name": "A"}),
+        "number-title": ("title", 12),
+        "number-country": ("country", 1),
+    }
+
     @pytest.mark.parametrize("case, reason", [
         ("truncated", "not JSON: "),
         ("missing-title", "missing key 'title'"),
         ("unknown-kind", "'film' is not a valid TitleKind"),
         ("persons-not-json", "not JSON: "),
+        ("string-year", "'release_year' must be an integer or null, not str"),
+        ("bool-year", "'release_year' must be an integer or null, not bool"),
+        ("string-cast", "'cast' must be a list of strings, not str"),
+        ("number-in-cast", "'cast' must be a list of strings, not list"),
+        ("object-directors", "'directors' must be a list of strings, not dict"),
+        ("number-title", "'title' must be a string, not int"),
+        ("number-country", "'country' must be a string or null, not int"),
+        ("persons-number-name", "'name' must be a string, not int"),
     ])
     def test_malformed_jsonl_exits_1_with_one_line(self, pipeline_dir, catalog_csv,
                                                    tmp_path, capsys, case, reason):
@@ -335,11 +355,19 @@ class TestExitCodes:
         elif case == "missing-title":
             del rec["title"]
             lines[2] = json.dumps(rec)
-        elif case == "unknown-kind":
-            rec["kind"] = "film"
+        elif case in self.FIELD_VALUES:
+            field, value = self.FIELD_VALUES[case]
+            rec[field] = value
             lines[2] = json.dumps(rec)
         if case == "persons-not-json":
             bad, line = catalog_csv, 1
+            flags = ["--records", records, "--persons", str(bad)]
+            commands = ["build", "evolve"]
+        elif case == "persons-number-name":
+            bad, line = tmp_path / "persons.jsonl", 2
+            people = [{"person_id": "nm1", "name": "A", "roles": ["actor"]},
+                      {"person_id": "nm2", "name": 5, "roles": ["actor"]}]
+            bad.write_text("".join(json.dumps(p) + "\n" for p in people), encoding="utf-8")
             flags = ["--records", records, "--persons", str(bad)]
             commands = ["build", "evolve"]
         else:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 from castnet import community
+from castnet._options import DEFAULT_MAX_CAST
 from castnet.community import (
     build_cluster_graph,
     community_evolution,
@@ -433,12 +434,17 @@ class TestEvolution:
         assert match.overlap == pytest.approx(0.5)
 
     def test_empty_window_recorded_not_fatal(self):
-        records = era_records("x", 2000, [["A", "B"]]) + era_records(
-            "z", 2004, [["C", "D"]]
+        # 2002's only title has a cast above the cap, so no title survives there
+        oversize = [f"P{i}" for i in range(DEFAULT_MAX_CAST + 1)]
+        records = (
+            era_records("x", 2000, [["A", "B"]])
+            + era_records("w", 2002, [oversize])
+            + era_records("z", 2004, [["C", "D"]])
         )
         timeline = community_evolution(records, window_years=1, step_years=1, seed=42)
         assert len(timeline.windows) == 5
-        assert timeline.windows[2].partition is None
+        for window in timeline.windows[1:4]:
+            assert window.names == () and window.partition is None
 
     def test_window_validation(self):
         records = era_records("x", 2000, [["A", "B"]])
@@ -448,8 +454,11 @@ class TestEvolution:
             community_evolution(records, window_years=0, step_years=0, seed=1)
 
     def test_windows_cover_year_span(self):
-        records = era_records("x", 2000, [["A", "B"]]) + era_records(
-            "y", 2005, [["C", "D"]]
+        # the yearless title takes part in no window
+        records = (
+            era_records("x", 2000, [["A", "B"]])
+            + era_records("y", 2005, [["C", "D"]])
+            + era_records("u", None, [["A", "B", "Y"], ["Y", "Z"]])
         )
         timeline = community_evolution(records, window_years=3, step_years=2, seed=1)
         assert [w.years for w in timeline.windows] == [
@@ -457,6 +466,7 @@ class TestEvolution:
             (2002, 2004),
             (2004, 2006),
         ]
+        assert [w.names for w in timeline.windows] == [("A", "B"), (), ("C", "D")]
 
     def test_matches_equal_set_jaccard_oracle(self):
         rng = random.Random(8)

@@ -1,5 +1,7 @@
 """What a castnet process imports: each command loads only the modules it uses."""
 
+import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -107,3 +109,25 @@ def test_cli_process_starts_no_blas_thread_pool(tmp_path):
     )
     assert run_python(code).split() == ["0", "1", "1", "1", "1"]  # exit code, variables, threads
     assert run_python(code, OPENBLAS_NUM_THREADS="3").split()[:2] == ["0", "3"]
+
+
+def test_benchmark_traced_names_exist():
+    """Every ``castnet.<module>.<name>`` in ``TRACED`` of perfbench/run.py is
+    callable. The benchmark wraps them by name, so a rename fails here and
+    not in a benchmark run. The harness is parsed, not imported."""
+    run_py = os.path.join(os.path.dirname(SRC), "perfbench", "run.py")
+    if not os.path.isfile(run_py):
+        pytest.skip("no perfbench/ beside src/")
+    with open(run_py, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    (traced,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["TRACED"]
+    ]
+    assert traced
+    for module, names in traced.items():
+        mod = importlib.import_module(f"castnet.{module}")
+        for name in names:
+            assert callable(getattr(mod, name, None)), f"castnet.{module}.{name}"

@@ -141,6 +141,11 @@ class TestParseNetflix:
         zipped.write_bytes(gzip.compress(plain.read_bytes()))
         assert parse_netflix(zipped).records == parse_netflix(plain).records
 
+    def test_binary_stream_rejected(self):
+        data = ("\n".join([HEADER, "s1,Movie,T,,,,,2000,,"]) + "\n").encode()
+        with pytest.raises(TypeError, match="path or a text stream"):
+            parse_netflix(io.BytesIO(data))
+
 
 BASICS_HEADER = "tconst\ttitleType\tprimaryTitle\toriginalTitle\tisAdult\tstartYear\tendYear\truntimeMinutes\tgenres"
 PRINCIPALS_HEADER = "tconst\tordering\tnconst\tcategory\tjob\tcharacters"
@@ -170,8 +175,8 @@ class TestParseImdb:
 
     def test_desk_fixture_one_title_two_actors_one_director(self):
         res = parse_imdb(*self.make_desk_fixture())
-        assert len(res.titles) == 1
-        title = res.titles[0]
+        assert len(res.records) == 1
+        title = res.records[0]
         assert len(title.cast) == 2
         assert title.cast == ("nm1", "nm2")  # ordered by the ordering column
         assert title.directors == ("The Director",)
@@ -179,14 +184,14 @@ class TestParseImdb:
 
     def test_actress_category_populates_cast(self):
         res = parse_imdb(*self.make_desk_fixture())
-        assert "nm2" in res.titles[0].cast
+        assert "nm2" in res.records[0].cast
 
     def test_null_start_year(self):
         basics = tsv(BASICS_HEADER, "tt1\tmovie\tX\tX\t0\t\\N\t\\N\t\\N\t\\N")
         principals = tsv(PRINCIPALS_HEADER)
         names = tsv(NAMES_HEADER)
         res = parse_imdb(basics, principals, names)
-        assert res.titles[0].release_year is None
+        assert res.records[0].release_year is None
 
     def test_person_records_resolved(self):
         res = parse_imdb(*self.make_desk_fixture())
@@ -210,7 +215,7 @@ class TestParseImdb:
         principals = tsv(PRINCIPALS_HEADER, "tt1\t1\tnm404\tactor\t\\N\t\\N")
         names = tsv(NAMES_HEADER)
         res = parse_imdb(basics, principals, names)
-        assert res.titles[0].cast == ()
+        assert res.records[0].cast == ()
         assert res.report.counters["dangling_person_refs"] == 1
 
     def test_gzip_dumps(self, tmp_path):
@@ -225,7 +230,7 @@ class TestParseImdb:
             path.write_bytes(gzip.compress(stream.getvalue().encode()))
             paths.append(path)
         res = parse_imdb(*paths)
-        assert len(res.titles) == 1 and len(res.titles[0].cast) == 2
+        assert len(res.records) == 1 and len(res.records[0].cast) == 2
 
     def test_basics_accounting(self):
         basics = tsv(
@@ -237,7 +242,7 @@ class TestParseImdb:
         )
         res = parse_imdb(basics, tsv(PRINCIPALS_HEADER), tsv(NAMES_HEADER))
         filtered = res.report.counters.get("basics_filtered", 0)
-        assert len(res.titles) + len(res.report.skipped) + filtered == res.report.rows == 4
+        assert len(res.records) + len(res.report.skipped) + filtered == res.report.rows == 4
 
     def test_kind_filter(self):
         basics = tsv(
@@ -249,7 +254,7 @@ class TestParseImdb:
         principals = tsv(PRINCIPALS_HEADER)
         names = tsv(NAMES_HEADER)
         res = parse_imdb(basics, principals, names, {TitleKind.MOVIE})
-        assert [t.title_id for t in res.titles] == ["tt1"]
+        assert [t.title_id for t in res.records] == ["tt1"]
         both = parse_imdb(
             tsv(
                 BASICS_HEADER,
@@ -259,7 +264,7 @@ class TestParseImdb:
             tsv(PRINCIPALS_HEADER),
             tsv(NAMES_HEADER),
         )
-        assert len(both.titles) == 2
+        assert len(both.records) == 2
 
 
 RECORD_STRATEGY = st.builds(

@@ -1,7 +1,9 @@
 """Command-line surface: ingest -> build -> analyze -> export.
 
-Every command reads/writes files under an output directory and emits a
-structured ``run_report.json`` (skipped rows, non-convergence, parameters).
+``main`` frames every command: the parser rejects each usage error before
+the output directory is created, the command writes its files and returns
+its report, and ``main`` writes that as ``run_report.json`` (skipped rows,
+non-convergence, parameters) and maps the outcome to an exit code.
 Diagnostics go to stderr; stdout carries machine-readable data only. Same
 inputs + same seed produce byte-identical output trees: no timestamps, fixed
 key order, floats at 6 significant digits. ``_write`` writes every file.
@@ -34,10 +36,6 @@ EXIT_DATA_ERROR = 1
 EXIT_USAGE = 2
 
 
-class UsageError(Exception):
-    pass
-
-
 def _resolve_data_paths(args: argparse.Namespace) -> None:
     data_dir = os.environ.get(DATA_DIR_ENV)
     if data_dir:
@@ -47,8 +45,8 @@ def _resolve_data_paths(args: argparse.Namespace) -> None:
                 setattr(args, key, os.path.join(data_dir, value))
 
 
-def _write_report(args: argparse.Namespace, command: str, payload: dict) -> None:
-    report = {"command": command, **payload}
+def _write_report(args: argparse.Namespace, payload: dict) -> None:
+    report = {"command": args.command, **payload}
     if "outputs" in report:
         # Relative to the output dir so identical runs into different
         # directories still produce byte-identical trees.
@@ -56,17 +54,10 @@ def _write_report(args: argparse.Namespace, command: str, payload: dict) -> None
     write_json(os.path.join(args.out, "run_report.json"), report, sort_keys=True)
 
 
-def _require(args: argparse.Namespace, key: str) -> str:
-    value = getattr(args, key)
-    if not value:
-        raise UsageError(f"missing {_flag(key)} (flag or config key '{key}')")
-    return value
-
-
 def _load_records(args: argparse.Namespace):
     from .ingest import read_records_jsonl
 
-    return read_records_jsonl(_require(args, "records"))
+    return read_records_jsonl(args.records)
 
 
 def _load_names(args: argparse.Namespace) -> dict[str, str] | None:
@@ -81,15 +72,15 @@ def _load_names(args: argparse.Namespace) -> dict[str, str] | None:
 def _load_graph(args: argparse.Namespace):
     from .graphio import load_cache
 
-    return load_cache(_require(args, "graph"))
+    return load_cache(args.graph)
 
 
 # ---------------------------------------------------------------------------
-# Commands
+# Commands: each writes its files and returns its run report's payload
 # ---------------------------------------------------------------------------
 
 
-def cmd_ingest(args: argparse.Namespace) -> int:
+def cmd_ingest(args: argparse.Namespace) -> dict:
     from .ingest import (
         TitleKind,
         parse_imdb,
@@ -98,38 +89,29 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         write_records_jsonl,
     )
 
+    kinds = {TitleKind(args.kind)} if args.kind else None
     records_path = os.path.join(args.out, "records.jsonl")
     persons_path = None
     if args.source == "netflix":
-        result = parse_netflix(_require(args, "input"))
+        result = parse_netflix(args.input, kinds)
     else:
-        kinds = {TitleKind(args.kind)} if args.kind else None
-        result = parse_imdb(
-            _require(args, "basics"), _require(args, "principals"), _require(args, "names"), kinds
-        )
+        result = parse_imdb(args.basics, args.principals, args.names, kinds)
         persons_path = os.path.join(args.out, "persons.jsonl")
         write_persons_jsonl(persons_path, result.persons)
     records, report = result.records, result.report
     write_records_jsonl(records_path, records)
-    _write_report(
-        args,
-        "ingest",
-        {
-            "source": args.source,
-            "rows": report.rows,
-            "records": len(records),
-            "skipped": [
-                {"line": ev.line, "reason": ev.reason} for ev in report.skipped
-            ],
-            "counters": dict(sorted(report.counters.items())),
-            "outputs": [p for p in (records_path, persons_path) if p],
-        },
-    )
     print(f"ingest: {len(records)} records, {len(report.skipped)} skipped", file=sys.stderr)
-    return EXIT_OK
+    return {
+        "source": args.source,
+        "rows": report.rows,
+        "records": len(records),
+        "skipped": [{"line": ev.line, "reason": ev.reason} for ev in report.skipped],
+        "counters": dict(sorted(report.counters.items())),
+        "outputs": [p for p in (records_path, persons_path) if p],
+    }
 
 
-def cmd_build(args: argparse.Namespace) -> int:
+def cmd_build(args: argparse.Namespace) -> dict:
     from .graph import build_bipartite, project
     from .graphio import save_cache
     from .ingest import TitleKind
@@ -146,42 +128,37 @@ def cmd_build(args: argparse.Namespace) -> int:
     graph = project(store)
     cache_path = os.path.join(args.out, "graph.bin")
     save_cache(cache_path, graph)
-    _write_report(
-        args,
-        "build",
-        {
-            "titles": store.n_titles,
-            "persons": store.n_persons,
-            "edges": graph.edge_count,
-            "total_edge_weight": graph.total_edge_weight,
-            "oversize_titles_rejected": store.oversize_titles,
-            "outputs": [cache_path],
-        },
-    )
     print(
         f"build: {graph.n} actors, {graph.edge_count} edges "
         f"({store.oversize_titles} oversize titles rejected)",
         file=sys.stderr,
     )
-    return EXIT_OK
+    return {
+        "titles": store.n_titles,
+        "persons": store.n_persons,
+        "edges": graph.edge_count,
+        "total_edge_weight": graph.total_edge_weight,
+        "oversize_titles_rejected": store.oversize_titles,
+        "outputs": [cache_path],
+    }
 
 
-def cmd_stats(args: argparse.Namespace) -> int:
+def cmd_stats(args: argparse.Namespace) -> dict:
     from .stats import summarize, write_summary_csvs, write_summary_json
 
     summary = summarize(_load_records(args), top_k=args.top)
     json_path = os.path.join(args.out, "summary.json")
     write_summary_json(json_path, summary)
     csvs = write_summary_csvs(args.out, summary)
-    _write_report(args, "stats", {"outputs": [json_path] + csvs})
-    return EXIT_OK
+    return {"outputs": [json_path] + csvs}
 
 
-def cmd_centrality(args: argparse.Namespace) -> int:
+def cmd_centrality(args: argparse.Namespace) -> dict:
     from . import centrality
 
     g = _load_graph(args)
-    threads = args.threads if args.threads > 0 else (os.cpu_count() or 1)
+    cores = os.cpu_count() or 1
+    threads = min(args.threads or cores, cores)  # 0 = all cores, and never more
     if args.measure == "degree":
         table = centrality.degree_centrality(g)
     elif args.measure == "betweenness":
@@ -197,20 +174,15 @@ def cmd_centrality(args: argparse.Namespace) -> int:
     events = []
     if table.params.get("converged") is False:
         events.append({"type": "no_convergence", "detail": "max_iter reached"})
-    _write_report(
-        args,
-        "centrality",
-        {
-            "measure": args.measure,
-            "params": table.params,
-            "events": events,
-            "outputs": [csv_path, json_path],
-        },
-    )
-    return EXIT_OK
+    return {
+        "measure": args.measure,
+        "params": table.params,
+        "events": events,
+        "outputs": [csv_path, json_path],
+    }
 
 
-def cmd_path(args: argparse.Namespace) -> int:
+def cmd_path(args: argparse.Namespace) -> dict:
     from .errors import UnknownActorError
     from .paths import path_to_dict, render_path, shortest_path
 
@@ -229,22 +201,20 @@ def cmd_path(args: argparse.Namespace) -> int:
     print(render_path(result))
     json_path = os.path.join(args.out, "path.json")
     write_json(json_path, path_to_dict(result))
-    _write_report(args, "path", {"a": args.a, "b": args.b, "outputs": [json_path]})
-    return EXIT_OK
+    return {"a": args.a, "b": args.b, "outputs": [json_path]}
 
 
-def cmd_partners(args: argparse.Namespace) -> int:
+def cmd_partners(args: argparse.Namespace) -> dict:
     from .paths import top_partnerships
 
     g = _load_graph(args)
     rows = top_partnerships(g, args.top)
     out_path = os.path.join(args.out, "partners.csv")
     write_csv(out_path, ["actor_a", "actor_b", "shared_titles"], rows)
-    _write_report(args, "partners", {"top": args.top, "outputs": [out_path]})
-    return EXIT_OK
+    return {"top": args.top, "outputs": [out_path]}
 
 
-def cmd_predict(args: argparse.Namespace) -> int:
+def cmd_predict(args: argparse.Namespace) -> dict:
     from .linkpred import predict_top
 
     g = _load_graph(args)
@@ -262,16 +232,11 @@ def cmd_predict(args: argparse.Namespace) -> int:
     write_csv(out_path, ["actor_a", "actor_b", "method", "score"], rows)
     json_path = os.path.join(args.out, "predictions.json")
     write_json(json_path, [{"u": u, "v": v, "method": m, "score": s} for u, v, m, s in rows])
-    _write_report(
-        args,
-        "predict",
-        {"method": method.value, "top": args.top, "min_common": args.min_common,
-         "outputs": [out_path, json_path]},
-    )
-    return EXIT_OK
+    return {"method": method.value, "top": args.top, "min_common": args.min_common,
+            "outputs": [out_path, json_path]}
 
 
-def cmd_communities(args: argparse.Namespace) -> int:
+def cmd_communities(args: argparse.Namespace) -> dict:
     from .community import louvain
     from .graphio import write_partition_csv
 
@@ -279,23 +244,18 @@ def cmd_communities(args: argparse.Namespace) -> int:
     part = louvain(g, seed=args.seed, resolution=args.resolution)
     out_path = os.path.join(args.out, "communities.csv")
     write_partition_csv(out_path, g.labels, part)
-    _write_report(
-        args,
-        "communities",
-        {
-            "seed": args.seed,
-            "resolution": args.resolution,
-            "q": part.q,
-            "passes": part.passes,
-            "communities": part.n_communities,
-            "outputs": [out_path],
-        },
-    )
     print(f"communities: {part.n_communities} (q={part.q:.4f})", file=sys.stderr)
-    return EXIT_OK
+    return {
+        "seed": args.seed,
+        "resolution": args.resolution,
+        "q": part.q,
+        "passes": part.passes,
+        "communities": part.n_communities,
+        "outputs": [out_path],
+    }
 
 
-def cmd_clusters(args: argparse.Namespace) -> int:
+def cmd_clusters(args: argparse.Namespace) -> dict:
     from .community import build_cluster_graph, filter_interactions, louvain
     from .graphio import write_cluster_dot, write_cluster_json
 
@@ -307,21 +267,16 @@ def cmd_clusters(args: argparse.Namespace) -> int:
     dot_path = os.path.join(args.out, "clusters.dot")
     write_cluster_json(json_path, cg)
     write_cluster_dot(dot_path, cg)
-    _write_report(
-        args,
-        "clusters",
-        {
-            "seed": args.seed,
-            "tau": args.tau,
-            "clusters": len(cg.clusters),
-            "links": len(cg.links),
-            "outputs": [json_path, dot_path],
-        },
-    )
-    return EXIT_OK
+    return {
+        "seed": args.seed,
+        "tau": args.tau,
+        "clusters": len(cg.clusters),
+        "links": len(cg.links),
+        "outputs": [json_path, dot_path],
+    }
 
 
-def cmd_crossover(args: argparse.Namespace) -> int:
+def cmd_crossover(args: argparse.Namespace) -> dict:
     from .centrality import write_scores_csv
     from .community import crossover_scores, louvain
 
@@ -330,17 +285,16 @@ def cmd_crossover(args: argparse.Namespace) -> int:
     table = crossover_scores(g, part)
     out_path = os.path.join(args.out, "crossover.csv")
     write_scores_csv(out_path, g, table)
-    _write_report(args, "crossover", {"seed": args.seed, "outputs": [out_path]})
-    return EXIT_OK
+    return {"seed": args.seed, "outputs": [out_path]}
 
 
-def cmd_evolve(args: argparse.Namespace) -> int:
+def cmd_evolve(args: argparse.Namespace) -> dict:
     from .community import community_evolution
 
     records = _load_records(args)
     names = _load_names(args)
     timeline = community_evolution(records, args.window, args.step, args.seed, names=names)
-    payload = {
+    evolution = {
         "windows": [
             {
                 "years": list(w.years),
@@ -366,23 +320,17 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         ],
     }
     out_path = os.path.join(args.out, "evolution.json")
-    write_json(out_path, payload)
-    _write_report(
-        args,
-        "evolve",
-        {"window": args.window, "step": args.step, "seed": args.seed, "outputs": [out_path]},
-    )
-    return EXIT_OK
+    write_json(out_path, evolution)
+    return {"window": args.window, "step": args.step, "seed": args.seed, "outputs": [out_path]}
 
 
-def cmd_export(args: argparse.Namespace) -> int:
+def cmd_export(args: argparse.Namespace) -> dict:
     from .graphio import write_dot, write_graphml
 
     g = _load_graph(args)
     out_path = os.path.join(args.out, f"graph.{args.format}")
     (write_dot if args.format == "dot" else write_graphml)(out_path, g)
-    _write_report(args, "export", {"format": args.format, "outputs": [out_path]})
-    return EXIT_OK
+    return {"format": args.format, "outputs": [out_path]}
 
 
 # ---------------------------------------------------------------------------
@@ -441,9 +389,9 @@ SETTINGS: dict[str, dict] = {
     "basics": {"help": "title.basics.tsv[.gz] (source=imdb)"},
     "principals": {"help": "title.principals.tsv[.gz] (source=imdb)"},
     "names": {"help": "name.basics.tsv[.gz] (source=imdb)"},
-    "records": {"help": "records.jsonl from ingest"},
+    "records": {"required": True, "help": "records.jsonl from ingest"},
     "persons": {"help": "persons.jsonl (IMDb display names)"},
-    "graph": {"help": "graph.bin from build"},
+    "graph": {"required": True, "help": "graph.bin from build"},
     "out": {"default": "out", "help": "output directory (default: out)"},
     "seed": {"type": int, "default": 42, "help": "RNG seed (default: 42)"},
     "threads": {"type": _thread_count, "default": 1,
@@ -531,6 +479,12 @@ def build_parser() -> _Parser:
 
 def _check_flag_pairs(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
     """Rejects flag values that are only invalid together, like a bad single flag."""
+    if args.command == "ingest":
+        inputs = ("input",) if args.source == "netflix" else ("basics", "principals", "names")
+        missing = [_flag(key) for key in inputs if not getattr(args, key)]
+        if missing:
+            parser.error(f"the following arguments are required with --source {args.source}: "
+                         + ", ".join(missing))
     if args.command == "evolve" and args.window < args.step:
         parser.error(f"argument --window: expected >= --step ({args.step}), got {args.window}")
     if args.command == "predict" and args.min_common == 0 and not (
@@ -546,11 +500,12 @@ def _check_flag_pairs(parser: argparse.ArgumentParser, args: argparse.Namespace)
                 parser.error(f"argument {_flag(low)}: expected <= {_flag(high)} ({hi}), got {lo}")
 
 
-def load_config_file(path: str, settings: set[str]) -> list[str]:
+def load_config_file(parser: argparse.ArgumentParser, path: str, settings: set[str]) -> list[str]:
     """A ``key = value`` config file (# comments) as ``--key=value`` flags.
 
-    Every key must be one of ``SETTINGS``. Keys outside ``settings``, the
-    ones the command does not read, are skipped.
+    Every key must be one of ``SETTINGS``; any other key, or a line without
+    ``=``, is a ``parser`` error. Keys outside ``settings``, the ones the
+    command does not read, are skipped.
     """
     flags = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -559,11 +514,11 @@ def load_config_file(path: str, settings: set[str]) -> list[str]:
             if not line:
                 continue
             if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected 'key = value'")
+                parser.error(f"{path}:{lineno}: expected 'key = value'")
             key, _, value = line.partition("=")
             key = key.strip()
             if key not in SETTINGS:
-                raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
+                parser.error(f"{path}:{lineno}: unknown config key {key!r}")
             if key in settings:
                 flags.append(f"{_flag(key)}={value.strip()}")
     return flags
@@ -577,33 +532,26 @@ def _config_flags(parser: _Parser, argv: list[str]) -> list[str]:
     pre = _Parser(prog=f"{parser.prog} {argv[0]}", add_help=False)
     pre.add_argument("--config")
     path = pre.parse_known_args(argv[1:])[0].config
-    return load_config_file(path, settings) if path else []
+    return load_config_file(pre, path, settings) if path else []
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
-        from_file = _config_flags(parser, argv)
         # argparse keeps the last value of a flag, so flags on the command
-        # line, which follow the file's, win.
-        try:
-            args = parser.parse_args(argv[:1] + from_file + argv[1:])
-            _check_flag_pairs(parser, args)
-        except SystemExit as exc:
-            if not from_file:
-                raise
-            # The bad value may be the file's: return, as for the file's other errors.
-            return exc.code
+        # line, which follow the config file's, win.
+        args = parser.parse_args(argv[:1] + _config_flags(parser, argv) + argv[1:])
+        _check_flag_pairs(parser, args)
         _resolve_data_paths(args)
         os.makedirs(args.out, exist_ok=True)
-        return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        _write_report(args, args.func(args))
+    except SystemExit as exc:  # a usage error (2), before --out exists, or --help (0)
+        return exc.code
     except (OSError, CastnetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA_ERROR
+    return EXIT_OK
 
 
 def console_main() -> int:

@@ -8,6 +8,7 @@ outputs downstream report names, never indices.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
@@ -108,17 +109,21 @@ def build_bipartite(
 
 
 def _display_labels(keys: Sequence[str], names: Mapping[str, str] | None) -> list[str]:
+    """Each key's display name. A name equal to another label gains a
+    `` [key]`` suffix, and so does a name equal to a suffixed label, until
+    every label is unique."""
     if names is None:
         return list(keys)
     labels = [names.get(k, k) for k in keys]
-    counts: dict[str, int] = {}
-    for label in labels:
-        counts[label] = counts.get(label, 0) + 1
-    # Colliding display names are disambiguated with the underlying key.
-    return [
-        f"{label} [{key}]" if counts[label] > 1 else label
-        for label, key in zip(labels, keys)
-    ]
+    plain = set(range(len(labels)))
+    while True:
+        counts = Counter(labels)
+        clashing = {i for i in plain if counts[labels[i]] > 1}
+        if not clashing:
+            return labels
+        for i in clashing:
+            labels[i] = f"{labels[i]} [{keys[i]}]"
+        plain -= clashing
 
 
 @dataclass(eq=False)
@@ -219,6 +224,8 @@ class CoGraph:
     ) -> "CoGraph":
         """Build a graph from an undirected weighted edge list; repeated edges sum."""
         n = len(labels)
+        if len(set(labels)) != n:
+            raise ValueError("actor labels must be unique")
         u, v, w = np.array(list(edges), dtype=np.int64).reshape(-1, 3).T
         lo, hi = np.minimum(u, v), np.maximum(u, v)
         if np.any(lo == hi):

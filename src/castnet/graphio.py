@@ -215,6 +215,8 @@ def load_cache(path: str | os.PathLike) -> CoGraph:
         raise CacheFormatError("trailing bytes after cache payload")
     _check_adjacency(n, total, indptr, indices, weights)
     _rows("title", title_ptr, title_members, n)
+    if len(set(labels)) != n:
+        raise CacheFormatError("repeated actor label")
     return CoGraph(
         labels=labels,
         indptr=indptr,

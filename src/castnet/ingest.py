@@ -78,7 +78,7 @@ class SkipEvent:
 @dataclass
 class IngestReport:
     """Accounting for one parse: every data row is a record, a skip, or
-    (IMDb only) filtered out by the title-kind filter."""
+    filtered out by the title-kind filter."""
 
     rows: int = 0
     skipped: list[SkipEvent] = field(default_factory=list)
@@ -187,13 +187,15 @@ NETFLIX_REQUIRED = ("show_id", "type", "title", "director", "cast", "release_yea
 _NETFLIX_KINDS = {"Movie": TitleKind.MOVIE, "TV Show": TitleKind.TV_SHOW}
 
 
-def parse_netflix(source: Source) -> IngestResult:
+def parse_netflix(source: Source, kinds: Iterable[TitleKind] | None = None) -> IngestResult:
     """Parse a Kaggle-schema ``netflix_titles.csv`` into TitleRecords.
 
     One record per data row; ``cast``/``director`` cells are comma-split and
     trimmed; rows with a bad arity, an unknown type, or a duplicate show_id
-    are skipped and counted.
+    are skipped and counted. Rows of a kind outside ``kinds`` (default: all)
+    are counted as ``filtered``.
     """
+    wanted = frozenset(kinds) if kinds else frozenset(TitleKind)
     report = IngestReport()
     records: list[TitleRecord] = []
     with _open_text(source) as fh:
@@ -225,6 +227,9 @@ def parse_netflix(source: Source) -> IngestResult:
                 report.skip(reader.line_num, f"unknown type {row[col['type']]!r}")
                 continue
             seen_ids.add(title_id)
+            if kind not in wanted:
+                report.bump("filtered")
+                continue
             records.append(
                 TitleRecord(
                     title_id=title_id,

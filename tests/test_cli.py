@@ -1,5 +1,6 @@
 import json
 import os
+import re
 from decimal import Decimal
 from pathlib import Path
 
@@ -144,6 +145,24 @@ class TestPipeline:
         save_cache(resaved, g)
         assert (pipeline_dir / "graph.bin").read_bytes() == resaved.read_bytes()
 
+    @pytest.mark.parametrize("kind, kept, counters", [
+        (None, ["s1", "s2"], {}),
+        ("movie", ["s1"], {"filtered": 1}),
+        ("tv_show", ["s2"], {"filtered": 1}),
+    ])
+    def test_netflix_kind_filter(self, tmp_path, kind, kept, counters):
+        catalog = tmp_path / "two.csv"
+        catalog.write_text("show_id,type,title,director,cast,release_year\n"
+                           "s1,Movie,A Film,,Ann,2000\n"
+                           "s2,TV Show,A Show,,Bob,2001\n", encoding="utf-8")
+        out = tmp_path / "out"
+        flags = ("--kind", kind) if kind else ()
+        assert run("ingest", "--input", str(catalog), *flags, "--out", str(out)) == 0
+        lines = (out / "records.jsonl").read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line)["title_id"] for line in lines] == kept
+        report = json.loads((out / "run_report.json").read_text(encoding="utf-8"))
+        assert report["rows"] == 2 and report["counters"] == counters
+
     def test_thread_flag_does_not_change_results(self, pipeline_dir, tmp_path):
         outs = []
         for threads in ("1", "2"):
@@ -207,19 +226,15 @@ class TestImdbPipeline:
 
 class TestExitCodes:
     def test_usage_error_unknown_subcommand(self):
-        with pytest.raises(SystemExit) as err:
-            run("frobnicate")
-        assert err.value.code == 2
+        assert run("frobnicate") == 2
 
     def test_usage_error_missing_required(self, tmp_path):
         assert run("build", "--out", str(tmp_path)) == 2
 
     def test_negative_threads_rejected_at_parser(self, pipeline_dir, tmp_path, capsys):
         capsys.readouterr()  # drop the fixture's own diagnostics
-        with pytest.raises(SystemExit) as err:
-            run("centrality", "closeness", "--threads", "-1",
-                "--graph", str(pipeline_dir / "graph.bin"), "--out", str(tmp_path))
-        assert err.value.code == 2
+        assert run("centrality", "closeness", "--threads", "-1",
+                   "--graph", str(pipeline_dir / "graph.bin"), "--out", str(tmp_path)) == 2
         stderr = capsys.readouterr().err
         assert len(stderr.splitlines()) == 1 and "--threads" in stderr
         assert not (tmp_path / "centrality_closeness.csv").exists()
@@ -275,9 +290,7 @@ class TestExitCodes:
             else ("--graph", str(pipeline_dir / "graph.bin"))
         out = tmp_path / "rejected"
         capsys.readouterr()
-        with pytest.raises(SystemExit) as err:
-            run(*argv, *source, "--out", str(out))
-        assert err.value.code == 2
+        assert run(*argv, *source, "--out", str(out)) == 2
         stderr = capsys.readouterr().err
         assert len(stderr.splitlines()) == 1 and flag in stderr
         assert not out.exists()
@@ -406,6 +419,44 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "Same Name [nm1]" in err and "Same Name [nm2]" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (("build",), "--records"),
+        (("ingest", "--source", "imdb", "--basics", "b", "--principals", "p"), "--names"),
+        (("ingest", "--source", "netflix"), "--input"),
+        (("ingest", "--config", "CONF"), "bad.conf:2: unknown config key 'nonsense'"),
+        (("frobnicate",), "'frobnicate'"),
+    ], ids=["build-no-records", "imdb-no-names", "netflix-no-input", "config-unknown-key",
+            "unknown-command"])
+    def test_usage_error_exits_2_before_out_exists(self, tmp_path, capsys, argv, message):
+        conf = tmp_path / "bad.conf"
+        conf.write_text("source = netflix\nnonsense = 1\n", encoding="utf-8")
+        argv = [str(conf) if a == "CONF" else a for a in argv]
+        out = tmp_path / "out"
+        assert run(*argv, "--out", str(out)) == 2
+        stderr = capsys.readouterr().err
+        assert len(stderr.splitlines()) == 1 and message in stderr
+        assert not out.exists()
+
+    def test_help_returns_0(self, capsys):
+        assert run("build", "--help") == 0
+        assert "--records" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag, threads", [("0", 2), ("1", 1), ("2", 2), ("64", 2)])
+    def test_threads_clamped_to_cores(self, pipeline_dir, tmp_path, monkeypatch, flag, threads):
+        from castnet import centrality
+
+        seen = []
+
+        def closeness(g, threads=1):  # records the request and starts no thread
+            seen.append(threads)
+            return centrality.degree_centrality(g)
+
+        monkeypatch.setattr(centrality, "closeness_centrality", closeness)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert run("centrality", "closeness", "--threads", flag,
+                   "--graph", str(pipeline_dir / "graph.bin"), "--out", str(tmp_path)) == 0
+        assert seen == [threads]
+
 
 class TestConfig:
     def test_config_file_drives_run(self, tmp_path, catalog_csv):
@@ -473,6 +524,16 @@ class TestConfig:
                         "graph = missing.bin\nmax_cast = 0\n", encoding="utf-8")
         assert run("ingest", "--config", str(conf), "--out", str(tmp_path)) == 0
         assert (tmp_path / "records.jsonl").exists()
+
+    def test_readme_config_table_matches_parser(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        table = {}
+        for line in readme.read_text(encoding="utf-8").splitlines():
+            row = re.fullmatch(r"\| (`\w+`(?:, `\w+`)*) \| (`\w+`(?:, `\w+`)*) \|", line)
+            if row:
+                for command in re.findall(r"`(\w+)`", row[1]):
+                    table[command] = set(re.findall(r"`(\w+)`", row[2]))
+        assert table == cli.build_parser().settings_of
 
     def test_data_dir_env(self, tmp_path, catalog_csv, monkeypatch):
         monkeypatch.setenv(cli.DATA_DIR_ENV, str(catalog_csv.parent))

@@ -10,6 +10,7 @@ import oracles
 from castnet import community
 from castnet._options import DEFAULT_MAX_CAST
 from castnet.community import (
+    CommunityMatch,
     build_cluster_graph,
     community_evolution,
     crossover_scores,
@@ -467,6 +468,18 @@ class TestEvolution:
             (2004, 2006),
         ]
         assert [w.names for w in timeline.windows] == [("A", "B"), (), ("C", "D")]
+
+    def test_namesakes_are_distinct_actors_across_windows(self):
+        # nm1 and nm2 are both "John" but never share a window: labelled per
+        # window, both would be "John" and match at overlap 1/3
+        records = era_records("t1", 2000, [["nm1", "nmA"]]) + era_records(
+            "t2", 2005, [["nm2", "nmB"]]
+        )
+        names = {"nm1": "John", "nm2": "John"}
+        timeline = community_evolution(records, 5, 5, 42, names=names)
+        assert [w.names for w in timeline.windows] == [("John [nm1]", "nmA"),
+                                                       ("John [nm2]", "nmB")]
+        assert timeline.matches == [{0: CommunityMatch(0, 0.0)}]
 
     def test_matches_equal_set_jaccard_oracle(self):
         rng = random.Random(8)

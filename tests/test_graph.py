@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from castnet.errors import EmptyInputError, NodeOutOfRangeError
-from castnet.graph import CoGraph, build_bipartite, project
+from castnet.graph import CoGraph, _display_labels, build_bipartite, project
 from castnet.ingest import TitleKind, TitleRecord
 
 
@@ -69,6 +69,12 @@ class TestBuildBipartite:
             [rec("t1", ["nm1", "nm2"])], names={"nm1": "Same Name", "nm2": "Same Name"}
         )
         assert store.person_labels == ["Same Name [nm1]", "Same Name [nm2]"]
+
+    def test_name_equal_to_a_suffixed_label_is_suffixed(self):
+        names = {"nm1": "John", "nm2": "John", "nm3": "John [nm1]"}
+        assert _display_labels(["nm1", "nm2", "nm3"], names) == [
+            "John [nm1]", "John [nm2]", "John [nm1] [nm3]"
+        ]
 
 
 class TestProjection:
@@ -260,6 +266,10 @@ class TestAccessors:
         rows = np.repeat(np.arange(g.n), np.diff(g.indptr)).tolist()
         both = {**expected, **{(v, u): w for (u, v), w in expected.items()}}
         assert dict(zip(zip(rows, g.indices.tolist()), g.weights.tolist())) == both
+
+    def test_from_weighted_edges_rejects_repeated_label(self):
+        with pytest.raises(ValueError, match="unique"):
+            CoGraph.from_weighted_edges(["a", "a", "b"], [(0, 2, 1)])
 
     def test_from_weighted_edges_rejects_bad_edges(self):
         with pytest.raises(NodeOutOfRangeError):

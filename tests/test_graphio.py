@@ -163,6 +163,7 @@ INVALID = {
     # One header count sizes both the names and title_ptr, so a short name
     # list misaligns every later section.
     "title_count_mismatch": (lambda g: {"title_names": g.title_names[:2]}, None),
+    "label_repeated": (lambda g: {"labels": [g.labels[1], *g.labels[1:]]}, "repeated actor label"),
 }
 
 
@@ -318,7 +319,7 @@ _label = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
 
 @st.composite
 def _labelled_graphs(draw):
-    labels = draw(st.lists(_label, max_size=12))
+    labels = draw(st.lists(_label, max_size=12, unique=True))
     n = len(labels)
     pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(1, 9))
     edges = draw(st.lists(pairs, max_size=30)) if n else []

@@ -503,14 +503,17 @@ def _check_flag_pairs(parser: argparse.ArgumentParser, args: argparse.Namespace)
 def load_config_file(parser: argparse.ArgumentParser, path: str, settings: set[str]) -> list[str]:
     """A ``key = value`` config file (# comments) as ``--key=value`` flags.
 
-    Every key must be one of ``SETTINGS``; any other key, or a line without
-    ``=``, is a ``parser`` error. Keys outside ``settings``, the ones the
-    command does not read, are skipped.
+    Every key must be one of ``SETTINGS``; any other key, a line without
+    ``=``, or a line that is not UTF-8, is a ``parser`` error. Keys outside
+    ``settings``, the ones the command does not read, are skipped.
     """
     flags = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh.read().splitlines(), start=1):
+            try:
+                line = raw.decode("utf-8").split("#", 1)[0].strip()
+            except UnicodeDecodeError:
+                parser.error(f"{path}:{lineno}: not UTF-8 text")
             if not line:
                 continue
             if "=" not in line:

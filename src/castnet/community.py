@@ -95,13 +95,8 @@ class _Level:
 
     def quality_numerator(self, m: int, resolution: float):
         """Modularity numerator over denominator 4m^2 (exact int at res=1)."""
-        if resolution == 1.0:
-            return sum(4 * m * e - s * s for e, s in zip(self.intra, self.sigma) if s or e)
-        return sum(
-            4.0 * m * e - resolution * float(s) * float(s)
-            for e, s in zip(self.intra, self.sigma)
-            if s or e
-        )
+        r = 1 if resolution == 1.0 else resolution
+        return sum(4 * m * e - r * s * s for e, s in zip(self.intra, self.sigma) if s or e)
 
 
 def louvain(g: CoGraph, seed: int, resolution: float = 1.0) -> Partition:

@@ -3,8 +3,10 @@
 Both parsers return an :class:`IngestResult` and take each input as a path or
 a text stream; a gzip-compressed file is detected by its magic bytes. They
 are tolerant: malformed rows are skipped and counted in an
-:class:`IngestReport`, never fatal. Parsing is a pure function of the input
-bytes, so identical streams always yield identical record lists.
+:class:`IngestReport`, never fatal; a file that is not UTF-8 text, or a cut
+or corrupt gzip file, fails with a one-line :class:`CastnetError` naming
+it. Parsing is a pure function of the input bytes, so identical streams
+always yield identical record lists.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import gzip
 import io
 import json
 import os
+import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import date, datetime
@@ -21,7 +24,7 @@ from enum import Enum
 from typing import IO, Callable, Iterable, Iterator, TypeVar, Union
 
 from ._write import replacing
-from .errors import JsonlFormatError, MissingColumnError
+from .errors import CastnetError, JsonlFormatError, MissingColumnError
 
 Source = Union[str, "os.PathLike[str]", IO[str]]
 T = TypeVar("T")
@@ -121,8 +124,10 @@ def _open_text(source: Source) -> Iterator[IO[str]]:
     """Open ``source`` as a UTF-8 text stream.
 
     A filesystem path is opened, and gunzipped when it starts with the gzip
-    magic. A text stream is used as-is and not closed. Anything else, a
-    binary stream included, raises :class:`TypeError`.
+    magic; reading text that is not UTF-8, or a cut or corrupt gzip stream,
+    raises :class:`CastnetError` naming the path. A text stream is used
+    as-is and not closed. Anything else, a binary stream included, raises
+    :class:`TypeError`.
     """
     if isinstance(source, io.TextIOBase):
         yield source
@@ -135,35 +140,53 @@ def _open_text(source: Source) -> Iterator[IO[str]]:
         else:
             fh = io.TextIOWrapper(raw, encoding="utf-8-sig", newline="")
         with fh:
-            yield fh
+            try:
+                yield fh
+            except UnicodeDecodeError:
+                raise CastnetError(f"{source}: not UTF-8 text") from None
+            except EOFError:
+                raise CastnetError(f"{source}: truncated gzip stream") from None
+            except (gzip.BadGzipFile, zlib.error):
+                raise CastnetError(f"{source}: corrupt gzip stream") from None
 
 
-def _read_header(reader: Iterator[list[str]], table: str, required: tuple[str, ...]):
-    """The header row and its column name -> index map.
+@contextmanager
+def _table(source: Source, table: str, required: tuple[str, ...], **dialect):
+    """Open ``source`` as a ``csv`` table in ``dialect`` and yield ``(col, rows)``.
 
-    Raises :class:`MissingColumnError` naming the required columns absent
-    from the header, or all of them when there is no header row.
+    ``col`` maps header names to indices; a header lacking ``required``
+    columns raises :class:`MissingColumnError`. ``rows`` yields ``(line,
+    row, fault)`` per data row; ``fault`` is None, a bad arity, or a csv
+    parse failure (``row`` None) after which reading resumes at the next line.
     """
-    header = next(reader, None)
-    if header is None:
-        raise MissingColumnError(table, list(required))
-    col = {name.strip(): i for i, name in enumerate(header)}
-    missing = [c for c in required if c not in col]
-    if missing:
-        raise MissingColumnError(table, missing)
-    return header, col
+    with _open_text(source) as fh:
+        reader = csv.reader(fh, **dialect)
+        header = next(reader, [])
+        col = {name.strip(): i for i, name in enumerate(header)}
+        missing = [c for c in required if c not in col]
+        if missing:
+            raise MissingColumnError(table, missing)
+        yield col, _rows(reader, len(header))
+
+
+def _rows(reader, width: int) -> Iterator[tuple[int, list[str] | None, str | None]]:
+    """:func:`_table`'s ``rows`` of ``reader``, whose rows have ``width`` fields."""
+    done = False
+    while not done:
+        try:
+            for row in reader:
+                fault = None if len(row) == width else f"row arity {len(row)} != {width}"
+                yield reader.line_num, row, fault
+            done = True
+        except csv.Error as exc:
+            yield reader.line_num, None, f"csv parse failure: {exc}"
 
 
 def _split_people(cell: str) -> tuple[str, ...]:
     """Split a comma-separated people cell, normalize, drop empties, dedupe."""
-    out: list[str] = []
-    seen: set[str] = set()
-    for part in cell.split(","):
-        name = normalize_name(part)
-        if name and name not in seen:
-            seen.add(name)
-            out.append(name)
-    return tuple(out)
+    names = dict.fromkeys(map(normalize_name, cell.split(",")))
+    names.pop("", None)
+    return tuple(names)
 
 
 def _clean_year(value: str | None) -> int | None:
@@ -173,9 +196,7 @@ def _clean_year(value: str | None) -> int | None:
         year = int(value.strip())
     except ValueError:
         return None
-    if year < YEAR_MIN or year > YEAR_MAX:
-        return None
-    return year
+    return year if YEAR_MIN <= year <= YEAR_MAX else None
 
 
 # ---------------------------------------------------------------------------
@@ -198,33 +219,23 @@ def parse_netflix(source: Source, kinds: Iterable[TitleKind] | None = None) -> I
     wanted = frozenset(kinds) if kinds else frozenset(TitleKind)
     report = IngestReport()
     records: list[TitleRecord] = []
-    with _open_text(source) as fh:
-        reader = csv.reader(fh)
-        header, col = _read_header(reader, "netflix", NETFLIX_REQUIRED)
-        seen_ids: set[str] = set()
-        while True:
-            try:
-                row = next(reader)
-            except StopIteration:
-                break
-            except csv.Error as exc:
-                report.rows += 1
-                report.skip(reader.line_num, f"csv parse failure: {exc}")
-                continue
+    seen_ids: set[str] = set()
+    with _table(source, "netflix", NETFLIX_REQUIRED) as (col, rows):
+        for line, row, fault in rows:
             report.rows += 1
-            if len(row) != len(header):
-                report.skip(reader.line_num, f"row arity {len(row)} != {len(header)}")
+            if fault:
+                report.skip(line, fault)
                 continue
             title_id = row[col["show_id"]].strip()
             if not title_id:
-                report.skip(reader.line_num, "empty show_id")
+                report.skip(line, "empty show_id")
                 continue
             if title_id in seen_ids:
-                report.skip(reader.line_num, f"duplicate show_id {title_id}")
+                report.skip(line, f"duplicate show_id {title_id}")
                 continue
             kind = _NETFLIX_KINDS.get(row[col["type"]].strip())
             if kind is None:
-                report.skip(reader.line_num, f"unknown type {row[col['type']]!r}")
+                report.skip(line, f"unknown type {row[col['type']]!r}")
                 continue
             seen_ids.add(title_id)
             if kind not in wanted:
@@ -290,20 +301,12 @@ KIND_BY_TITLE_TYPE = {
 CAST_CATEGORIES = frozenset({"actor", "actress"})
 
 
-def _tsv_reader(fh: IO[str]) -> Iterator[list[str]]:
-    return csv.reader(fh, delimiter="\t", quoting=csv.QUOTE_NONE)
+_TSV = {"delimiter": "\t", "quoting": csv.QUOTE_NONE}
 
 
 def _null(value: str) -> str | None:
     value = value.strip()
     return None if value == IMDB_NULL or not value else value
-
-
-def _id_key(raw: str):
-    """Compact key for tconst/nconst ids (int for the canonical tt/nm form)."""
-    if len(raw) > 2 and raw[2:].isdigit():
-        return int(raw[2:])
-    return raw
 
 
 def parse_imdb(
@@ -314,6 +317,7 @@ def parse_imdb(
 ) -> IngestResult:
     """Join title.basics, title.principals and name.basics into records.
 
+    Titles and people are joined on their tconst and nconst as written.
     Only principals rows with category actor/actress populate ``cast``
     (ordered by the ``ordering`` column); category director populates
     ``directors``. Cast entries carry the nconst as the person key; the
@@ -324,127 +328,106 @@ def parse_imdb(
     report = IngestReport()
 
     # Pass 1: title.basics -> kept titles (+ id set for dangling detection).
-    kept: dict[object, dict] = {}
-    all_title_ids: set[object] = set()
-    with _open_text(basics) as fh:
-        reader = _tsv_reader(fh)
-        header, col = _read_header(reader, "title.basics", BASICS_REQUIRED)
-        for row in reader:
+    # tconst -> (title, kind, year, cast, directors); cast and directors
+    # collect (ordering, nconst) pairs.
+    kept: dict[str, tuple] = {}
+    all_title_ids: set[str] = set()
+    with _table(basics, "title.basics", BASICS_REQUIRED, **_TSV) as (col, rows):
+        for line, row, fault in rows:
             report.rows += 1
-            if len(row) != len(header):
-                report.skip(reader.line_num, f"row arity {len(row)} != {len(header)}")
+            if fault:
+                report.skip(line, fault)
                 continue
             tconst = row[col["tconst"]].strip()
             if not tconst:
-                report.skip(reader.line_num, "empty tconst")
+                report.skip(line, "empty tconst")
                 continue
-            key = _id_key(tconst)
-            all_title_ids.add(key)
+            all_title_ids.add(tconst)
             kind = KIND_BY_TITLE_TYPE.get(row[col["titleType"]].strip())
             if kind is None or kind not in wanted:
                 report.bump("basics_filtered")
                 continue
-            if key in kept:
-                report.skip(reader.line_num, f"duplicate tconst {tconst}")
+            if tconst in kept:
+                report.skip(line, f"duplicate tconst {tconst}")
                 continue
-            kept[key] = {
-                "tconst": tconst,
-                "title": (_null(row[col["primaryTitle"]]) or "").strip(),
-                "kind": kind,
-                "year": _clean_year(_null(row[col["startYear"]])),
-                "cast": [],  # (ordering, nconst key) pairs
-                "directors": [],
-            }
+            year = _clean_year(_null(row[col["startYear"]]))
+            kept[tconst] = (_null(row[col["primaryTitle"]]) or "", kind, year, [], [])
     report.bump("basics_kept", len(kept))
 
     # Pass 2: title.principals -> cast/director entries per kept title.
-    roles: dict[object, set[PersonRole]] = {}
-    with _open_text(principals) as fh:
-        reader = _tsv_reader(fh)
-        header, col = _read_header(reader, "title.principals", PRINCIPALS_REQUIRED)
-        for row in reader:
+    roles: dict[str, set[PersonRole]] = {}
+    with _table(principals, "title.principals", PRINCIPALS_REQUIRED, **_TSV) as (col, rows):
+        for _, row, fault in rows:
             report.bump("principals_rows")
-            if len(row) != len(header):
-                report.bump("principals_bad_arity")
+            if fault:
+                report.bump("principals_bad_rows")
                 continue
-            tkey = _id_key(row[col["tconst"]].strip())
-            if tkey not in all_title_ids:
+            tconst = row[col["tconst"]].strip()
+            if tconst not in all_title_ids:
                 report.bump("principals_dangling_title")
                 continue
-            meta = kept.get(tkey)
+            meta = kept.get(tconst)
             if meta is None:
                 continue  # title filtered out by kind, not an error
             category = row[col["category"]].strip()
-            if category not in CAST_CATEGORIES and category != "director":
+            if category in CAST_CATEGORIES:
+                role, entries = PersonRole.ACTOR, meta[3]
+            elif category == "director":
+                role, entries = PersonRole.DIRECTOR, meta[4]
+            else:
                 continue
             nconst = row[col["nconst"]].strip()
             if not nconst:
                 report.bump("principals_dangling_person")
                 continue
-            nkey = _id_key(nconst)
             try:
                 ordering = int(row[col["ordering"]])
             except ValueError:
                 ordering = 1 << 30
-            if category in CAST_CATEGORIES:
-                meta["cast"].append((ordering, nkey, nconst))
-                roles.setdefault(nkey, set()).add(PersonRole.ACTOR)
-            else:
-                meta["directors"].append((ordering, nkey, nconst))
-                roles.setdefault(nkey, set()).add(PersonRole.DIRECTOR)
+            entries.append((ordering, nconst))
+            roles.setdefault(nconst, set()).add(role)
 
     # Pass 3: name.basics -> primaryName for the people we actually need.
-    person_names: dict[object, str] = {}
-    with _open_text(names) as fh:
-        reader = _tsv_reader(fh)
-        header, col = _read_header(reader, "name.basics", NAMES_REQUIRED)
-        for row in reader:
+    person_names: dict[str, str] = {}
+    with _table(names, "name.basics", NAMES_REQUIRED, **_TSV) as (col, rows):
+        for _, row, fault in rows:
             report.bump("names_rows")
-            if len(row) != len(header):
-                report.bump("names_bad_arity")
+            if fault:
+                report.bump("names_bad_rows")
                 continue
-            nkey = _id_key(row[col["nconst"]].strip())
-            if nkey not in roles:
+            nconst = row[col["nconst"]].strip()
+            if nconst not in roles:
                 continue
             name = normalize_name(row[col["primaryName"]])
             if name:
-                person_names[nkey] = name
+                person_names[nconst] = name
 
     # Assembly: resolve entries, count dangling person references.
     titles: list[TitleRecord] = []
-    persons: dict[object, PersonRecord] = {}  # in order of first reference
+    persons: dict[str, PersonRecord] = {}  # in order of first reference
 
-    def _resolve(entries: list, as_ids: bool) -> tuple[str, ...]:
-        out: list[str] = []
-        seen: set[object] = set()
-        for _, nkey, nconst in sorted(entries, key=lambda e: (e[0], e[2])):
-            if nkey in seen:
+    def _resolve(entries: list[tuple[int, str]]) -> tuple[str, ...]:
+        """The distinct named nconsts of ``entries``, by ordering."""
+        out: dict[str, None] = {}
+        for _, nconst in sorted(entries):
+            if nconst in out:
                 continue
-            name = person_names.get(nkey)
+            name = person_names.get(nconst)
             if name is None:
                 report.bump("dangling_person_refs")
                 continue
-            seen.add(nkey)
-            out.append(nconst if as_ids else name)
-            if nkey not in persons:
-                persons[nkey] = PersonRecord(nconst, name, frozenset(roles[nkey]))
+            out[nconst] = None
+            if nconst not in persons:
+                persons[nconst] = PersonRecord(nconst, name, frozenset(roles[nconst]))
         return tuple(out)
 
-    for meta in kept.values():
+    for tconst, (title, kind, year, cast, directors) in kept.items():
         # Cast keys are nconsts (the stable IMDb identity); directors are
-        # resolved to display names, mirroring the Netflix side.
-        cast = _resolve(meta["cast"], as_ids=True)
-        directors = _resolve(meta["directors"], as_ids=False)
-        titles.append(
-            TitleRecord(
-                title_id=meta["tconst"],
-                title=meta["title"],
-                kind=meta["kind"],
-                release_year=meta["year"],
-                directors=directors,
-                cast=cast,
-            )
-        )
+        # display names, mirroring the Netflix side. Cast is resolved first:
+        # it sets the order of the person records.
+        cast_ids = _resolve(cast)
+        director_names = tuple(person_names[n] for n in _resolve(directors))
+        titles.append(TitleRecord(tconst, title, kind, year, director_names, cast_ids))
     return IngestResult(titles, report, list(persons.values()))
 
 
@@ -568,18 +551,19 @@ def _read_jsonl(path: str | os.PathLike, parse: Callable[[str], T]) -> list[T]:
     """
     out = []
     number = 0
-    try:
-        with _open_text(path) as fh:
+    with _open_text(path) as fh:  # the try is inside, to give a decode error its line
+        try:
             for number, line in enumerate(fh, 1):
                 line = line.strip()
                 if line:
                     out.append(parse(line))
-    except UnicodeDecodeError:
-        raise JsonlFormatError(path, number + 1, "not UTF-8 text") from None
-    except json.JSONDecodeError as exc:
-        raise JsonlFormatError(path, number, f"not JSON: {exc.msg} (column {exc.colno})") from None
-    except KeyError as exc:
-        raise JsonlFormatError(path, number, f"missing key {exc}") from None
-    except (ValueError, TypeError, AttributeError) as exc:
-        raise JsonlFormatError(path, number, str(exc)) from None
+        except UnicodeDecodeError:
+            raise JsonlFormatError(path, number + 1, "not UTF-8 text") from None
+        except json.JSONDecodeError as exc:
+            reason = f"not JSON: {exc.msg} (column {exc.colno})"
+            raise JsonlFormatError(path, number, reason) from None
+        except KeyError as exc:
+            raise JsonlFormatError(path, number, f"missing key {exc}") from None
+        except (ValueError, TypeError, AttributeError) as exc:
+            raise JsonlFormatError(path, number, str(exc)) from None
     return out

@@ -1,3 +1,4 @@
+import gzip
 import json
 import os
 import re
@@ -223,6 +224,102 @@ class TestImdbPipeline:
         text = capsys.readouterr().out.strip()
         assert text == "Lead One —[Shared Film]→ Lead Two —[Second Film]→ Lead Three"
 
+    # nm5 both directs and acts; tt10's director row comes before its cast
+    # rows, whose orderings are out of order; tt2 has a \N year and a
+    # reference to an unknown person; tt999 is an unknown title.
+    PINNED_DUMPS = {
+        "title.basics.tsv": (
+            "tconst\ttitleType\tprimaryTitle\toriginalTitle\tisAdult\tstartYear\tendYear\t"
+            "runtimeMinutes\tgenres\n"
+            "tt10\tmovie\tNight Film\tNight Film\t0\t1999\t\\N\t100\tDrama\n"
+            "tt2\tmovie\tDay Film\tDay Film\t0\t\\N\t\\N\t90\tDrama\n"
+            "tt3\ttvEpisode\tEp\tEp\t0\t2001\t\\N\t30\tDrama\n"
+            "tt4\ttvSeries\tShow\tShow\t0\t2005\t2007\t30\tDrama\n"
+        ),
+        "title.principals.tsv": (
+            "tconst\tordering\tnconst\tcategory\tjob\tcharacters\n"
+            "tt10\t9\tnm7\tdirector\t\\N\t\\N\n"
+            "tt10\t3\tnm2\tactress\t\\N\t\\N\n"
+            "tt10\t1\tnm1\tactor\t\\N\t\\N\n"
+            "tt10\t2\tnm5\tactor\t\\N\t\\N\n"
+            "tt2\t1\tnm5\tdirector\t\\N\t\\N\n"
+            "tt2\t2\tnm2\tactress\t\\N\t\\N\n"
+            "tt2\t1\tnm404\tactor\t\\N\t\\N\n"
+            "tt2\t3\tnm1\tproducer\t\\N\t\\N\n"
+            "tt999\t1\tnm1\tactor\t\\N\t\\N\n"
+            "tt3\t1\tnm1\tactor\t\\N\t\\N\n"
+            "tt4\t10\tnm6\tactress\t\\N\t\\N\n"
+            "tt4\t2\tnm1\tactor\t\\N\t\\N\n"
+        ),
+        "name.basics.tsv": (
+            "nconst\tprimaryName\tbirthYear\tdeathYear\tprimaryProfession\tknownForTitles\n"
+            "nm1\tAnn  Lee\t1950\t\\N\tactor\ttt10\n"
+            "nm2\tBob\t1960\t\\N\tactress\ttt10\n"
+            "nm5\tCy Dir\t1940\t\\N\tdirector\ttt2\n"
+            "nm6\tDee\t1970\t\\N\tactress\ttt4\n"
+            "nm7\tEve\t1930\t\\N\tdirector\ttt10\n"
+            "nm8\tUnused\t1930\t\\N\tactor\t\\N\n"
+        ),
+    }
+
+    # A title's cast is resolved before its directors, so Eve follows
+    # tt10's cast in persons.jsonl.
+    PINNED_OUTPUTS = {
+        "records.jsonl": (
+            '{"title_id":"tt10","title":"Night Film","kind":"movie","release_year":1999,'
+            '"directors":["Eve"],"cast":["nm1","nm5","nm2"],"country":null,'
+            '"language_hint":null,"rating":null,"date_added":null}\n'
+            '{"title_id":"tt2","title":"Day Film","kind":"movie","release_year":null,'
+            '"directors":["Cy Dir"],"cast":["nm2"],"country":null,'
+            '"language_hint":null,"rating":null,"date_added":null}\n'
+            '{"title_id":"tt4","title":"Show","kind":"tv_show","release_year":2005,'
+            '"directors":[],"cast":["nm1","nm6"],"country":null,'
+            '"language_hint":null,"rating":null,"date_added":null}\n'
+        ),
+        "persons.jsonl": (
+            '{"person_id":"nm1","name":"Ann Lee","roles":["actor"]}\n'
+            '{"person_id":"nm5","name":"Cy Dir","roles":["actor","director"]}\n'
+            '{"person_id":"nm2","name":"Bob","roles":["actor"]}\n'
+            '{"person_id":"nm7","name":"Eve","roles":["director"]}\n'
+            '{"person_id":"nm6","name":"Dee","roles":["actor"]}\n'
+        ),
+        "run_report.json": (
+            '{\n'
+            '  "command": "ingest",\n'
+            '  "counters": {\n'
+            '    "basics_filtered": 1,\n'
+            '    "basics_kept": 3,\n'
+            '    "dangling_person_refs": 1,\n'
+            '    "names_rows": 6,\n'
+            '    "principals_dangling_title": 1,\n'
+            '    "principals_rows": 12\n'
+            '  },\n'
+            '  "outputs": [\n'
+            '    "records.jsonl",\n'
+            '    "persons.jsonl"\n'
+            '  ],\n'
+            '  "records": 3,\n'
+            '  "rows": 4,\n'
+            '  "skipped": [],\n'
+            '  "source": "imdb"\n'
+            '}\n'
+        ),
+    }
+
+    def test_ingest_output_bytes_pinned(self, tmp_path):
+        for name, text in self.PINNED_DUMPS.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(
+            "ingest", "--source", "imdb",
+            "--basics", str(tmp_path / "title.basics.tsv"),
+            "--principals", str(tmp_path / "title.principals.tsv"),
+            "--names", str(tmp_path / "name.basics.tsv"),
+            "--out", str(out),
+        ) == 0
+        for name, text in self.PINNED_OUTPUTS.items():
+            assert (out / name).read_bytes() == text.encode("utf-8"), name
+
 
 class TestExitCodes:
     def test_usage_error_unknown_subcommand(self):
@@ -357,6 +454,7 @@ class TestExitCodes:
         ("number-title", "'title' must be a string, not int"),
         ("number-country", "'country' must be a string or null, not int"),
         ("persons-number-name", "'name' must be a string, not int"),
+        ("persons-not-utf8", "not UTF-8 text"),
     ])
     def test_malformed_jsonl_exits_1_with_one_line(self, pipeline_dir, catalog_csv,
                                                    tmp_path, capsys, case, reason):
@@ -383,6 +481,11 @@ class TestExitCodes:
             bad.write_text("".join(json.dumps(p) + "\n" for p in people), encoding="utf-8")
             flags = ["--records", records, "--persons", str(bad)]
             commands = ["build", "evolve"]
+        elif case == "persons-not-utf8":
+            bad, line = tmp_path / "persons.jsonl", 1
+            bad.write_bytes(b'{"person_id": "nm1", "name": "\xff", "roles": ["actor"]}\n')
+            flags = ["--records", records, "--persons", str(bad)]
+            commands = ["build", "evolve"]
         else:
             bad, line = tmp_path / "bad.jsonl", 3
             bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -395,6 +498,46 @@ class TestExitCodes:
             stderr = capsys.readouterr().err
             assert len(stderr.splitlines()) == 1
             assert stderr.startswith(f"error: {bad}:{line}: {reason}")
+
+    # fault -> the bytes it makes of a good input file
+    FILE_FAULTS = {
+        "not-utf8": lambda good: good.replace(b"\n", b"\n\xff", 1),  # line 2 starts with 0xff
+        "truncated-gzip": lambda good: gzip.compress(good, mtime=0)[:-10],  # cut in the data
+        "corrupt-gzip": lambda good: gzip.compress(good, mtime=0)[:10] + b"\xff" * 8,  # bad block
+        "bad-gzip-header": lambda good: b"\x1f\x8b" + good,  # no compression method 8
+    }
+
+    @pytest.mark.parametrize("flag, fault, code, message", [
+        ("--input", "not-utf8", 1, "BAD: not UTF-8 text"),
+        ("--input", "truncated-gzip", 1, "BAD: truncated gzip stream"),
+        ("--basics", "not-utf8", 1, "BAD: not UTF-8 text"),
+        ("--basics", "truncated-gzip", 1, "BAD: truncated gzip stream"),
+        ("--principals", "not-utf8", 1, "BAD: not UTF-8 text"),
+        ("--principals", "truncated-gzip", 1, "BAD: truncated gzip stream"),
+        ("--names", "not-utf8", 1, "BAD: not UTF-8 text"),
+        ("--names", "truncated-gzip", 1, "BAD: truncated gzip stream"),
+        ("--names", "corrupt-gzip", 1, "BAD: corrupt gzip stream"),
+        ("--principals", "bad-gzip-header", 1, "BAD: corrupt gzip stream"),
+        ("--config", "not-utf8", 2, "BAD:2: not UTF-8 text"),
+    ])
+    def test_undecodable_input_exits_with_one_line(self, catalog_csv, tmp_path, capsys,
+                                                   flag, fault, code, message):
+        dumps = (text.encode("utf-8") for text in TestImdbPipeline.PINNED_DUMPS.values())
+        files = dict(zip(("basics", "principals", "names"), dumps))
+        files["input"] = catalog_csv.read_bytes()
+        files["config"] = b"source = netflix\n"
+        key = flag.lstrip("-")
+        files[key] = self.FILE_FAULTS[fault](files[key])
+        for name, data in files.items():
+            (tmp_path / name).write_bytes(data)
+        imdb = key in ("basics", "principals", "names")
+        argv = ["--source", "imdb" if imdb else "netflix"]
+        for name in ("basics", "principals", "names") if imdb else ("input", "config"):
+            argv += [f"--{name}", str(tmp_path / name)]
+        assert run("ingest", *argv, "--out", str(tmp_path / "out")) == code
+        stderr = capsys.readouterr().err
+        assert len(stderr.splitlines()) == 1
+        assert message.replace("BAD", str(tmp_path / key)) in stderr
 
     def test_unknown_actor_is_data_error(self, pipeline_dir, tmp_path):
         code = run("path", "Us ActorA", "No Such Person",

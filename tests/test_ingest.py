@@ -80,6 +80,14 @@ class TestParseNetflix:
         assert res.report.skipped[0].line == 3
         assert "arity" in res.report.skipped[0].reason
 
+    def test_oversized_field_skipped_and_reading_resumes(self):
+        huge = "x" * 131_073  # one more than the csv module's field size limit
+        res = parse_netflix(netflix_csv(f"s1,Movie,{huge},,,,,2000,,", "s2,Movie,T,,,,,2000,,"))
+        assert [r.title_id for r in res.records] == ["s2"]
+        [event] = res.report.skipped
+        assert event.line == 2 and event.reason.startswith("csv parse failure: field larger")
+        assert res.report.rows == 2
+
     def test_unknown_type_skipped(self):
         res = parse_netflix(netflix_csv("s1,Documentary,T,,,,,2000,,"))
         assert res.records == []
@@ -265,6 +273,69 @@ class TestParseImdb:
             tsv(NAMES_HEADER),
         )
         assert len(both.records) == 2
+
+    def test_ids_equal_as_numbers_are_distinct_titles(self):
+        basics = tsv(
+            BASICS_HEADER,
+            "tt0000001\tmovie\tOld\tOld\t0\t1990\t\\N\t\\N\t\\N",
+            "tt1\tmovie\tNew\tNew\t0\t1991\t\\N\t\\N\t\\N",
+        )
+        res = parse_imdb(basics, tsv(PRINCIPALS_HEADER), tsv(NAMES_HEADER))
+        titles = [(t.title_id, t.title) for t in res.records]
+        assert titles == [("tt0000001", "Old"), ("tt1", "New")]
+        assert res.report.skipped == []
+
+    def test_ids_equal_as_numbers_are_distinct_people(self):
+        basics = tsv(BASICS_HEADER, "tt1\tmovie\tX\tX\t0\t1990\t\\N\t\\N\t\\N")
+        principals = tsv(
+            PRINCIPALS_HEADER,
+            "tt1\t1\tnm0000001\tactor\t\\N\t\\N",
+            "tt1\t2\tnm1\tactor\t\\N\t\\N",
+        )
+        names = tsv(
+            NAMES_HEADER,
+            "nm0000001\tAnn\t\\N\t\\N\t\\N\t\\N",
+            "nm1\tBob\t\\N\t\\N\t\\N\t\\N",
+        )
+        res = parse_imdb(basics, principals, names)
+        assert res.records[0].cast == ("nm0000001", "nm1")
+        people = [(p.person_id, p.name) for p in res.persons]
+        assert people == [("nm0000001", "Ann"), ("nm1", "Bob")]
+
+    def test_person_id_in_tconst_column_is_dangling(self):
+        basics = tsv(BASICS_HEADER, "tt0000002\tmovie\tX\tX\t0\t1990\t\\N\t\\N\t\\N")
+        principals = tsv(PRINCIPALS_HEADER, "nm0000002\t1\tnm1\tactor\t\\N\t\\N")
+        names = tsv(NAMES_HEADER, "nm1\tAnn\t\\N\t\\N\t\\N\t\\N")
+        res = parse_imdb(basics, principals, names)
+        assert res.records[0].cast == ()
+        assert res.report.counters["principals_dangling_title"] == 1
+
+    def test_oversized_field_is_a_bad_row(self):
+        huge = "x" * 131_073  # one more than the csv module's field size limit
+        basics = tsv(
+            BASICS_HEADER,
+            f"tt1\tmovie\t{huge}\t{huge}\t0\t1990\t\\N\t\\N\t\\N",
+            "tt2\tmovie\tY\tY\t0\t1991\t\\N\t\\N\t\\N",
+        )
+        principals = tsv(
+            PRINCIPALS_HEADER,
+            f"tt2\t1\tnm1\tactor\t\\N\t{huge}",
+            "tt2\t2\tnm2\tactor\t\\N\t\\N",
+            "tt2\t3\tnm3\tactor",
+        )
+        names = tsv(
+            NAMES_HEADER,
+            f"nm1\t{huge}\t\\N\t\\N\t\\N\t\\N",
+            "nm2\tBob\t\\N\t\\N\t\\N\t\\N",
+        )
+        res = parse_imdb(basics, principals, names)
+        assert [t.title_id for t in res.records] == ["tt2"]
+        assert res.records[0].cast == ("nm2",)
+        [event] = res.report.skipped
+        assert event.line == 2 and event.reason.startswith("csv parse failure: field larger")
+        counters = res.report.counters
+        assert counters["principals_rows"] == 3 and counters["principals_bad_rows"] == 2
+        assert counters["names_rows"] == 2 and counters["names_bad_rows"] == 1
 
 
 RECORD_STRATEGY = st.builds(

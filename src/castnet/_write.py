@@ -38,18 +38,13 @@ def fmt_score(x: float) -> str:
     return f"{x:.6g}"
 
 
-def _rounded(value):
-    if isinstance(value, float):
-        return float(fmt_score(value))
-    if isinstance(value, dict):
-        return {key: _rounded(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_rounded(item) for item in value]
-    return value
+def _rounded(values) -> list:
+    """``values`` with each float cut to 6 significant digits, as written."""
+    return [float(f"{x:.6g}") if isinstance(x, float) else x for x in values]
 
 
 def write_json(path: str | os.PathLike, payload, *, sort_keys: bool = False) -> None:
-    text = _indented(_rounded(payload), 0, sort_keys)
+    text = _indented(payload, 0, sort_keys)
     with replacing(path) as fh:
         fh.write(text + "\n")
 
@@ -59,28 +54,28 @@ _SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
 
 def _indented(value, level: int, sort_keys: bool) -> str:
     """``json.dumps(value, ensure_ascii=False, indent=2, sort_keys=sort_keys)``
-    for a value nested ``level`` deep, built from the C encoder's output.
+    for a value nested ``level`` deep, floats cut to 6 significant digits,
+    built from the C encoder's output.
 
     ``json`` falls back to its pure-Python encoder whenever ``indent`` is
     set. The C encoder takes no indent, but its item separator may carry a
     newline and the indent of one level. An encoded string never holds a raw
-    newline, so a container of scalars, or a list of such containers, is one
-    C call plus a fix-up at its brackets. Anything deeper is walked here.
+    newline, so a container of scalars is one C call plus a fix-up at its
+    brackets, and so is each column of a table (see :func:`_table`).
+    Anything else is walked here.
     """
-    if not isinstance(value, (dict, list)) or not value:  # scalars, {} and []
-        return _encoder(0, sort_keys).encode(value)
-    pad, inner, deeper = ("\n" + "  " * (level + i) for i in range(3))
+    if not isinstance(value, (dict, list, tuple)) or not value:  # scalars, {} and []
+        return _encoder(0, sort_keys).encode(_rounded([value])[0])
+    pad, inner = "\n" + "  " * level, "\n" + "  " * (level + 1)
     if _all_scalars(_values(value)):
-        text = _encoder(level + 1, sort_keys).encode(value)
+        rounded = _rounded(_values(value))
+        if isinstance(value, dict):
+            rounded = dict(zip(value, rounded))
+        text = _encoder(level + 1, sort_keys).encode(rounded)
         return text[0] + inner + text[1:-1] + pad + text[-1]
-    kinds = set(map(type, value)) if isinstance(value, list) and all(value) else set()
-    if kinds in ({dict}, {list}) and _all_scalars(chain.from_iterable(map(_values, value))):
-        # Rows of scalars. A row's closing bracket directly before a
-        # separator only occurs between two rows.
-        o, c = ("{", "}") if dict in kinds else ("[", "]")
-        rows = _encoder(level + 2, sort_keys).encode(value)[2:-2]
-        rows = rows.replace(c + "," + deeper + o, inner + c + "," + inner + o + deeper)
-        return "[" + inner + o + deeper + rows + inner + c + pad + "]"
+    table = _table(value, level, sort_keys)
+    if table is not None:
+        return table
     if isinstance(value, dict):
         items = sorted(value.items()) if sort_keys else value.items()
         parts = [_key(k) + ": " + _indented(v, level + 1, sort_keys) for k, v in items]
@@ -89,6 +84,42 @@ def _indented(value, level: int, sort_keys: bool) -> str:
         parts = [_indented(v, level + 1, sort_keys) for v in value]
         o, c = "[", "]"
     return o + inner + ("," + inner).join(parts) + pad + c
+
+
+def _table(value, level: int, sort_keys: bool) -> str | None:
+    """Rows of scalars as :func:`_indented` writes them, or None for
+    anything else: a list of non-empty lists, or of non-empty dicts with the
+    same keys in the same order.
+
+    List rows are one C call; a row's closing bracket directly before a
+    separator only occurs between two rows. Dict rows are encoded a column
+    at a time, each column in one C call split at its separators, and each
+    row is one ``%`` of a template holding the keys, so no row is rebuilt.
+    """
+    if not isinstance(value, (list, tuple)) or not all(value):
+        return None
+    kinds = set(map(type, value))
+    pad, inner, deeper = ("\n" + "  " * (level + i) for i in range(3))
+    if kinds <= {list, tuple} and _all_scalars(chain.from_iterable(value)):
+        rows = _encoder(level + 2, sort_keys).encode([_rounded(row) for row in value])[2:-2]
+        rows = rows.replace("]," + deeper + "[", inner + "]," + inner + "[" + deeper)
+        return "[" + inner + "[" + deeper + rows + inner + "]" + pad + "]"
+    if kinds != {dict}:
+        return None
+    keys = list(value[0])
+    columns = list(zip(*map(dict.values, value)))
+    if not all(map(keys.__eq__, map(list, value))) or not _all_scalars(chain(*columns)):
+        return None
+    order = sorted(range(len(keys)), key=keys.__getitem__) if sort_keys else range(len(keys))
+    cells = [_ITEMS.encode(_rounded(columns[i]))[1:-1].split(",\n") for i in order]
+    row = "{" + deeper + ("," + deeper).join(
+        _key(keys[i]).replace("%", "%%") + ": %s" for i in order
+    ) + inner + "}"
+    return "[" + inner + ("," + inner).join(map(row.__mod__, zip(*cells))) + pad + "]"
+
+
+# Encodes a list of scalars as one item per line, unindented.
+_ITEMS = json.JSONEncoder(ensure_ascii=False, separators=(",\n", ": "))
 
 
 def _encoder(level: int, sort_keys: bool) -> json.JSONEncoder:

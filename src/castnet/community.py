@@ -1,18 +1,21 @@
 """Louvain communities, modularity, cluster meta-graphs and evolution.
 
-Louvain here is the classic two-phase scheme: local moving over a seeded
-Fisher-Yates visit order (reshuffled every pass), then aggregation, repeated
-until a full pass moves nothing. At the default resolution all gain
-comparisons are done in exact integer arithmetic (weights are counts), so a
-fixed seed gives bit-identical partitions and the recorded quality trace is
-non-decreasing by construction, not by luck. Weight sums go through float64
-``bincount``; they stay exact because every total is an integer far below
-2**53.
+Louvain here is the two-phase scheme of Blondel et al. (2008), with the
+fast local moving of Traag, Waltman & van Eck (2019): each level visits its
+nodes from a queue filled in one seeded Fisher-Yates order, and a node that
+moves puts back on the queue only the neighbours it may have made worth
+moving. A level ends when the queue is empty; aggregation follows, until a
+level moves nothing. At the default resolution all gain comparisons are
+done in exact integer arithmetic (weights are counts), so a fixed seed gives
+bit-identical partitions and the recorded quality trace is non-decreasing by
+construction, not by luck. Weight sums go through float64 ``bincount``; they
+stay exact because every total is an integer far below 2**53.
 """
 
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import TYPE_CHECKING, Mapping, Sequence
@@ -71,14 +74,9 @@ def modularity(g: CoGraph, assignment: Sequence[int]) -> float:
 class _Level:
     """One Louvain level: edges ``rows -> cols`` of weight ``w`` (each once
     per direction, sorted by row), internal weight ``selfw`` per node, the
-    per-node dicts ``_sweep`` reads and running community sums.
+    per-node dicts ``_sweep`` reads and running community sums."""
 
-    ``links[v]`` maps each community to the weight of v's edges into it, as
-    last counted; ``stale[v]`` says a neighbour has moved since then."""
-
-    __slots__ = (
-        "n", "rows", "cols", "w", "adj", "selfw", "k", "comm", "sigma", "intra", "links", "stale"
-    )
+    __slots__ = ("n", "rows", "cols", "w", "adj", "selfw", "k", "comm", "sigma", "intra")
 
     def __init__(self, rows: np.ndarray, cols: np.ndarray, w: np.ndarray, selfw: np.ndarray):
         self.n = n = len(selfw)
@@ -90,8 +88,6 @@ class _Level:
         self.comm = list(range(n))
         self.sigma = list(self.k)  # total degree per community
         self.intra = list(self.selfw)  # intra-community edge weight per community
-        self.links: list[dict[int, int] | None] = [None] * n
-        self.stale = [True] * n
 
     def quality_numerator(self, m: int, resolution: float):
         """Modularity numerator over denominator 4m^2 (exact int at res=1)."""
@@ -102,11 +98,12 @@ class _Level:
 def louvain(g: CoGraph, seed: int, resolution: float = 1.0) -> Partition:
     """Two-phase Louvain on the weighted co-appearance graph.
 
-    Nodes are visited in a freshly shuffled order every pass; a node moves
+    Each level runs one round of local moving (:func:`_sweep`): a node moves
     to the neighbor community with the largest quality gain, strictly
-    positive gains only. Aggregation repeats until a full pass yields no
-    move. ``q`` is the weighted modularity of the final assignment on the
-    original graph.
+    positive gains only. Aggregation repeats until a level moves nothing.
+    ``passes`` counts the rounds, one per level, and ``q_history`` holds the
+    quality after each. ``q`` is the weighted modularity of the final
+    assignment on the original graph.
     """
     if g.edge_count == 0:
         raise EmptyGraphError("louvain needs at least one edge")
@@ -121,15 +118,10 @@ def louvain(g: CoGraph, seed: int, resolution: float = 1.0) -> Partition:
     passes = 0
     q_num_history: list = []
     while True:
-        moved_in_level = False
-        while True:
-            moved = _sweep(level, m2, resolution, rng)
-            passes += 1
-            q_num_history.append(level.quality_numerator(m, resolution))
-            if moved == 0:
-                break
-            moved_in_level = True
-        if not moved_in_level:
+        moved = _sweep(level, m2, resolution, rng)
+        passes += 1
+        q_num_history.append(level.quality_numerator(m, resolution))
+        if moved == 0:
             break
         prev_n = level.n
         level, new_id = _aggregate(level)
@@ -155,31 +147,39 @@ def louvain(g: CoGraph, seed: int, resolution: float = 1.0) -> Partition:
 
 
 def _sweep(level: _Level, m2: int, resolution: float, rng: random.Random) -> int:
-    """One full pass of local moving; returns the number of nodes moved.
+    """One round of local moving from a node queue; returns the number of
+    moves made.
 
-    A node's community weights change only when a neighbour moves, so a
-    node recounts them from its edges only when it is stale, and marks its
-    neighbours stale when it moves. A node linked to no other community
-    than its own has no candidate and is skipped. The best candidate is the
-    largest gain; the home community wins ties, then the smallest id.
+    The queue starts with every node in one shuffled order. A popped node
+    counts its edge weight into each community from its edges; the best
+    candidate is the largest gain, the home community wins ties, then the
+    smallest id. A node linked to no community but its own has no candidate
+    and is skipped. When a node moves, each neighbour outside its new
+    community that is not queued goes to the back of the queue, in adjacency
+    order (Traag, Waltman & van Eck 2019). A node is queued again only after
+    a neighbour moved, so a popped node always counts afresh, and no node
+    whose neighbourhood is unchanged is scored again.
     """
-    order = list(range(level.n))
+    n = level.n
+    order = list(range(n))
     rng.shuffle(order)
-    comm, k, sigma, intra, selfw = level.comm, level.k, level.sigma, level.intra, level.selfw
-    adj, links, stale = level.adj, level.links, level.stale
+    queue = deque(order)
+    queued = [True] * n
+    comm, k, sigma, intra, selfw, adj = (
+        level.comm, level.k, level.sigma, level.intra, level.selfw, level.adj
+    )
+    pop, push = queue.popleft, queue.append
     moved = 0
     r = 1 if resolution == 1.0 else resolution  # an int 1 keeps the gains exact
-    for v in order:
+    while queue:
+        v = pop()
+        queued[v] = False
         home = comm[v]
-        if stale[v]:
-            to_comm: dict[int, int] = {}
-            for w, weight in adj[v].items():
-                c = comm[w]
-                to_comm[c] = to_comm.get(c, 0) + weight
-            links[v] = to_comm
-            stale[v] = False
-        else:
-            to_comm = links[v]
+        edges = adj[v]
+        to_comm: dict[int, int] = {}  # weight into each community
+        for w, weight in edges.items():
+            c = comm[w]
+            to_comm[c] = to_comm.get(c, 0) + weight
         if len(to_comm) - (home in to_comm) == 0:
             continue
         kv = k[v]
@@ -200,8 +200,10 @@ def _sweep(level: _Level, m2: int, resolution: float, rng: random.Random) -> int
             comm[v] = best
             intra[home] -= kin_home + selfw[v]
             intra[best] += to_comm[best] + selfw[v]
-            for w in adj[v]:
-                stale[w] = True
+            for w in edges:
+                if not queued[w] and comm[w] != best:
+                    queued[w] = True
+                    push(w)
             moved += 1
     return moved
 

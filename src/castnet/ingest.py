@@ -155,13 +155,19 @@ def _table(source: Source, table: str, required: tuple[str, ...], **dialect):
     """Open ``source`` as a ``csv`` table in ``dialect`` and yield ``(col, rows)``.
 
     ``col`` maps header names to indices; a header lacking ``required``
-    columns raises :class:`MissingColumnError`. ``rows`` yields ``(line,
-    row, fault)`` per data row; ``fault`` is None, a bad arity, or a csv
-    parse failure (``row`` None) after which reading resumes at the next line.
+    columns raises :class:`MissingColumnError`, and one the csv module cannot
+    parse a :class:`CastnetError` naming the path (the table for a stream).
+    ``rows`` yields ``(line, row, fault)`` per data row; ``fault`` is None, a
+    bad arity, or a csv parse failure (``row`` None) after which reading
+    resumes at the next line.
     """
     with _open_text(source) as fh:
         reader = csv.reader(fh, **dialect)
-        header = next(reader, [])
+        try:
+            header = next(reader, [])
+        except csv.Error as exc:
+            where = table if isinstance(source, io.TextIOBase) else os.fspath(source)
+            raise CastnetError(f"{where}: header: {exc}") from None
         col = {name.strip(): i for i, name in enumerate(header)}
         missing = [c for c in required if c not in col]
         if missing:

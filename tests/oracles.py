@@ -288,18 +288,23 @@ def window_matches(old_names, old_assignment, new_names, new_assignment) -> dict
 
 
 def louvain_sweep_full_recount(level, m2: int, resolution: float, rng: random.Random) -> int:
-    """One pass of Louvain local moving over a ``community._Level`` that
-    recounts every node's community weights from all of its edges and scans
-    the candidates in ascending id order; returns the number of nodes moved.
+    """One round of Louvain local moving from a node queue over a
+    ``community._Level``: every popped node recounts its community weights
+    from all of its edges and scans the candidates in ascending id order;
+    returns the number of moves made.
 
-    Same visit order and gains as ``community._sweep``, so substituting it
-    must leave every partition and quality trace unchanged.
+    Same queue, re-queueing and gains as ``community._sweep``, so
+    substituting it must leave every partition and quality trace unchanged.
     """
     order = list(range(level.n))
     rng.shuffle(order)
+    queue = deque(order)
+    queued = set(order)
     moved = 0
     exact = resolution == 1.0
-    for v in order:
+    while queue:
+        v = queue.popleft()
+        queued.discard(v)
         home = level.comm[v]
         kv = level.k[v]
         to_comm: dict[int, int] = {}
@@ -328,6 +333,10 @@ def louvain_sweep_full_recount(level, m2: int, resolution: float, rng: random.Ra
             level.comm[v] = best
             level.intra[home] -= kin_home + level.selfw[v]
             level.intra[best] += to_comm.get(best, 0) + level.selfw[v]
+            for w in level.adj[v]:
+                if w not in queued and level.comm[w] != best:
+                    queued.add(w)
+                    queue.append(w)
             moved += 1
     return moved
 

@@ -505,6 +505,8 @@ class TestExitCodes:
         "truncated-gzip": lambda good: gzip.compress(good, mtime=0)[:-10],  # cut in the data
         "corrupt-gzip": lambda good: gzip.compress(good, mtime=0)[:10] + b"\xff" * 8,  # bad block
         "bad-gzip-header": lambda good: b"\x1f\x8b" + good,  # no compression method 8
+        # a header field one longer than the csv module's field size limit
+        "huge-header-field": lambda good: good.replace(b"\n", b"," + b"x" * 131_073 + b"\n", 1),
     }
 
     @pytest.mark.parametrize("flag, fault, code, message", [
@@ -519,6 +521,8 @@ class TestExitCodes:
         ("--names", "corrupt-gzip", 1, "BAD: corrupt gzip stream"),
         ("--principals", "bad-gzip-header", 1, "BAD: corrupt gzip stream"),
         ("--config", "not-utf8", 2, "BAD:2: not UTF-8 text"),
+        ("--input", "huge-header-field", 1, "BAD: header: field larger than field limit"),
+        ("--principals", "huge-header-field", 1, "BAD: header: field larger than field limit"),
     ])
     def test_undecodable_input_exits_with_one_line(self, catalog_csv, tmp_path, capsys,
                                                    flag, fault, code, message):

@@ -10,6 +10,7 @@ import pytest
 
 import castnet
 from castnet.cli import BLAS_THREAD_ENV
+from castnet.community import louvain
 from castnet.graphio import save_cache
 from conftest import make_graph
 
@@ -111,18 +112,22 @@ def test_cli_process_starts_no_blas_thread_pool(tmp_path):
     assert run_python(code, OPENBLAS_NUM_THREADS="3").split()[:2] == ["0", "3"]
 
 
-def test_benchmark_traced_names_exist():
-    """Every ``castnet.<module>.<name>`` in ``TRACED`` of perfbench/run.py is
-    callable. The benchmark wraps them by name, so a rename fails here and
-    not in a benchmark run. The harness is parsed, not imported."""
+def harness_tree() -> ast.Module:
+    """perfbench/run.py, parsed, not imported; skips without perfbench/."""
     run_py = os.path.join(os.path.dirname(SRC), "perfbench", "run.py")
     if not os.path.isfile(run_py):
         pytest.skip("no perfbench/ beside src/")
     with open(run_py, encoding="utf-8") as fh:
-        tree = ast.parse(fh.read())
+        return ast.parse(fh.read(), run_py)
+
+
+def test_benchmark_traced_names_exist():
+    """Every ``castnet.<module>.<name>`` in ``TRACED`` of perfbench/run.py is
+    callable. The benchmark wraps them by name, so a rename fails here and
+    not in a benchmark run."""
     (traced,) = [
         ast.literal_eval(node.value)
-        for node in tree.body
+        for node in harness_tree().body
         if isinstance(node, ast.Assign)
         and [getattr(t, "id", None) for t in node.targets] == ["TRACED"]
     ]
@@ -131,3 +136,18 @@ def test_benchmark_traced_names_exist():
         mod = importlib.import_module(f"castnet.{module}")
         for name in names:
             assert callable(getattr(mod, name, None)), f"castnet.{module}.{name}"
+
+
+def test_benchmark_counters_read_a_louvain_result():
+    """perfbench/run.py's ``_counters`` records a traced ``louvain`` call's
+    rounds and community count by attribute name, so a rename of
+    ``q_history``, ``passes`` or ``n_communities`` fails here and does not
+    silently drop the counters. ``_counters`` runs alone, on builtins."""
+    tree = harness_tree()
+    (node,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_counters"]
+    namespace: dict = {}
+    exec(compile(ast.Module([node], []), "perfbench/run.py", "exec"), namespace)
+    part = louvain(make_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)]), seed=1)
+    assert namespace["_counters"](part, {}) == {
+        "passes": part.passes, "communities": part.n_communities
+    }

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from castnet.errors import MissingColumnError
+from castnet.errors import CastnetError, MissingColumnError
 from castnet.ingest import (
     PersonRole,
     TitleKind,
@@ -87,6 +87,11 @@ class TestParseNetflix:
         [event] = res.report.skipped
         assert event.line == 2 and event.reason.startswith("csv parse failure: field larger")
         assert res.report.rows == 2
+
+    def test_oversized_header_field_names_the_table(self):
+        huge = "x" * 131_073
+        with pytest.raises(CastnetError, match=r"^netflix: header: field larger than field limit"):
+            parse_netflix(io.StringIO(f"show_id,{huge}\ns1,x\n"))
 
     def test_unknown_type_skipped(self):
         res = parse_netflix(netflix_csv("s1,Documentary,T,,,,,2000,,"))

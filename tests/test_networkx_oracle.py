@@ -96,6 +96,23 @@ def test_modularity_of_louvain_matches_networkx(nxg):
     assert abs(modularity(g, part.assignment) - ref) < TOL
 
 
+def test_louvain_quality_keeps_up_with_networkx():
+    """On 20 seeded weighted G(300, 0.02) graphs, the median modularity of
+    castnet's partition is at most 0.005 below networkx's Louvain."""
+    gaps = []
+    for seed in range(20):
+        nxg = nx.gnp_random_graph(300, 0.02, seed=seed)
+        rng = np.random.default_rng(seed)
+        for u, v in nxg.edges():
+            nxg[u][v]["weight"] = int(rng.integers(1, 5))
+        g = CoGraph.from_weighted_edges(
+            [f"v{i:04d}" for i in range(300)], list(nxg.edges(data="weight"))
+        )
+        ref = nx.community.louvain_communities(nxg, weight="weight", seed=seed)
+        gaps.append(louvain(g, seed=seed).q - nx.community.modularity(nxg, ref, weight="weight"))
+    assert np.median(gaps) >= -0.005
+
+
 def test_link_prediction_matches_networkx(monkeypatch):
     """Every index over the non-edges with a common neighbor, with rows split
     into several blocks."""

@@ -2,10 +2,10 @@ import json
 import os
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from castnet._write import _rounded, write_csv, write_json
+from castnet._write import write_csv, write_json
 
 
 def test_json_floats_at_6_significant_digits(tmp_path):
@@ -54,6 +54,17 @@ _json_values = st.recursive(
 )
 
 
+def _rounded(value):
+    """``value`` with every float at 6 significant digits, rebuilt."""
+    if isinstance(value, float):
+        return float(f"{value:.6g}")
+    if isinstance(value, dict):
+        return {key: _rounded(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_rounded(item) for item in value]
+    return value
+
+
 def _indent_2(payload, sort_keys=False) -> bytes:
     text = json.dumps(_rounded(payload), ensure_ascii=False, indent=2, sort_keys=sort_keys)
     return (text + "\n").encode("utf-8")
@@ -79,5 +90,32 @@ def test_json_matches_indent_2(tmp_path, payload):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(_json_values, st.booleans())
 def test_json_matches_indent_2_on_any_payload(tmp_path, payload, sort_keys):
+    write_json(tmp_path / "out.json", payload, sort_keys=sort_keys)
+    assert (tmp_path / "out.json").read_bytes() == _indent_2(payload, sort_keys)
+
+
+_scalars = st.none() | st.booleans() | st.integers() | st.floats() | _text
+
+
+@st.composite
+def _tables(draw):
+    """Rows of scalars: equal-length lists, or dicts with the same keys."""
+    width = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(_scalars, min_size=width, max_size=width), min_size=1,
+                         max_size=6))
+    if draw(st.booleans()):
+        keys = draw(st.lists(_text, min_size=width, max_size=width, unique=True))
+        return [dict(zip(keys, row)) for row in rows]
+    return rows
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_tables(), st.booleans(), st.booleans())
+@example([{"%s": 0.123456789, "b%": "50%", "a": ",\n  {"}] * 2, True, True)
+@example([(1, 2.5), [3, float("nan")]], False, False)
+@example([{1: 1.0, None: "x"}, {1: 2.0, None: "y"}], False, True)
+def test_json_tables_match_indent_2(tmp_path, table, sort_keys, nested):
+    payload = {"rows": table} if nested else table
     write_json(tmp_path / "out.json", payload, sort_keys=sort_keys)
     assert (tmp_path / "out.json").read_bytes() == _indent_2(payload, sort_keys)

@@ -34,7 +34,6 @@ _EXPORTS = {
     ),
     "graph": ("BipartiteStore", "CoGraph", "build_bipartite", "project"),
     "ingest": (
-        "PersonRecord",
         "TitleKind",
         "TitleRecord",
         "normalize_name",

@@ -13,10 +13,6 @@ from enum import Enum
 # projection is quadratic per title.
 DEFAULT_MAX_CAST = 500
 
-# No candidate limit unless one is asked for: memory is bounded by the row
-# blocks, not by the candidate count.
-DEFAULT_CANDIDATE_CAP: int | None = None
-
 
 class Method(str, Enum):
     """The link-prediction indices."""

@@ -46,9 +46,6 @@ class Scores:
         order = np.lexsort((rank, -self.scores)).tolist()
         return [(labels[i], float(self.scores[i])) for i in order]
 
-    def top(self, labels: Sequence[str], k: int) -> list[tuple[str, float]]:
-        return self.ranked(labels)[:k]
-
 
 @dataclass
 class ScoreTable(Scores):

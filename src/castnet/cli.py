@@ -20,7 +20,7 @@ import math
 import os
 import sys
 
-from ._options import DEFAULT_CANDIDATE_CAP, DEFAULT_MAX_CAST, Method
+from ._options import DEFAULT_MAX_CAST, Method
 from ._write import write_csv, write_json
 from .errors import CastnetError
 
@@ -64,9 +64,9 @@ def _load_names(args: argparse.Namespace) -> dict[str, str] | None:
     """Person key -> display name from ``--persons``, if given."""
     if not args.persons:
         return None
-    from .ingest import person_name_map, read_persons_jsonl
+    from .ingest import read_persons_jsonl
 
-    return person_name_map(read_persons_jsonl(args.persons))
+    return read_persons_jsonl(args.persons)
 
 
 def _load_graph(args: argparse.Namespace):
@@ -183,21 +183,9 @@ def cmd_centrality(args: argparse.Namespace) -> dict:
 
 
 def cmd_path(args: argparse.Namespace) -> dict:
-    from .errors import UnknownActorError
     from .paths import path_to_dict, render_path, shortest_path
 
-    g = _load_graph(args)
-    try:
-        result = shortest_path(g, args.a, args.b)
-    except UnknownActorError as exc:
-        # Colliding display names carry a "[key]" suffix; suggest them.
-        prefix = f"{exc.name} ["
-        suggestions = [lbl for lbl in g.labels if lbl.startswith(prefix)]
-        if suggestions:
-            raise UnknownActorError(
-                f"{exc.name} is ambiguous; use one of: {', '.join(sorted(suggestions))}"
-            ) from None
-        raise
+    result = shortest_path(_load_graph(args), args.a, args.b)
     print(render_path(result))
     json_path = os.path.join(args.out, "path.json")
     write_json(json_path, path_to_dict(result))
@@ -219,14 +207,7 @@ def cmd_predict(args: argparse.Namespace) -> dict:
 
     g = _load_graph(args)
     method = Method(args.method)
-    scores = predict_top(
-        g,
-        method,
-        args.top,
-        min_common=args.min_common,
-        allow_zero_common=args.allow_zero_common,
-        cap=args.cap,
-    )
+    scores = predict_top(g, method, args.top, min_common=args.min_common, cap=args.cap)
     out_path = os.path.join(args.out, "predictions.csv")
     rows = [(ps.u, ps.v, ps.method.value, ps.score) for ps in scores]
     write_csv(out_path, ["actor_a", "actor_b", "method", "score"], rows)
@@ -452,8 +433,7 @@ def build_parser() -> _Parser:
     p.add_argument("method", choices=[m.value for m in Method])
     p.add_argument("--top", type=_positive_int, required=True)
     p.add_argument("--min-common", dest="min_common", type=_count, default=1)
-    p.add_argument("--allow-zero-common", action="store_true")
-    p.add_argument("--cap", type=_positive_int, default=DEFAULT_CANDIDATE_CAP,
+    p.add_argument("--cap", type=_positive_int,
                    help="fail when more candidate pairs than this are found (default: no cap)")
 
     p = command("communities", cmd_communities, "Louvain community detection", "graph", "seed")
@@ -487,12 +467,9 @@ def _check_flag_pairs(parser: argparse.ArgumentParser, args: argparse.Namespace)
                          + ", ".join(missing))
     if args.command == "evolve" and args.window < args.step:
         parser.error(f"argument --window: expected >= --step ({args.step}), got {args.window}")
-    if args.command == "predict" and args.min_common == 0 and not (
-        args.allow_zero_common and args.method == Method.PREFERENTIAL_ATTACHMENT.value
-    ):
-        parser.error(
-            "argument --min-common: 0 needs --allow-zero-common and preferential_attachment"
-        )
+    if (args.command == "predict" and args.min_common == 0
+            and args.method != Method.PREFERENTIAL_ATTACHMENT.value):
+        parser.error("argument --min-common: 0 needs preferential_attachment")
     if args.command == "build":
         for low, high in (("min_cast", "max_cast"), ("year_min", "year_max")):
             lo, hi = getattr(args, low), getattr(args, high)
@@ -504,26 +481,31 @@ def load_config_file(parser: argparse.ArgumentParser, path: str, settings: set[s
     """A ``key = value`` config file (# comments) as ``--key=value`` flags.
 
     Every key must be one of ``SETTINGS``; any other key, a line without
-    ``=``, or a line that is not UTF-8, is a ``parser`` error. Keys outside
-    ``settings``, the ones the command does not read, are skipped.
+    ``=``, a line that is not UTF-8, or a file that cannot be read, is a
+    ``parser`` error. Keys outside ``settings``, the ones the command does
+    not read, are skipped.
     """
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        parser.error(f"{path}: cannot read config file: {exc.strerror}")
     flags = []
-    with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh.read().splitlines(), start=1):
-            try:
-                line = raw.decode("utf-8").split("#", 1)[0].strip()
-            except UnicodeDecodeError:
-                parser.error(f"{path}:{lineno}: not UTF-8 text")
-            if not line:
-                continue
-            if "=" not in line:
-                parser.error(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in SETTINGS:
-                parser.error(f"{path}:{lineno}: unknown config key {key!r}")
-            if key in settings:
-                flags.append(f"{_flag(key)}={value.strip()}")
+    for lineno, raw in enumerate(data.splitlines(), start=1):
+        try:
+            line = raw.decode("utf-8").split("#", 1)[0].strip()
+        except UnicodeDecodeError:
+            parser.error(f"{path}:{lineno}: not UTF-8 text")
+        if not line:
+            continue
+        if "=" not in line:
+            parser.error(f"{path}:{lineno}: expected 'key = value'")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in SETTINGS:
+            parser.error(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in settings:
+            flags.append(f"{_flag(key)}={value.strip()}")
     return flags
 
 

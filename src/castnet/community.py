@@ -36,8 +36,6 @@ class Partition:
 
     assignment: tuple[int, ...]
     q: float
-    seed: int
-    resolution: float = 1.0
     passes: int = 0
     q_history: tuple[float, ...] = ()
 
@@ -139,8 +137,6 @@ def louvain(g: CoGraph, seed: int, resolution: float = 1.0) -> Partition:
     return Partition(
         assignment=assignment,
         q=modularity(g, assignment),
-        seed=seed,
-        resolution=resolution,
         passes=passes,
         q_history=q_history,
     )

@@ -42,11 +42,18 @@ class EmptyGraphError(CastnetError):
 
 
 class UnknownActorError(CastnetError, KeyError):
-    """An actor name is not present in the graph."""
+    """An actor name is not present in the graph; ``candidates`` are the
+    labels it is ambiguous with, if any."""
 
-    def __init__(self, name: str):
+    def __init__(self, name: str, candidates: list[str] | None = None):
         self.name = name
-        super().__init__(f"unknown actor: {name!r}")
+        if candidates:
+            super().__init__(f"{name} is ambiguous; use one of: {', '.join(candidates)}")
+        else:
+            super().__init__(f"unknown actor: {name!r}")
+
+    def __str__(self) -> str:  # KeyError's would quote the message
+        return self.args[0]
 
 
 class CandidateExplosionError(CastnetError):

@@ -26,7 +26,6 @@ if TYPE_CHECKING:
 class BipartiteStore:
     """Interned person/title tables plus per-title cast incidence."""
 
-    person_index: dict[str, int]
     person_keys: list[str]
     person_labels: list[str]
     title_ids: list[str]
@@ -62,7 +61,6 @@ def build_bipartite(
     errors and counted, since projection is quadratic per title.
     """
     store = BipartiteStore(
-        person_index={},
         person_keys=[],
         person_labels=[],
         title_ids=[],
@@ -72,6 +70,7 @@ def build_bipartite(
     )
     lo, hi = year_range if year_range else (None, None)
     seen_titles: set[str] = set()
+    person_index: dict[str, int] = {}  # key -> index, in first-seen order
     for rec in records:
         if kind is not None and rec.kind != kind:
             continue
@@ -92,18 +91,12 @@ def build_bipartite(
         seen_titles.add(rec.title_id)
         store.title_ids.append(rec.title_id)
         store.title_names.append(rec.title)
-        members: set[int] = set()
-        for key in rec.cast:
-            pidx = store.person_index.get(key)
-            if pidx is None:
-                pidx = len(store.person_keys)
-                store.person_index[key] = pidx
-                store.person_keys.append(key)
-            members.add(pidx)
+        members = {person_index.setdefault(key, len(person_index)) for key in rec.cast}
         store.incidence.append(sorted(members))
         store.title_country.append(rec.country)
     if not store.title_ids:
         raise EmptyInputError("no titles survive the configured filters")
+    store.person_keys = list(person_index)
     store.person_labels = _display_labels(store.person_keys, names)
     return store
 
@@ -177,7 +170,10 @@ class CoGraph:
         try:
             return self._label_index[name]
         except KeyError:
-            raise UnknownActorError(name) from None
+            # Colliding display names carry a " [key]" suffix; suggest them.
+            prefix = f"{name} ["
+            suggestions = sorted(lbl for lbl in self.labels if lbl.startswith(prefix))
+            raise UnknownActorError(name, suggestions) from None
 
     def titles_for_edge(self, u: int, v: int) -> tuple[str, ...]:
         """Names of the titles whose cast holds both actors, sorted by name."""

@@ -21,7 +21,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import date, datetime
 from enum import Enum
-from typing import IO, Callable, Iterable, Iterator, TypeVar, Union
+from typing import IO, Callable, Iterable, Iterator, Mapping, TypeVar, Union
 
 from ._write import replacing
 from .errors import CastnetError, JsonlFormatError, MissingColumnError
@@ -40,11 +40,6 @@ class TitleKind(str, Enum):
     TV_SHOW = "tv_show"
 
 
-class PersonRole(str, Enum):
-    ACTOR = "actor"
-    DIRECTOR = "director"
-
-
 @dataclass(frozen=True)
 class TitleRecord:
     """One normalized catalog entry."""
@@ -56,18 +51,8 @@ class TitleRecord:
     directors: tuple[str, ...]
     cast: tuple[str, ...]
     country: str | None = None
-    language_hint: str | None = None
     rating: str | None = None
     date_added: date | None = None
-
-
-@dataclass(frozen=True)
-class PersonRecord:
-    """A person joined from IMDb name.basics; keyed by nconst."""
-
-    person_id: str
-    name: str
-    roles: frozenset[PersonRole]
 
 
 @dataclass(frozen=True)
@@ -98,7 +83,7 @@ class IngestReport:
 class IngestResult:
     records: list[TitleRecord]
     report: IngestReport
-    persons: list[PersonRecord] = field(default_factory=list)  # IMDb names; Netflix has none
+    persons: dict[str, str] = field(default_factory=dict)  # IMDb nconst -> name; Netflix has none
 
 
 # C0 and C1 controls that are not whitespace, and U+FFFE and U+FFFF: XML 1.0
@@ -327,7 +312,7 @@ def parse_imdb(
     Only principals rows with category actor/actress populate ``cast``
     (ordered by the ``ordering`` column); category director populates
     ``directors``. Cast entries carry the nconst as the person key; the
-    returned PersonRecords map nconst to primaryName. Rows referencing an
+    returned ``persons`` map nconst to primaryName. Rows referencing an
     unknown tconst/nconst are counted as dangling and skipped.
     """
     wanted = frozenset(kinds) if kinds else frozenset(TitleKind)
@@ -361,7 +346,7 @@ def parse_imdb(
     report.bump("basics_kept", len(kept))
 
     # Pass 2: title.principals -> cast/director entries per kept title.
-    roles: dict[str, set[PersonRole]] = {}
+    referenced: set[str] = set()
     with _table(principals, "title.principals", PRINCIPALS_REQUIRED, **_TSV) as (col, rows):
         for _, row, fault in rows:
             report.bump("principals_rows")
@@ -377,9 +362,9 @@ def parse_imdb(
                 continue  # title filtered out by kind, not an error
             category = row[col["category"]].strip()
             if category in CAST_CATEGORIES:
-                role, entries = PersonRole.ACTOR, meta[3]
+                entries = meta[3]
             elif category == "director":
-                role, entries = PersonRole.DIRECTOR, meta[4]
+                entries = meta[4]
             else:
                 continue
             nconst = row[col["nconst"]].strip()
@@ -391,7 +376,7 @@ def parse_imdb(
             except ValueError:
                 ordering = 1 << 30
             entries.append((ordering, nconst))
-            roles.setdefault(nconst, set()).add(role)
+            referenced.add(nconst)
 
     # Pass 3: name.basics -> primaryName for the people we actually need.
     person_names: dict[str, str] = {}
@@ -402,7 +387,7 @@ def parse_imdb(
                 report.bump("names_bad_rows")
                 continue
             nconst = row[col["nconst"]].strip()
-            if nconst not in roles:
+            if nconst not in referenced:
                 continue
             name = normalize_name(row[col["primaryName"]])
             if name:
@@ -410,7 +395,7 @@ def parse_imdb(
 
     # Assembly: resolve entries, count dangling person references.
     titles: list[TitleRecord] = []
-    persons: dict[str, PersonRecord] = {}  # in order of first reference
+    persons: dict[str, str] = {}  # in order of first reference
 
     def _resolve(entries: list[tuple[int, str]]) -> tuple[str, ...]:
         """The distinct named nconsts of ``entries``, by ordering."""
@@ -423,23 +408,17 @@ def parse_imdb(
                 report.bump("dangling_person_refs")
                 continue
             out[nconst] = None
-            if nconst not in persons:
-                persons[nconst] = PersonRecord(nconst, name, frozenset(roles[nconst]))
+            persons.setdefault(nconst, name)
         return tuple(out)
 
     for tconst, (title, kind, year, cast, directors) in kept.items():
         # Cast keys are nconsts (the stable IMDb identity); directors are
         # display names, mirroring the Netflix side. Cast is resolved first:
-        # it sets the order of the person records.
+        # it sets the order of ``persons``.
         cast_ids = _resolve(cast)
         director_names = tuple(person_names[n] for n in _resolve(directors))
         titles.append(TitleRecord(tconst, title, kind, year, director_names, cast_ids))
-    return IngestResult(titles, report, list(persons.values()))
-
-
-def person_name_map(persons: Iterable[PersonRecord]) -> dict[str, str]:
-    """person_id -> display name, for graph labeling."""
-    return {p.person_id: p.name for p in persons}
+    return IngestResult(titles, report, persons)
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +435,6 @@ def record_to_json(rec: TitleRecord) -> str:
         "directors": list(rec.directors),
         "cast": list(rec.cast),
         "country": rec.country,
-        "language_hint": rec.language_hint,
         "rating": rec.rating,
         "date_added": rec.date_added.isoformat() if rec.date_added else None,
     }
@@ -502,7 +480,6 @@ def record_from_json(line: str) -> TitleRecord:
         directors=_strs(payload, "directors"),
         cast=_strs(payload, "cast"),
         country=_str_or_null(payload, "country"),
-        language_hint=_str_or_null(payload, "language_hint"),
         rating=_str_or_null(payload, "rating"),
         date_added=date.fromisoformat(added) if added else None,
     )
@@ -516,26 +493,22 @@ def read_records_jsonl(path: str | os.PathLike) -> list[TitleRecord]:
     return _read_jsonl(path, record_from_json)
 
 
-def write_persons_jsonl(path: str | os.PathLike, persons: Iterable[PersonRecord]) -> None:
-    _write_jsonl(path, map(_person_to_json, persons))
+def write_persons_jsonl(path: str | os.PathLike, persons: Mapping[str, str]) -> None:
+    """One ``{"person_id", "name"}`` line per entry of ``persons``, in order."""
+    _write_jsonl(path, (
+        json.dumps({"person_id": key, "name": name}, ensure_ascii=False, separators=(",", ":"))
+        for key, name in persons.items()
+    ))
 
 
-def _person_to_json(p: PersonRecord) -> str:
-    payload = {"person_id": p.person_id, "name": p.name, "roles": sorted(r.value for r in p.roles)}
-    return json.dumps(payload, ensure_ascii=False, separators=(",", ":"))
-
-
-def _person_from_json(line: str) -> PersonRecord:
+def _person_from_json(line: str) -> tuple[str, str]:
     payload = json.loads(line)
-    return PersonRecord(
-        person_id=_str(payload, "person_id"),
-        name=_str(payload, "name"),
-        roles=frozenset(map(PersonRole, _strs(payload, "roles"))),
-    )
+    return _str(payload, "person_id"), _str(payload, "name")
 
 
-def read_persons_jsonl(path: str | os.PathLike) -> list[PersonRecord]:
-    return _read_jsonl(path, _person_from_json)
+def read_persons_jsonl(path: str | os.PathLike) -> dict[str, str]:
+    """person_id -> name, as ``write_persons_jsonl`` wrote it."""
+    return dict(_read_jsonl(path, _person_from_json))
 
 
 def _write_jsonl(path: str | os.PathLike, lines: Iterable[str]) -> None:

@@ -15,7 +15,7 @@ from typing import Iterator
 import numpy as np
 
 from . import _bfs
-from ._options import DEFAULT_CANDIDATE_CAP, Method
+from ._options import Method
 from .errors import CandidateExplosionError
 from .graph import CoGraph, name_ranks, top_pairs
 
@@ -42,16 +42,15 @@ def predict_top(
     k: int,
     min_common: int = 1,
     *,
-    allow_zero_common: bool = False,
-    cap: int | None = DEFAULT_CANDIDATE_CAP,
+    cap: int | None = None,
 ) -> list[PairScore]:
     """Top-k non-adjacent pairs by the chosen index.
 
     Candidates are non-adjacent pairs with at least ``min_common`` common
     neighbors, enumerated over 2-hop neighborhoods rather than all pairs.
-    ``min_common=0`` is only meaningful for preferential attachment and must
-    be opted into with ``allow_zero_common`` (it enumerates every
-    non-adjacent pair). ``cap`` defaults to None, no limit; given a number,
+    ``min_common=0`` enumerates every non-adjacent pair, and is accepted
+    only for preferential attachment, the one index that does not vanish
+    without common neighbors. ``cap`` defaults to None, no limit; given a number,
     CandidateExplosionError is raised once more candidates than that are
     found. Ties break lexicographically on the name pair.
 
@@ -63,11 +62,8 @@ def predict_top(
         raise ValueError("k must be >= 1")
     degrees = g.degrees()
     if min_common < 1:
-        if not (allow_zero_common and method is Method.PREFERENTIAL_ATTACHMENT):
-            raise ValueError(
-                "min_common=0 requires allow_zero_common and the "
-                "preferential_attachment method"
-            )
+        if method is not Method.PREFERENTIAL_ATTACHMENT:
+            raise ValueError("min_common=0 requires the preferential_attachment method")
         total = g.n * (g.n - 1) // 2 - g.edge_count
         if cap is not None and total > cap:
             raise CandidateExplosionError(total, cap)

@@ -12,17 +12,14 @@ from .ingest import TitleKind, TitleRecord
 
 @dataclass
 class CatalogSummary:
-    per_year: dict[int, tuple[int, int]]  # year -> (movies, tv shows)
+    per_year: dict[int, tuple[int, int]]  # release year -> (movies, tv shows)
     unknown_year: tuple[int, int]
+    per_year_added: dict[int, tuple[int, int]]  # year added to the catalog -> (movies, tv shows)
     cast_histogram: dict[int, int]  # cast size -> title count
     top_actors: list[tuple[str, int]]
     top_directors: list[tuple[str, int]]
     type_totals: tuple[int, int]  # (movies, tv shows)
     rating_counts: dict[str, int] = field(default_factory=dict)
-
-    @property
-    def total_titles(self) -> int:
-        return self.type_totals[0] + self.type_totals[1]
 
 
 def summarize(records: Sequence[TitleRecord], top_k: int = 5) -> CatalogSummary:
@@ -30,9 +27,11 @@ def summarize(records: Sequence[TitleRecord], top_k: int = 5) -> CatalogSummary:
 
     Actors and directors are counted once per distinct title appearance.
     Titles without a release year land in the unknown-year bucket rather
-    than being dropped.
+    than being dropped. ``per_year_added`` counts only titles with a
+    ``date_added``, which IMDb records never have.
     """
     per_year: dict[int, list[int]] = {}
+    added: dict[int, list[int]] = {}
     unknown = [0, 0]
     cast_hist: dict[int, int] = {}
     actor_counts: dict[str, int] = {}
@@ -46,6 +45,8 @@ def summarize(records: Sequence[TitleRecord], top_k: int = 5) -> CatalogSummary:
             unknown[slot] += 1
         else:
             per_year.setdefault(rec.release_year, [0, 0])[slot] += 1
+        if rec.date_added is not None:
+            added.setdefault(rec.date_added.year, [0, 0])[slot] += 1
         size = len(rec.cast)
         cast_hist[size] = cast_hist.get(size, 0) + 1
         for name in rec.cast:
@@ -55,14 +56,19 @@ def summarize(records: Sequence[TitleRecord], top_k: int = 5) -> CatalogSummary:
         if rec.rating:
             ratings[rec.rating] = ratings.get(rec.rating, 0) + 1
     return CatalogSummary(
-        per_year={y: (c[0], c[1]) for y, c in sorted(per_year.items())},
+        per_year=_by_year(per_year),
         unknown_year=(unknown[0], unknown[1]),
+        per_year_added=_by_year(added),
         cast_histogram=dict(sorted(cast_hist.items())),
         top_actors=_top(actor_counts, top_k),
         top_directors=_top(director_counts, top_k),
         type_totals=(totals[0], totals[1]),
         rating_counts=dict(sorted(ratings.items())),
     )
+
+
+def _by_year(counts: dict[int, list[int]]) -> dict[int, tuple[int, int]]:
+    return {y: (c[0], c[1]) for y, c in sorted(counts.items())}
 
 
 def _top(counts: dict[str, int], k: int) -> list[tuple[str, int]]:
@@ -72,14 +78,12 @@ def _top(counts: dict[str, int], k: int) -> list[tuple[str, int]]:
 def write_summary_json(path: str | os.PathLike, summary: CatalogSummary) -> None:
     payload = {
         "type_totals": {"movies": summary.type_totals[0], "tv_shows": summary.type_totals[1]},
-        "per_year": {
-            str(year): {"movies": mv, "tv_shows": tv}
-            for year, (mv, tv) in summary.per_year.items()
-        },
+        "per_year": _kinds_by_year(summary.per_year),
         "unknown_year": {
             "movies": summary.unknown_year[0],
             "tv_shows": summary.unknown_year[1],
         },
+        "per_year_added": _kinds_by_year(summary.per_year_added),
         "cast_histogram": {str(size): cnt for size, cnt in summary.cast_histogram.items()},
         "top_actors": [{"name": n, "count": c} for n, c in summary.top_actors],
         "top_directors": [{"name": n, "count": c} for n, c in summary.top_directors],
@@ -88,8 +92,12 @@ def write_summary_json(path: str | os.PathLike, summary: CatalogSummary) -> None
     write_json(path, payload)
 
 
+def _kinds_by_year(table: dict[int, tuple[int, int]]) -> dict[str, dict[str, int]]:
+    return {str(year): {"movies": mv, "tv_shows": tv} for year, (mv, tv) in table.items()}
+
+
 def write_summary_csvs(outdir: str | os.PathLike, summary: CatalogSummary) -> list[str]:
-    """Per-figure CSVs (yearly trend, cast histogram, leaderboards)."""
+    """Per-figure CSVs (yearly trends, cast histogram, leaderboards)."""
     written = []
 
     def _write(name: str, header: list[str], rows) -> None:
@@ -97,11 +105,9 @@ def write_summary_csvs(outdir: str | os.PathLike, summary: CatalogSummary) -> li
         write_csv(path, header, rows)
         written.append(path)
 
-    _write(
-        "per_year.csv",
-        ["year", "movies", "tv"],
-        [(y, mv, tv) for y, (mv, tv) in summary.per_year.items()],
-    )
+    for name, table in (("per_year.csv", summary.per_year),
+                        ("per_year_added.csv", summary.per_year_added)):
+        _write(name, ["year", "movies", "tv"], [(y, mv, tv) for y, (mv, tv) in table.items()])
     _write(
         "cast_histogram.csv",
         ["cast_size", "count"],

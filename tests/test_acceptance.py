@@ -337,13 +337,13 @@ def test_imdb_movie_graph_landmarks():
     dumps = _find_imdb_dumps()
     if dumps is None:
         pytest.skip("IMDb dumps not found (set CASTNET_DATA_DIR or use tests/data/)")
-    from castnet.ingest import TitleKind, parse_imdb, person_name_map
+    from castnet.ingest import TitleKind, parse_imdb
     from castnet.paths import shortest_path, top_partnerships
 
     result = parse_imdb(
         dumps["basics"], dumps["principals"], dumps["names"], {TitleKind.MOVIE}
     )
-    g = project(build_bipartite(result.records, names=person_name_map(result.persons)))
+    g = project(build_bipartite(result.records, names=result.persons))
     pairs = {(a.split(" [")[0], b.split(" [")[0]): w for a, b, w in top_partnerships(g, 10)}
     flat = {name for pair in pairs for name in pair}
     assert "Adoor Bhasi" in flat and "Bahadur" in flat

@@ -268,20 +268,20 @@ class TestImdbPipeline:
         "records.jsonl": (
             '{"title_id":"tt10","title":"Night Film","kind":"movie","release_year":1999,'
             '"directors":["Eve"],"cast":["nm1","nm5","nm2"],"country":null,'
-            '"language_hint":null,"rating":null,"date_added":null}\n'
+            '"rating":null,"date_added":null}\n'
             '{"title_id":"tt2","title":"Day Film","kind":"movie","release_year":null,'
             '"directors":["Cy Dir"],"cast":["nm2"],"country":null,'
-            '"language_hint":null,"rating":null,"date_added":null}\n'
+            '"rating":null,"date_added":null}\n'
             '{"title_id":"tt4","title":"Show","kind":"tv_show","release_year":2005,'
             '"directors":[],"cast":["nm1","nm6"],"country":null,'
-            '"language_hint":null,"rating":null,"date_added":null}\n'
+            '"rating":null,"date_added":null}\n'
         ),
         "persons.jsonl": (
-            '{"person_id":"nm1","name":"Ann Lee","roles":["actor"]}\n'
-            '{"person_id":"nm5","name":"Cy Dir","roles":["actor","director"]}\n'
-            '{"person_id":"nm2","name":"Bob","roles":["actor"]}\n'
-            '{"person_id":"nm7","name":"Eve","roles":["director"]}\n'
-            '{"person_id":"nm6","name":"Dee","roles":["actor"]}\n'
+            '{"person_id":"nm1","name":"Ann Lee"}\n'
+            '{"person_id":"nm5","name":"Cy Dir"}\n'
+            '{"person_id":"nm2","name":"Bob"}\n'
+            '{"person_id":"nm7","name":"Eve"}\n'
+            '{"person_id":"nm6","name":"Dee"}\n'
         ),
         "run_report.json": (
             '{\n'
@@ -306,7 +306,8 @@ class TestImdbPipeline:
         ),
     }
 
-    def test_ingest_output_bytes_pinned(self, tmp_path):
+    def ingest_pinned(self, tmp_path) -> Path:
+        """``ingest`` of ``PINNED_DUMPS``; returns its output directory."""
         for name, text in self.PINNED_DUMPS.items():
             (tmp_path / name).write_text(text, encoding="utf-8")
         out = tmp_path / "out"
@@ -317,8 +318,37 @@ class TestImdbPipeline:
             "--names", str(tmp_path / "name.basics.tsv"),
             "--out", str(out),
         ) == 0
+        return out
+
+    def test_ingest_output_bytes_pinned(self, tmp_path):
+        out = self.ingest_pinned(tmp_path)
         for name, text in self.PINNED_OUTPUTS.items():
             assert (out / name).read_bytes() == text.encode("utf-8"), name
+
+    def test_files_with_dropped_fields_build_the_same_graph(self, tmp_path):
+        """Lines written before ``language_hint`` and ``roles`` were dropped
+        still read, and build the same ``graph.bin`` bytes."""
+        new = self.ingest_pinned(tmp_path)
+        old = tmp_path / "old"
+        old.mkdir()
+        records = (new / "records.jsonl").read_text(encoding="utf-8")
+        persons = (new / "persons.jsonl").read_text(encoding="utf-8")
+        (old / "records.jsonl").write_text(
+            records.replace('"rating":', '"language_hint":null,"rating":'), encoding="utf-8")
+        (old / "persons.jsonl").write_text(
+            persons.replace("}\n", ',"roles":["actor","director"]}\n'), encoding="utf-8")
+        for d in (new, old):
+            assert run("build", "--records", str(d / "records.jsonl"),
+                       "--persons", str(d / "persons.jsonl"), "--out", str(d)) == 0
+        assert (old / "records.jsonl").read_text(encoding="utf-8").count("language_hint") == 3
+        assert (old / "persons.jsonl").read_text(encoding="utf-8").count('"roles"') == 5
+        assert (old / "graph.bin").read_bytes() == (new / "graph.bin").read_bytes()
+
+    def test_stats_writes_an_empty_per_year_added_table(self, tmp_path):
+        out = self.ingest_pinned(tmp_path)
+        assert run("stats", "--records", str(out / "records.jsonl"), "--out", str(out)) == 0
+        assert (out / "per_year_added.csv").read_text(encoding="utf-8") == "year,movies,tv\n"
+        assert json.loads((out / "summary.json").read_text())["per_year_added"] == {}
 
 
 class TestExitCodes:
@@ -362,8 +392,7 @@ class TestExitCodes:
             (("evolve", "--window", "5", "--step", "0"), "--step"),
             (("evolve", "--window", "3", "--step", "5"), "--window"),
             (("predict", "jaccard", "--top", "5", "--min-common", "0"), "--min-common"),
-            (("predict", "jaccard", "--top", "5", "--min-common", "0",
-              "--allow-zero-common"), "--min-common"),
+            (("predict", "adamic_adar", "--top", "5", "--min-common", "0"), "--min-common"),
             (("predict", "jaccard", "--top", "5", "--cap", "-1"), "--cap"),
             (("build", "--max-cast", "0"), "--max-cast"),
             (("build", "--min-cast", "9", "--max-cast", "3"), "--min-cast"),
@@ -394,8 +423,7 @@ class TestExitCodes:
 
     def test_zero_common_preferential_attachment_allowed(self, pipeline_dir, tmp_path):
         assert run("predict", "preferential_attachment", "--top", "3", "--min-common", "0",
-                   "--allow-zero-common", "--graph", str(pipeline_dir / "graph.bin"),
-                   "--out", str(tmp_path)) == 0
+                   "--graph", str(pipeline_dir / "graph.bin"), "--out", str(tmp_path)) == 0
         assert len((tmp_path / "predictions.csv").read_text().splitlines()) == 4
 
     def test_cap_exceeded_is_data_error(self, pipeline_dir, tmp_path, capsys):
@@ -543,10 +571,12 @@ class TestExitCodes:
         assert len(stderr.splitlines()) == 1
         assert message.replace("BAD", str(tmp_path / key)) in stderr
 
-    def test_unknown_actor_is_data_error(self, pipeline_dir, tmp_path):
+    def test_unknown_actor_is_data_error(self, pipeline_dir, tmp_path, capsys):
+        capsys.readouterr()
         code = run("path", "Us ActorA", "No Such Person",
                    "--graph", str(pipeline_dir / "graph.bin"), "--out", str(tmp_path))
         assert code == 1
+        assert capsys.readouterr().err == "error: unknown actor: 'No Such Person'\n"
 
     def test_ambiguous_actor_suggests_candidates(self, tmp_path, capsys):
         from castnet.graph import build_bipartite, project
@@ -563,21 +593,25 @@ class TestExitCodes:
         code = run("path", "Same Name", "Same Name [nm2]",
                    "--graph", str(graph_path), "--out", str(tmp_path))
         assert code == 1
-        err = capsys.readouterr().err
-        assert "Same Name [nm1]" in err and "Same Name [nm2]" in err
+        assert capsys.readouterr().err == (
+            "error: Same Name is ambiguous; use one of: Same Name [nm1], Same Name [nm2]\n"
+        )
 
     @pytest.mark.parametrize("argv, message", [
         (("build",), "--records"),
         (("ingest", "--source", "imdb", "--basics", "b", "--principals", "p"), "--names"),
         (("ingest", "--source", "netflix"), "--input"),
         (("ingest", "--config", "CONF"), "bad.conf:2: unknown config key 'nonsense'"),
+        (("crossover", "--config", "MISSING"),
+         "nope.conf: cannot read config file: No such file or directory"),
         (("frobnicate",), "'frobnicate'"),
     ], ids=["build-no-records", "imdb-no-names", "netflix-no-input", "config-unknown-key",
-            "unknown-command"])
+            "config-missing", "unknown-command"])
     def test_usage_error_exits_2_before_out_exists(self, tmp_path, capsys, argv, message):
         conf = tmp_path / "bad.conf"
         conf.write_text("source = netflix\nnonsense = 1\n", encoding="utf-8")
-        argv = [str(conf) if a == "CONF" else a for a in argv]
+        paths = {"CONF": str(conf), "MISSING": str(tmp_path / "nope.conf")}
+        argv = [paths.get(a, a) for a in argv]
         out = tmp_path / "out"
         assert run(*argv, "--out", str(out)) == 2
         stderr = capsys.readouterr().err
@@ -726,3 +760,16 @@ class TestDeterminism:
         assert len(floats) > 100
         for text in floats:
             assert len(Decimal(text).normalize().as_tuple().digits) <= 6, text
+
+
+def test_readme_library_block_runs(catalog_csv):
+    """The README's Library example, run on the test catalog."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Library\n\n```python\n(.*?)```", readme, re.S)[1]
+    assert '"netflix_titles.csv"' in block
+    namespace: dict = {}
+    exec(block.replace('"netflix_titles.csv"', repr(str(catalog_csv))), namespace)
+    scores = [score for _, score in namespace["top"]]
+    assert len(scores) == 10 and scores == sorted(scores, reverse=True)
+    assert namespace["part"].n_communities >= 2
+    assert namespace["unlinked"] and namespace["pairs"]

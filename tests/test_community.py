@@ -44,7 +44,7 @@ def partitioned_graphs(draw):
 
 def graph_and_partition(n, edges, assignment):
     g = CoGraph.from_weighted_edges([f"n{i}" for i in range(n)], edges)
-    return g, Partition(assignment=tuple(assignment), q=0.0, seed=0)
+    return g, Partition(assignment=tuple(assignment), q=0.0)
 
 
 class TestModularity:
@@ -288,7 +288,7 @@ class TestClusterGraph:
             g.n,
         )
         assert g.node_country == actor_country
-        part = Partition(assignment=tuple(cluster_of[: g.n]), q=0.0, seed=0)
+        part = Partition(assignment=tuple(cluster_of[: g.n]), q=0.0)
         cg = build_cluster_graph(g, part)
         expected = oracles.plurality_countries(
             ((cid, v) for v, cid in enumerate(part.assignment)), actor_country,
@@ -371,7 +371,7 @@ class TestCrossover:
         )
         from castnet.community import Partition
 
-        part = Partition(assignment=(0, 0, 0, 1, 1), q=0.0, seed=0)
+        part = Partition(assignment=(0, 0, 0, 1, 1), q=0.0)
         scores = crossover_scores(g, part).scores
         assert scores[0] == pytest.approx(0.5, abs=1e-15)
 
@@ -379,7 +379,7 @@ class TestCrossover:
         g = CoGraph.from_weighted_edges(["a", "b", "c"], [(0, 1, 1)])
         from castnet.community import Partition
 
-        part = Partition(assignment=(0, 0, 1), q=0.0, seed=0)
+        part = Partition(assignment=(0, 0, 1), q=0.0)
         assert crossover_scores(g, part).scores[2] == 0.0
 
     @settings(max_examples=200, deadline=None)
@@ -491,7 +491,7 @@ class TestEvolution:
                 return community.EvolutionWindow((2000, 2000), (), None)
             names = tuple(rng.sample(pool, rng.randint(1, 30)))
             k = rng.randint(1, 6)  # ids may skip values: empty communities
-            part = Partition(assignment=tuple(rng.randrange(k) for _ in names), q=0.0, seed=0)
+            part = Partition(assignment=tuple(rng.randrange(k) for _ in names), q=0.0)
             return community.EvolutionWindow((2000, 2000), names, part)
 
         for _ in range(300):

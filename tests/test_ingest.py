@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from castnet.errors import CastnetError, MissingColumnError
 from castnet.ingest import (
-    PersonRole,
     TitleKind,
     normalize_name,
     parse_imdb,
@@ -208,10 +207,9 @@ class TestParseImdb:
 
     def test_person_records_resolved(self):
         res = parse_imdb(*self.make_desk_fixture())
-        by_id = {p.person_id: p for p in res.persons}
-        assert by_id["nm1"].name == "First Actor"
-        assert PersonRole.ACTOR in by_id["nm1"].roles
-        assert PersonRole.DIRECTOR in by_id["nm3"].roles
+        # cast first, by ordering, then the director
+        assert res.persons == {"nm1": "First Actor", "nm2": "Second Actor", "nm3": "The Director"}
+        assert list(res.persons) == ["nm1", "nm2", "nm3"]
 
     def test_dangling_title_reference_counted(self):
         basics, principals, names = self.make_desk_fixture()
@@ -304,7 +302,7 @@ class TestParseImdb:
         )
         res = parse_imdb(basics, principals, names)
         assert res.records[0].cast == ("nm0000001", "nm1")
-        people = [(p.person_id, p.name) for p in res.persons]
+        people = list(res.persons.items())
         assert people == [("nm0000001", "Ann"), ("nm1", "Bob")]
 
     def test_person_id_in_tconst_column_is_dangling(self):

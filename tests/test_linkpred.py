@@ -27,7 +27,7 @@ def hand_fixture():
 
 def _scores(g: CoGraph, method: Method, min_common: int = 1) -> dict[tuple[str, str], float]:
     """Every pair ``predict_top`` lists, by sorted name pair."""
-    got = predict_top(g, method, g.n * g.n, min_common, allow_zero_common=True)
+    got = predict_top(g, method, g.n * g.n, min_common)
     return {(ps.u, ps.v): ps.score for ps in got}
 
 
@@ -215,18 +215,10 @@ class TestPredictTop:
         with pytest.raises(CandidateExplosionError):
             predict_top(g, Method.COMMON_NEIGHBORS, 5, cap=10)
 
-    def test_zero_common_requires_flag_and_pa(self, two_triangles):
+    def test_zero_common_requires_preferential_attachment(self, two_triangles):
         with pytest.raises(ValueError):
             predict_top(two_triangles, Method.JACCARD, 3, min_common=0)
-        with pytest.raises(ValueError):
-            predict_top(two_triangles, Method.JACCARD, 3, min_common=0, allow_zero_common=True)
-        got = predict_top(
-            two_triangles,
-            Method.PREFERENTIAL_ATTACHMENT,
-            100,
-            min_common=0,
-            allow_zero_common=True,
-        )
+        got = predict_top(two_triangles, Method.PREFERENTIAL_ATTACHMENT, 100, min_common=0)
         assert len(got) == 9  # 3x3 cross-component pairs
         assert all(ps.score == 4.0 for ps in got)
 
@@ -308,7 +300,7 @@ def test_predict_top_matches_dense_oracle(block_work, g, method, min_common):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linkpred, "BLOCK_WORK", block_work)
         for k in (1, 5, g.n * g.n):
-            got = predict_top(g, method, k, min_common, allow_zero_common=True)
+            got = predict_top(g, method, k, min_common)
             assert [(ps.u, ps.v, ps.score) for ps in got] == _oracle_top(g, method, k, min_common)
 
 
@@ -327,13 +319,12 @@ def test_one_row_per_block_gives_the_same_list(monkeypatch, min_common):
         for block_work in (linkpred.BLOCK_WORK, 1):
             monkeypatch.setattr(linkpred, "BLOCK_WORK", block_work)
             for k in (1, 20, n * n):
-                got = predict_top(g, method, k, min_common, allow_zero_common=True)
+                got = predict_top(g, method, k, min_common)
                 assert [(ps.u, ps.v, ps.score) for ps in got] == expected[:k]
 
 
 def test_default_has_no_candidate_cap():
     g = make_graph(20, [(0, i) for i in range(1, 20)])  # star: 171 two-hop pairs
-    assert linkpred.DEFAULT_CANDIDATE_CAP is None
     assert len(predict_top(g, Method.COMMON_NEIGHBORS, 1000)) == 171
     assert len(predict_top(g, Method.COMMON_NEIGHBORS, 1000, cap=171)) == 171
 

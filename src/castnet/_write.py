@@ -4,7 +4,7 @@ Every file goes to ``<path>.<pid>.tmp`` in the target directory and is
 renamed over ``path`` once complete, so ``path`` holds either the old file
 or the whole new one. Text is UTF-8 with LF line ends; JSON is indented by
 two with a trailing newline; floats carry 6 significant digits, in JSON and
-CSV alike.
+CSV alike. JSON Lines hold one compact object per line.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ import contextlib
 import csv
 import json
 import os
-from itertools import chain
-from typing import Iterable, Iterator
+from itertools import chain, islice
+from typing import Callable, Iterable, Iterator, Sequence
 
 
 @contextlib.contextmanager
@@ -120,6 +120,60 @@ def _table(value, level: int, sort_keys: bool) -> str | None:
 
 # Encodes a list of scalars as one item per line, unindented.
 _ITEMS = json.JSONEncoder(ensure_ascii=False, separators=(",\n", ": "))
+
+
+# Rows per batch of a JSON Lines file: each batch is encoded in memory.
+_JSONL_BATCH = 128
+
+
+def write_jsonl(
+    path: str | os.PathLike,
+    keys: Sequence[str],
+    rows: Iterable,
+    columns: Callable[[list], Sequence[Sequence]] = lambda batch: list(zip(*batch)),
+) -> None:
+    """One JSON object per row, as :func:`jsonl_lines` writes them.
+
+    ``rows`` are taken in batches; ``columns`` of a batch gives its values a
+    column per key, and by default reads each row as a tuple in key order.
+    """
+    template = _jsonl_template(keys)
+    rows = iter(rows)
+    with replacing(path) as fh:
+        while batch := list(islice(rows, _JSONL_BATCH)):
+            fh.write("".join(_jsonl_lines(template, columns(batch))))
+
+
+def jsonl_lines(keys: Sequence[str], columns: Sequence[Sequence]) -> list[str]:
+    """Row ``i`` as ``json.dumps(dict(zip(keys, row_i)), ensure_ascii=False,
+    separators=(",", ":")) + "\\n"``, where ``columns[j][i]`` holds the value
+    of ``keys[j]``. A column holds only scalars, or only lists and tuples of
+    scalars.
+
+    As in :func:`_table`, each column is one C call, split at the separator
+    ``",\\n"``, which an encoded string cannot hold, and each line is one
+    ``%`` of a template holding the keys. In a column of lists, a closing
+    bracket, a separator and an opening bracket in a row occur only between
+    two rows, so those separators become row breaks and the others the
+    compact ``","``.
+    """
+    return _jsonl_lines(_jsonl_template(keys), columns)
+
+
+def _jsonl_template(keys: Sequence[str]) -> str:
+    return "{" + ",".join(_key(key).replace("%", "%%") + ":%s" for key in keys) + "}\n"
+
+
+def _jsonl_lines(template: str, columns: Sequence[Sequence]) -> list[str]:
+    cells = []
+    for column in columns:
+        text = _ITEMS.encode(column)[1:-1]
+        if text.startswith("["):  # a column of lists
+            text = text.replace("],\n[", "]\n[").replace(",\n", ",")
+            cells.append(text.split("\n"))
+        else:
+            cells.append(text.split(",\n"))
+    return list(map(template.__mod__, zip(*cells)))
 
 
 def _encoder(level: int, sort_keys: bool) -> json.JSONEncoder:

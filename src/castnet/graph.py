@@ -182,8 +182,9 @@ class CoGraph:
             slots = np.flatnonzero(self.title_members == p)
             return np.searchsorted(self.title_ptr, slots, side="right") - 1
 
-        shared = np.intersect1d(titles_of(u), titles_of(v))
-        return tuple(sorted(self.title_names[t] for t in shared.tolist()))
+        # A set, not np.intersect1d: its np.unique imports numpy.ma.
+        shared = set(titles_of(u).tolist()).intersection(titles_of(v).tolist())
+        return tuple(sorted(self.title_names[t] for t in shared))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CoGraph):

@@ -21,9 +21,10 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import date, datetime
 from enum import Enum
+from operator import attrgetter
 from typing import IO, Callable, Iterable, Iterator, Mapping, TypeVar, Union
 
-from ._write import replacing
+from ._write import jsonl_lines, write_jsonl
 from .errors import CastnetError, JsonlFormatError, MissingColumnError
 
 Source = Union[str, "os.PathLike[str]", IO[str]]
@@ -77,6 +78,12 @@ class IngestReport:
 
     def bump(self, key: str, by: int = 1) -> None:
         self.counters[key] = self.counters.get(key, 0) + by
+
+    def count(self, **events: int) -> None:
+        """Bump each key by its count of events; a zero count adds no key."""
+        for key, by in events.items():
+            if by:
+                self.bump(key, by)
 
 
 @dataclass
@@ -136,15 +143,22 @@ def _open_text(source: Source) -> Iterator[IO[str]]:
 
 
 @contextmanager
-def _table(source: Source, table: str, required: tuple[str, ...], **dialect):
-    """Open ``source`` as a ``csv`` table in ``dialect`` and yield ``(col, rows)``.
+def _table(
+    source: Source,
+    table: str,
+    required: tuple[str, ...],
+    bad: Callable[[SkipEvent], object],
+    **dialect,
+):
+    """Open ``source`` as a ``csv`` table in ``dialect``; yield ``(col, rows, reader)``.
 
     ``col`` maps header names to indices; a header lacking ``required``
     columns raises :class:`MissingColumnError`, and one the csv module cannot
     parse a :class:`CastnetError` naming the path (the table for a stream).
-    ``rows`` yields ``(line, row, fault)`` per data row; ``fault`` is None, a
-    bad arity, or a csv parse failure (``row`` None) after which reading
-    resumes at the next line.
+    ``rows`` yields each data row with as many fields as the header and
+    passes every other one to ``bad`` as a :class:`SkipEvent`: a bad arity,
+    or a csv parse failure after which reading resumes at the next line.
+    ``reader.line_num`` is the physical line the last row ended on.
     """
     with _open_text(source) as fh:
         reader = csv.reader(fh, **dialect)
@@ -157,20 +171,21 @@ def _table(source: Source, table: str, required: tuple[str, ...], **dialect):
         missing = [c for c in required if c not in col]
         if missing:
             raise MissingColumnError(table, missing)
-        yield col, _rows(reader, len(header))
+        yield col, _rows(reader, len(header), bad), reader
 
 
-def _rows(reader, width: int) -> Iterator[tuple[int, list[str] | None, str | None]]:
+def _rows(reader, width: int, bad: Callable[[SkipEvent], object]) -> Iterator[list[str]]:
     """:func:`_table`'s ``rows`` of ``reader``, whose rows have ``width`` fields."""
-    done = False
-    while not done:
+    while True:
         try:
             for row in reader:
-                fault = None if len(row) == width else f"row arity {len(row)} != {width}"
-                yield reader.line_num, row, fault
-            done = True
+                if len(row) == width:
+                    yield row
+                else:
+                    bad(SkipEvent(reader.line_num, f"row arity {len(row)} != {width}"))
+            return
         except csv.Error as exc:
-            yield reader.line_num, None, f"csv parse failure: {exc}"
+            bad(SkipEvent(reader.line_num, f"csv parse failure: {exc}"))
 
 
 def _split_people(cell: str) -> tuple[str, ...]:
@@ -211,45 +226,49 @@ def parse_netflix(source: Source, kinds: Iterable[TitleKind] | None = None) -> I
     report = IngestReport()
     records: list[TitleRecord] = []
     seen_ids: set[str] = set()
-    with _table(source, "netflix", NETFLIX_REQUIRED) as (col, rows):
-        for line, row, fault in rows:
-            report.rows += 1
-            if fault:
-                report.skip(line, fault)
-                continue
-            title_id = row[col["show_id"]].strip()
+    filtered = 0
+    table = _table(source, "netflix", NETFLIX_REQUIRED, report.skipped.append)
+    with table as (col, rows, reader):
+        id_col, type_col, title_col, director_col, cast_col, year_col = map(
+            col.__getitem__, NETFLIX_REQUIRED
+        )
+        country_col, rating_col, added_col = map(col.get, ("country", "rating", "date_added"))
+        for row in rows:
+            title_id = row[id_col].strip()
             if not title_id:
-                report.skip(line, "empty show_id")
+                report.skip(reader.line_num, "empty show_id")
                 continue
             if title_id in seen_ids:
-                report.skip(line, f"duplicate show_id {title_id}")
+                report.skip(reader.line_num, f"duplicate show_id {title_id}")
                 continue
-            kind = _NETFLIX_KINDS.get(row[col["type"]].strip())
+            kind = _NETFLIX_KINDS.get(row[type_col].strip())
             if kind is None:
-                report.skip(line, f"unknown type {row[col['type']]!r}")
+                report.skip(reader.line_num, f"unknown type {row[type_col]!r}")
                 continue
             seen_ids.add(title_id)
             if kind not in wanted:
-                report.bump("filtered")
+                filtered += 1
                 continue
             records.append(
                 TitleRecord(
                     title_id=title_id,
-                    title=row[col["title"]].strip(),
+                    title=row[title_col].strip(),
                     kind=kind,
-                    release_year=_clean_year(row[col["release_year"]]),
-                    directors=_split_people(row[col["director"]]),
-                    cast=_split_people(row[col["cast"]]),
-                    country=_first_country(_cell(row, col, "country")),
-                    rating=_cell(row, col, "rating") or None,
-                    date_added=_parse_date_added(_cell(row, col, "date_added")),
+                    release_year=_clean_year(row[year_col]),
+                    directors=_split_people(row[director_col]),
+                    cast=_split_people(row[cast_col]),
+                    country=_first_country(_cell(row, country_col)),
+                    rating=_cell(row, rating_col) or None,
+                    date_added=_parse_date_added(_cell(row, added_col)),
                 )
             )
+    # Every row is a record, a skip or filtered out.
+    report.rows = len(report.skipped) + filtered + len(records)
+    report.count(filtered=filtered)
     return IngestResult(records, report)
 
 
-def _cell(row: list[str], col: dict[str, int], name: str) -> str:
-    idx = col.get(name)
+def _cell(row: list[str], idx: int | None) -> str:
     return row[idx].strip() if idx is not None else ""
 
 
@@ -317,95 +336,29 @@ def parse_imdb(
     """
     wanted = frozenset(kinds) if kinds else frozenset(TitleKind)
     report = IngestReport()
-
-    # Pass 1: title.basics -> kept titles (+ id set for dangling detection).
-    # tconst -> (title, kind, year, cast, directors); cast and directors
-    # collect (ordering, nconst) pairs.
-    kept: dict[str, tuple] = {}
-    all_title_ids: set[str] = set()
-    with _table(basics, "title.basics", BASICS_REQUIRED, **_TSV) as (col, rows):
-        for line, row, fault in rows:
-            report.rows += 1
-            if fault:
-                report.skip(line, fault)
-                continue
-            tconst = row[col["tconst"]].strip()
-            if not tconst:
-                report.skip(line, "empty tconst")
-                continue
-            all_title_ids.add(tconst)
-            kind = KIND_BY_TITLE_TYPE.get(row[col["titleType"]].strip())
-            if kind is None or kind not in wanted:
-                report.bump("basics_filtered")
-                continue
-            if tconst in kept:
-                report.skip(line, f"duplicate tconst {tconst}")
-                continue
-            year = _clean_year(_null(row[col["startYear"]]))
-            kept[tconst] = (_null(row[col["primaryTitle"]]) or "", kind, year, [], [])
-    report.bump("basics_kept", len(kept))
-
-    # Pass 2: title.principals -> cast/director entries per kept title.
-    referenced: set[str] = set()
-    with _table(principals, "title.principals", PRINCIPALS_REQUIRED, **_TSV) as (col, rows):
-        for _, row, fault in rows:
-            report.bump("principals_rows")
-            if fault:
-                report.bump("principals_bad_rows")
-                continue
-            tconst = row[col["tconst"]].strip()
-            if tconst not in all_title_ids:
-                report.bump("principals_dangling_title")
-                continue
-            meta = kept.get(tconst)
-            if meta is None:
-                continue  # title filtered out by kind, not an error
-            category = row[col["category"]].strip()
-            if category in CAST_CATEGORIES:
-                entries = meta[3]
-            elif category == "director":
-                entries = meta[4]
-            else:
-                continue
-            nconst = row[col["nconst"]].strip()
-            if not nconst:
-                report.bump("principals_dangling_person")
-                continue
-            try:
-                ordering = int(row[col["ordering"]])
-            except ValueError:
-                ordering = 1 << 30
-            entries.append((ordering, nconst))
-            referenced.add(nconst)
-
-    # Pass 3: name.basics -> primaryName for the people we actually need.
-    person_names: dict[str, str] = {}
-    with _table(names, "name.basics", NAMES_REQUIRED, **_TSV) as (col, rows):
-        for _, row, fault in rows:
-            report.bump("names_rows")
-            if fault:
-                report.bump("names_bad_rows")
-                continue
-            nconst = row[col["nconst"]].strip()
-            if nconst not in referenced:
-                continue
-            name = normalize_name(row[col["primaryName"]])
-            if name:
-                person_names[nconst] = name
+    # Each id set is dropped once its pass is done, so that it does not add
+    # to the peak memory of assembly.
+    kept, all_title_ids = _imdb_titles(basics, wanted, report)
+    referenced = _imdb_principals(principals, kept, all_title_ids, report)
+    del all_title_ids
+    person_names = _imdb_names(names, referenced, report)
+    del referenced
 
     # Assembly: resolve entries, count dangling person references.
     titles: list[TitleRecord] = []
     persons: dict[str, str] = {}  # in order of first reference
+    dangling = 0
 
     def _resolve(entries: list[tuple[int, str]]) -> tuple[str, ...]:
         """The distinct named nconsts of ``entries``, by ordering."""
+        nonlocal dangling
         out: dict[str, None] = {}
         for _, nconst in sorted(entries):
             if nconst in out:
                 continue
             name = person_names.get(nconst)
             if name is None:
-                report.bump("dangling_person_refs")
+                dangling += 1
                 continue
             out[nconst] = None
             persons.setdefault(nconst, name)
@@ -418,7 +371,108 @@ def parse_imdb(
         cast_ids = _resolve(cast)
         director_names = tuple(person_names[n] for n in _resolve(directors))
         titles.append(TitleRecord(tconst, title, kind, year, director_names, cast_ids))
+    report.count(dangling_person_refs=dangling)
     return IngestResult(titles, report, persons)
+
+
+# Each pass reads one dump and adds its counts to ``report`` once.
+
+
+def _imdb_titles(
+    source: Source, wanted: frozenset, report: IngestReport
+) -> tuple[dict[str, tuple], set[str]]:
+    """Pass 1, title.basics: the kept titles and every tconst (for dangling
+    detection). Kept titles map tconst -> (title, kind, year, cast,
+    directors); cast and directors collect (ordering, nconst) pairs."""
+    kept: dict[str, tuple] = {}
+    all_title_ids: set[str] = set()
+    filtered = 0
+    table = _table(source, "title.basics", BASICS_REQUIRED, report.skipped.append, **_TSV)
+    with table as (col, rows, reader):
+        id_col, type_col, title_col, year_col = map(col.__getitem__, BASICS_REQUIRED)
+        for row in rows:
+            tconst = row[id_col].strip()
+            if not tconst:
+                report.skip(reader.line_num, "empty tconst")
+                continue
+            all_title_ids.add(tconst)
+            kind = KIND_BY_TITLE_TYPE.get(row[type_col].strip())
+            if kind is None or kind not in wanted:
+                filtered += 1
+                continue
+            if tconst in kept:
+                report.skip(reader.line_num, f"duplicate tconst {tconst}")
+                continue
+            year = _clean_year(_null(row[year_col]))
+            kept[tconst] = (_null(row[title_col]) or "", kind, year, [], [])
+    # Every row is a kept title, a skip or filtered out.
+    report.rows = len(report.skipped) + filtered + len(kept)
+    report.count(basics_filtered=filtered)
+    report.bump("basics_kept", len(kept))
+    return kept, all_title_ids
+
+
+def _imdb_principals(
+    source: Source, kept: dict[str, tuple], all_title_ids: set[str], report: IngestReport
+) -> set[str]:
+    """Pass 2, title.principals: cast and director entries of the kept
+    titles; returns the nconsts they reference."""
+    referenced: set[str] = set()
+    bad: list[SkipEvent] = []
+    good = dangling_title = dangling_person = 0
+    table = _table(source, "title.principals", PRINCIPALS_REQUIRED, bad.append, **_TSV)
+    with table as (col, rows, _):
+        id_col, ordering_col, person_col, category_col = map(col.__getitem__, PRINCIPALS_REQUIRED)
+        for good, row in enumerate(rows, 1):
+            tconst = row[id_col].strip()
+            if tconst not in all_title_ids:
+                dangling_title += 1
+                continue
+            meta = kept.get(tconst)
+            if meta is None:
+                continue  # title filtered out by kind, not an error
+            category = row[category_col].strip()
+            if category in CAST_CATEGORIES:
+                entries = meta[3]
+            elif category == "director":
+                entries = meta[4]
+            else:
+                continue
+            nconst = row[person_col].strip()
+            if not nconst:
+                dangling_person += 1
+                continue
+            try:
+                ordering = int(row[ordering_col])
+            except ValueError:
+                ordering = 1 << 30
+            entries.append((ordering, nconst))
+            referenced.add(nconst)
+    report.count(
+        principals_rows=good + len(bad),
+        principals_bad_rows=len(bad),
+        principals_dangling_title=dangling_title,
+        principals_dangling_person=dangling_person,
+    )
+    return referenced
+
+
+def _imdb_names(source: Source, referenced: set[str], report: IngestReport) -> dict[str, str]:
+    """Pass 3, name.basics: nconst -> primaryName for the ``referenced`` people."""
+    person_names: dict[str, str] = {}
+    bad: list[SkipEvent] = []
+    good = 0
+    with _table(source, "name.basics", NAMES_REQUIRED, bad.append, **_TSV) as (col, rows, _):
+        id_col, name_col = map(col.__getitem__, NAMES_REQUIRED)
+        for good, row in enumerate(rows, 1):
+            nconst = row[id_col].strip()
+            if nconst not in referenced:
+                continue
+            name = normalize_name(row[name_col])
+            if name:
+                person_names[nconst] = name
+    report.count(names_rows=good + len(bad), names_bad_rows=len(bad))
+    return person_names
 
 
 # ---------------------------------------------------------------------------
@@ -426,107 +480,145 @@ def parse_imdb(
 # ---------------------------------------------------------------------------
 
 
+# The keys of a records.jsonl line, in the order they are written; each
+# names a TitleRecord field.
+_RECORD_KEYS = (
+    "title_id",
+    "title",
+    "kind",
+    "release_year",
+    "directors",
+    "cast",
+    "country",
+    "rating",
+    "date_added",
+)
+_PERSON_KEYS = ("person_id", "name")
+
+_KINDS = {kind.value: kind for kind in TitleKind}
+
+
+def _record_columns(records: list[TitleRecord]) -> list:
+    """The values of ``_RECORD_KEYS`` for ``records``, a column per key."""
+    columns = list(zip(*map(attrgetter(*_RECORD_KEYS), records)))
+    columns[2] = [kind.value for kind in columns[2]]
+    columns[8] = [added.isoformat() if added else None for added in columns[8]]
+    return columns
+
+
 def record_to_json(rec: TitleRecord) -> str:
-    payload = {
-        "title_id": rec.title_id,
-        "title": rec.title,
-        "kind": rec.kind.value,
-        "release_year": rec.release_year,
-        "directors": list(rec.directors),
-        "cast": list(rec.cast),
-        "country": rec.country,
-        "rating": rec.rating,
-        "date_added": rec.date_added.isoformat() if rec.date_added else None,
-    }
-    return json.dumps(payload, ensure_ascii=False, separators=(",", ":"))
-
-
-def _typed(key: str, value: T, ok: bool, expected: str) -> T:
-    """``value`` when ``ok``, else a TypeError naming ``key``'s expected type."""
-    if not ok:
-        raise TypeError(f"{key!r} must be {expected}, not {type(value).__name__}")
-    return value
-
-
-def _str(payload: dict, key: str) -> str:
-    value = payload[key]
-    return _typed(key, value, isinstance(value, str), "a string")
-
-
-def _str_or_null(payload: dict, key: str) -> str | None:
-    value = payload.get(key)
-    return _typed(key, value, value is None or isinstance(value, str), "a string or null")
-
-
-def _strs(payload: dict, key: str) -> tuple[str, ...]:
-    value = payload[key]
-    ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
-    return tuple(_typed(key, value, ok, "a list of strings"))
+    """``rec`` as one line of ``records.jsonl``, without its newline."""
+    return jsonl_lines(_RECORD_KEYS, _record_columns([rec]))[0][:-1]
 
 
 def record_from_json(line: str) -> TitleRecord:
     """The record ``record_to_json`` wrote; a field of the wrong JSON type
     raises :class:`TypeError` naming it."""
-    payload = json.loads(line)
+    return _record(_object(line))
+
+
+def _record(payload: dict) -> TitleRecord:
     year = payload["release_year"]
     # bool is an int subclass, but true is not a year
-    _typed("release_year", year, year is None or type(year) is int, "an integer or null")
-    added = _str_or_null(payload, "date_added")
+    if year is not None and type(year) is not int:
+        raise TypeError(_wrong_type("release_year", year, "an integer or null"))
+    added = payload.get("date_added")
+    if added is not None and type(added) is not str:
+        raise TypeError(_wrong_type("date_added", added, "a string or null"))
+    title_id = payload["title_id"]
+    if type(title_id) is not str:
+        raise TypeError(_wrong_type("title_id", title_id, "a string"))
+    title = payload["title"]
+    if type(title) is not str:
+        raise TypeError(_wrong_type("title", title, "a string"))
+    value = payload["kind"]
+    kind = _KINDS.get(value) if type(value) is str else None
+    if kind is None:
+        raise ValueError(f"{value!r} is not a valid TitleKind")
+    directors = payload["directors"]
+    if type(directors) is not list or not all(type(d) is str for d in directors):
+        raise TypeError(_wrong_type("directors", directors, "a list of strings"))
+    cast = payload["cast"]
+    if type(cast) is not list or not all(type(c) is str for c in cast):
+        raise TypeError(_wrong_type("cast", cast, "a list of strings"))
+    country = payload.get("country")
+    if country is not None and type(country) is not str:
+        raise TypeError(_wrong_type("country", country, "a string or null"))
+    rating = payload.get("rating")
+    if rating is not None and type(rating) is not str:
+        raise TypeError(_wrong_type("rating", rating, "a string or null"))
     return TitleRecord(
-        title_id=_str(payload, "title_id"),
-        title=_str(payload, "title"),
-        kind=TitleKind(payload["kind"]),
-        release_year=year,
-        directors=_strs(payload, "directors"),
-        cast=_strs(payload, "cast"),
-        country=_str_or_null(payload, "country"),
-        rating=_str_or_null(payload, "rating"),
-        date_added=date.fromisoformat(added) if added else None,
+        title_id,
+        title,
+        kind,
+        year,
+        tuple(directors),
+        tuple(cast),
+        country,
+        rating,
+        date.fromisoformat(added) if added else None,
     )
 
 
+def _wrong_type(key: str, value, expected: str) -> str:
+    return f"{key!r} must be {expected}, not {type(value).__name__}"
+
+
 def write_records_jsonl(path: str | os.PathLike, records: Iterable[TitleRecord]) -> None:
-    _write_jsonl(path, map(record_to_json, records))
+    write_jsonl(path, _RECORD_KEYS, records, _record_columns)
 
 
 def read_records_jsonl(path: str | os.PathLike) -> list[TitleRecord]:
-    return _read_jsonl(path, record_from_json)
+    return _read_jsonl(path, _record)
 
 
 def write_persons_jsonl(path: str | os.PathLike, persons: Mapping[str, str]) -> None:
     """One ``{"person_id", "name"}`` line per entry of ``persons``, in order."""
-    _write_jsonl(path, (
-        json.dumps({"person_id": key, "name": name}, ensure_ascii=False, separators=(",", ":"))
-        for key, name in persons.items()
-    ))
+    write_jsonl(path, _PERSON_KEYS, persons.items())
 
 
-def _person_from_json(line: str) -> tuple[str, str]:
-    payload = json.loads(line)
-    return _str(payload, "person_id"), _str(payload, "name")
+def _person(payload: dict) -> tuple[str, str]:
+    person_id = payload["person_id"]
+    if type(person_id) is not str:
+        raise TypeError(_wrong_type("person_id", person_id, "a string"))
+    name = payload["name"]
+    if type(name) is not str:
+        raise TypeError(_wrong_type("name", name, "a string"))
+    return person_id, name
 
 
 def read_persons_jsonl(path: str | os.PathLike) -> dict[str, str]:
     """person_id -> name, as ``write_persons_jsonl`` wrote it."""
-    return dict(_read_jsonl(path, _person_from_json))
+    return dict(_read_jsonl(path, _person))
 
 
-def _write_jsonl(path: str | os.PathLike, lines: Iterable[str]) -> None:
-    """Each of ``lines`` and a newline, written to ``path`` in place of
-    whatever was there."""
-    with replacing(path) as fh:
-        for line in lines:
-            fh.write(line)
-            fh.write("\n")
+_decode = json.JSONDecoder().raw_decode
 
 
-def _read_jsonl(path: str | os.PathLike, parse: Callable[[str], T]) -> list[T]:
-    """``parse`` of each non-blank line of ``path``.
+def _object(line: str) -> dict:
+    """``json.loads(line)``, which must be a JSON object; anything else
+    raises :class:`TypeError` naming its type. A line that one
+    ``raw_decode`` cannot read whole, such as one with surrounding
+    whitespace, goes through ``json.loads``, so an error keeps its message
+    and column."""
+    try:
+        payload, end = _decode(line)
+    except json.JSONDecodeError:
+        end = -1
+    if end != len(line):  # json.loads raises its own error, message and column included
+        payload = json.loads(line)
+    if type(payload) is not dict:
+        raise TypeError(f"expected a JSON object, not {type(payload).__name__}")
+    return payload
 
-    A line that is not JSON, or not the object ``parse`` expects, raises
-    :class:`JsonlFormatError` naming the file and the line. Text that is not
-    UTF-8 is reported at the line whose read failed; the decoder reads ahead,
-    so the bad byte may sit a few lines further on.
+
+def _read_jsonl(path: str | os.PathLike, parse: Callable[[dict], T]) -> list[T]:
+    """``parse`` of the object on each non-blank line of ``path``.
+
+    A line that is not a JSON object, or not the object ``parse`` expects,
+    raises :class:`JsonlFormatError` naming the file and the line. Text that
+    is not UTF-8 is reported at the line whose read failed; the decoder reads
+    ahead, so the bad byte may sit a few lines further on.
     """
     out = []
     number = 0
@@ -535,7 +627,7 @@ def _read_jsonl(path: str | os.PathLike, parse: Callable[[str], T]) -> list[T]:
             for number, line in enumerate(fh, 1):
                 line = line.strip()
                 if line:
-                    out.append(parse(line))
+                    out.append(parse(_object(line)))
         except UnicodeDecodeError:
             raise JsonlFormatError(path, number + 1, "not UTF-8 text") from None
         except json.JSONDecodeError as exc:
@@ -543,6 +635,6 @@ def _read_jsonl(path: str | os.PathLike, parse: Callable[[str], T]) -> list[T]:
             raise JsonlFormatError(path, number, reason) from None
         except KeyError as exc:
             raise JsonlFormatError(path, number, f"missing key {exc}") from None
-        except (ValueError, TypeError, AttributeError) as exc:
+        except (ValueError, TypeError) as exc:
             raise JsonlFormatError(path, number, str(exc)) from None
     return out

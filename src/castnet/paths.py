@@ -86,8 +86,9 @@ def _distances_until(g: CoGraph, source: int, target: int) -> np.ndarray:
     while len(frontier) and dist[target] < 0:
         level += 1
         reached = _bfs.gather_neighbors(g.indptr, g.indices, frontier)
-        frontier = np.unique(reached[dist[reached] < 0])
-        dist[frontier] = level
+        dist[reached[dist[reached] < 0]] = level
+        # np.unique would do, but it imports numpy.ma
+        frontier = np.flatnonzero(dist == level)
     return dist
 
 

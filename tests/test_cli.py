@@ -457,6 +457,14 @@ class TestExitCodes:
         stderr = capsys.readouterr().err
         assert len(stderr.splitlines()) == 1 and stderr.startswith("error: ")
 
+    # case -> the text that replaces the third line
+    LINE_TEXTS = {
+        "not-an-object-list": "[1,2]",
+        "not-an-object-string": '"x"',
+        "not-an-object-null": "null",
+        "extra-data": "{} {}",
+    }
+
     # case -> the field of the third record it replaces, and the bad value
     FIELD_VALUES = {
         "unknown-kind": ("kind", "film"),
@@ -483,6 +491,12 @@ class TestExitCodes:
         ("number-country", "'country' must be a string or null, not int"),
         ("persons-number-name", "'name' must be a string, not int"),
         ("persons-not-utf8", "not UTF-8 text"),
+        ("not-an-object-list", "expected a JSON object, not list"),
+        ("not-an-object-string", "expected a JSON object, not str"),
+        ("not-an-object-null", "expected a JSON object, not NoneType"),
+        ("persons-not-an-object", "expected a JSON object, not list"),
+        ("extra-data", "not JSON: Extra data (column 4)"),
+        ("bom-in-line", "not JSON: Unexpected UTF-8 BOM (decode using utf-8-sig) (column 1)"),
     ])
     def test_malformed_jsonl_exits_1_with_one_line(self, pipeline_dir, catalog_csv,
                                                    tmp_path, capsys, case, reason):
@@ -498,6 +512,10 @@ class TestExitCodes:
             field, value = self.FIELD_VALUES[case]
             rec[field] = value
             lines[2] = json.dumps(rec)
+        elif case in self.LINE_TEXTS:
+            lines[2] = self.LINE_TEXTS[case]
+        elif case == "bom-in-line":
+            lines[2] = "\ufeff" + lines[2]
         if case == "persons-not-json":
             bad, line = catalog_csv, 1
             flags = ["--records", records, "--persons", str(bad)]
@@ -512,6 +530,11 @@ class TestExitCodes:
         elif case == "persons-not-utf8":
             bad, line = tmp_path / "persons.jsonl", 1
             bad.write_bytes(b'{"person_id": "nm1", "name": "\xff", "roles": ["actor"]}\n')
+            flags = ["--records", records, "--persons", str(bad)]
+            commands = ["build", "evolve"]
+        elif case == "persons-not-an-object":
+            bad, line = tmp_path / "persons.jsonl", 2
+            bad.write_text('{"person_id": "nm1", "name": "A"}\n[1,2]\n', encoding="utf-8")
             flags = ["--records", records, "--persons", str(bad)]
             commands = ["build", "evolve"]
         else:

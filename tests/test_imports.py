@@ -72,11 +72,14 @@ def test_every_public_name_resolves_and_is_listed():
         (["centrality", "closeness"], "_bfs _options _write centrality cli errors graph graphio"),
         (["centrality", "closeness", "--threads", "2"],
          "_bfs _options _write centrality cli errors graph graphio"),
+        (["path", "actor000", "actor149"], "_bfs _options _write cli errors graph graphio paths"),
     ],
 )
 def test_graph_commands_load_only_their_modules(tmp_path, catalog_csv, argv, modules):
     """None of these commands loads scipy: ``import scipy.sparse`` costs
-    about 0.2 s of CPU per process, and only betweenness needs it."""
+    about 0.2 s of CPU per process, and only betweenness needs it. Nor does
+    one load ``numpy.ma``, which ``np.unique`` imports when it returns the
+    values alone (10-14 ms of CPU per process)."""
     if argv[0] == "evolve":
         castnet.cli.main(["ingest", "--source", "netflix", "--input", str(catalog_csv),
                           "--out", str(tmp_path)])
@@ -91,9 +94,9 @@ def test_graph_commands_load_only_their_modules(tmp_path, catalog_csv, argv, mod
         "import sys, castnet.cli\n"
         f"code = castnet.cli.main({argv!r})\n"
         "print(code, *sorted(m[8:] for m in sys.modules if m.startswith('castnet.')),"
-        " *(['scipy'] if 'scipy' in sys.modules else []))"
+        " *[m for m in ('scipy', 'numpy.ma') if m in sys.modules])"
     )
-    assert run_python(code) == f"0 {modules}"
+    assert run_python(code).splitlines()[-1] == f"0 {modules}"  # after what `path` prints
 
 
 def test_cli_process_starts_no_blas_thread_pool(tmp_path):

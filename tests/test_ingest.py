@@ -1,19 +1,25 @@
 import gzip
 import io
+import json
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from castnet import _write
 from castnet.errors import CastnetError, MissingColumnError
 from castnet.ingest import (
     TitleKind,
+    TitleRecord,
     normalize_name,
     parse_imdb,
     parse_netflix,
+    read_persons_jsonl,
     read_records_jsonl,
     record_from_json,
     record_to_json,
+    write_persons_jsonl,
     write_records_jsonl,
 )
 
@@ -340,6 +346,77 @@ class TestParseImdb:
         assert counters["principals_rows"] == 3 and counters["principals_bad_rows"] == 2
         assert counters["names_rows"] == 2 and counters["names_bad_rows"] == 1
 
+    def test_every_row_event_is_counted_once(self):
+        """Each table has a bad-arity row and a csv parse failure; basics
+        also has an empty and a duplicate tconst, principals a dangling
+        title and person. Skips keep their physical line numbers, the
+        ``*_rows`` counters include bad rows, and no counter is zero."""
+        huge = "x" * 131_073  # one more than the csv module's field size limit
+        basics = tsv(
+            BASICS_HEADER,
+            "tt1\tmovie\tFilm\tFilm\t0\t1990\t\\N\t\\N\t\\N",
+            "tt2\tshort",
+            f"tt3\tmovie\t{huge}\tX\t0\t1991\t\\N\t\\N\t\\N",
+            " \tmovie\tNo Id\tNo Id\t0\t1992\t\\N\t\\N\t\\N",
+            "tt4\ttvEpisode\tEp\tEp\t0\t1993\t\\N\t\\N\t\\N",
+            "tt1\tmovie\tAgain\tAgain\t0\t1994\t\\N\t\\N\t\\N",
+            "tt4\ttvEpisode\tEp\tEp\t0\t1993\t\\N\t\\N\t\\N",  # filtered, not a duplicate
+            "tt5\ttvSeries\tShow\tShow\t0\t2005\t\\N\t\\N\t\\N",
+        )
+        principals = tsv(
+            PRINCIPALS_HEADER,
+            "tt1\t1\tnm1\tactor\t\\N\t\\N",
+            "tt1\t2\tnm2\tactress\t\\N\t\\N",
+            "tt1\t3",
+            f"tt1\t4\tnm3\tactor\t\\N\t{huge}",
+            "tt999\t1\tnm1\tactor\t\\N\t\\N",
+            "tt1\t5\t \tactor\t\\N\t\\N",
+            "tt1\t4\tnm3\tactor\t\\N\t\\N",
+            "tt1\t6\tnm9\tdirector\t\\N\t\\N",
+            "tt4\t1\tnm1\tactor\t\\N\t\\N",
+            "tt5\t1\tnm404\tactor\t\\N\t\\N",
+            "tt5\t2\tnm2\tactress\t\\N\t\\N",
+        )
+        names = tsv(
+            NAMES_HEADER,
+            "nm1\tAnn\t\\N\t\\N\t\\N\t\\N",
+            "nm8\tShort",
+            f"nm3\t{huge}\t\\N\t\\N\t\\N\t\\N",
+            "nm2\tBob\t\\N\t\\N\t\\N\t\\N",
+            "nm9\tDir\t\\N\t\\N\t\\N\t\\N",
+        )
+        res = parse_imdb(basics, principals, names)
+        report = res.report
+        assert report.rows == 8
+        assert [(e.line, e.reason) for e in report.skipped] == [
+            (3, "row arity 2 != 9"),
+            (4, "csv parse failure: field larger than field limit (131072)"),
+            (5, "empty tconst"),
+            (7, "duplicate tconst tt1"),
+        ]
+        assert report.counters == {
+            "basics_filtered": 2,
+            "basics_kept": 2,
+            "principals_rows": 11,
+            "principals_bad_rows": 2,
+            "principals_dangling_title": 1,
+            "principals_dangling_person": 1,
+            "names_rows": 5,
+            "names_bad_rows": 2,
+            "dangling_person_refs": 2,  # nm3 (its name row failed) and nm404
+        }
+        assert [(t.title_id, t.title, t.directors, t.cast) for t in res.records] == [
+            ("tt1", "Film", ("Dir",), ("nm1", "nm2")),
+            ("tt5", "Show", (), ("nm2",)),
+        ]
+        assert list(res.persons.items()) == [("nm1", "Ann"), ("nm2", "Bob"), ("nm9", "Dir")]
+
+    def test_basics_kept_is_counted_even_when_zero(self):
+        basics = tsv(BASICS_HEADER, "tt1\ttvEpisode\tEp\tEp\t0\t1990\t\\N\t\\N\t\\N")
+        res = parse_imdb(basics, tsv(PRINCIPALS_HEADER), tsv(NAMES_HEADER))
+        assert res.records == [] and res.report.rows == 1
+        assert res.report.counters == {"basics_filtered": 1, "basics_kept": 0}
+
 
 RECORD_STRATEGY = st.builds(
     lambda tid, title, kind, year, cast: dict(
@@ -374,3 +451,68 @@ class TestRoundTrip:
             cast=tuple(payload["cast"]),
         )
         assert record_from_json(record_to_json(rec)) == rec
+
+
+def dumps_line(payload: dict) -> str:
+    """One JSON Lines line as ``json.dumps`` writes it: the writers' oracle."""
+    return json.dumps(payload, ensure_ascii=False, separators=(",", ":")) + "\n"
+
+
+def record_line(rec: TitleRecord) -> str:
+    return dumps_line({
+        "title_id": rec.title_id,
+        "title": rec.title,
+        "kind": rec.kind.value,
+        "release_year": rec.release_year,
+        "directors": list(rec.directors),
+        "cast": list(rec.cast),
+        "country": rec.country,
+        "rating": rec.rating,
+        "date_added": rec.date_added.isoformat() if rec.date_added else None,
+    })
+
+
+# Pieces that could be taken for the writers' separators or templates once
+# encoded, and text that JSON escapes or leaves as is.
+_PIECES = st.sampled_from(
+    ['],\n[', "],[", '","', '"],\n["', "],", ",\n", '"', "\\", "\x00", "\x1f\x7f", "\u2028", "Zoë",
+     "東京", "%s"]
+)
+_TEXT = st.lists(
+    _PIECES | st.text(st.characters(blacklist_categories=("Cs",)), max_size=4), max_size=3
+).map("".join)
+_NAMES = st.lists(_TEXT, max_size=3).map(tuple)  # empty and one-element casts included
+_RECORDS = st.lists(
+    st.builds(
+        TitleRecord,
+        title_id=_TEXT,
+        title=_TEXT,
+        kind=st.sampled_from(list(TitleKind)),
+        release_year=st.none() | st.integers(),
+        directors=_NAMES,
+        cast=_NAMES,
+        country=st.none() | _TEXT,
+        rating=st.none() | _TEXT,
+        date_added=st.none() | st.dates(),
+    ),
+    max_size=8,
+)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_RECORDS, st.dictionaries(_TEXT, _TEXT, max_size=8), st.integers(1, 4))
+def test_jsonl_writers_match_json_dumps_and_read_back(tmp_path, records, persons, batch):
+    """The column-at-a-time writers write the bytes of one ``json.dumps`` per
+    line, across batch boundaries, and the readers give back what was
+    written, in order."""
+    with mock.patch.object(_write, "_JSONL_BATCH", batch):
+        write_records_jsonl(tmp_path / "records.jsonl", records)
+        write_persons_jsonl(tmp_path / "persons.jsonl", persons)
+    expected = "".join(map(record_line, records))
+    assert (tmp_path / "records.jsonl").read_bytes() == expected.encode("utf-8")
+    expected = "".join(dumps_line({"person_id": k, "name": v}) for k, v in persons.items())
+    assert (tmp_path / "persons.jsonl").read_bytes() == expected.encode("utf-8")
+    assert read_records_jsonl(tmp_path / "records.jsonl") == records
+    again = read_persons_jsonl(tmp_path / "persons.jsonl")
+    assert list(again.items()) == list(persons.items())

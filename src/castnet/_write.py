@@ -61,7 +61,7 @@ def _indented(value, level: int, sort_keys: bool) -> str:
     set. The C encoder takes no indent, but its item separator may carry a
     newline and the indent of one level. An encoded string never holds a raw
     newline, so a container of scalars is one C call plus a fix-up at its
-    brackets, and so is each column of a table (see :func:`_table`).
+    brackets, and so is each column of a table (see :func:`_json_rows`).
     Anything else is walked here.
     """
     if not isinstance(value, (dict, list, tuple)) or not value:  # scalars, {} and []
@@ -87,35 +87,19 @@ def _indented(value, level: int, sort_keys: bool) -> str:
 
 
 def _table(value, level: int, sort_keys: bool) -> str | None:
-    """Rows of scalars as :func:`_indented` writes them, or None for
-    anything else: a list of non-empty lists, or of non-empty dicts with the
-    same keys in the same order.
-
-    List rows are one C call; a row's closing bracket directly before a
-    separator only occurs between two rows. Dict rows are encoded a column
-    at a time, each column in one C call split at its separators, and each
-    row is one ``%`` of a template holding the keys, so no row is rebuilt.
-    """
-    if not isinstance(value, (list, tuple)) or not all(value):
-        return None
-    kinds = set(map(type, value))
-    pad, inner, deeper = ("\n" + "  " * (level + i) for i in range(3))
-    if kinds <= {list, tuple} and _all_scalars(chain.from_iterable(value)):
-        rows = _encoder(level + 2, sort_keys).encode([_rounded(row) for row in value])[2:-2]
-        rows = rows.replace("]," + deeper + "[", inner + "]," + inner + "[" + deeper)
-        return "[" + inner + "[" + deeper + rows + inner + "]" + pad + "]"
-    if kinds != {dict}:
+    """Non-empty dicts of scalars, all with the same keys in the same order,
+    as :func:`_indented` writes them, or None for anything else."""
+    if not isinstance(value, (list, tuple)) or set(map(type, value)) != {dict} or not all(value):
         return None
     keys = list(value[0])
     columns = list(zip(*map(dict.values, value)))
     if not all(map(keys.__eq__, map(list, value))) or not _all_scalars(chain(*columns)):
         return None
     order = sorted(range(len(keys)), key=keys.__getitem__) if sort_keys else range(len(keys))
-    cells = [_ITEMS.encode(_rounded(columns[i]))[1:-1].split(",\n") for i in order]
-    row = "{" + deeper + ("," + deeper).join(
-        _key(keys[i]).replace("%", "%%") + ": %s" for i in order
-    ) + inner + "}"
-    return "[" + inner + ("," + inner).join(map(row.__mod__, zip(*cells))) + pad + "]"
+    pad, inner, deeper = ("\n" + "  " * (level + i) for i in range(3))
+    row = "{" + deeper + _template([keys[i] for i in order], "," + deeper, ": ") + inner + "}"
+    rows = _json_rows(row, [_rounded(columns[i]) for i in order])
+    return "[" + inner + ("," + inner).join(rows) + pad + "]"
 
 
 # Encodes a list of scalars as one item per line, unindented.
@@ -132,45 +116,42 @@ def write_jsonl(
     rows: Iterable,
     columns: Callable[[list], Sequence[Sequence]] = lambda batch: list(zip(*batch)),
 ) -> None:
-    """One JSON object per row, as :func:`jsonl_lines` writes them.
+    """One JSON object per row, as ``json.dumps(dict(zip(keys, row)),
+    ensure_ascii=False, separators=(",", ":"))`` writes it.
 
     ``rows`` are taken in batches; ``columns`` of a batch gives its values a
-    column per key, and by default reads each row as a tuple in key order.
+    column per key, as :func:`_json_rows` takes them, and by default reads
+    each row as a tuple in key order.
     """
-    template = _jsonl_template(keys)
+    template = "{" + _template(keys, ",", ":") + "}\n"
     rows = iter(rows)
     with replacing(path) as fh:
         while batch := list(islice(rows, _JSONL_BATCH)):
-            fh.write("".join(_jsonl_lines(template, columns(batch))))
+            fh.write("".join(_json_rows(template, columns(batch))))
 
 
-def jsonl_lines(keys: Sequence[str], columns: Sequence[Sequence]) -> list[str]:
-    """Row ``i`` as ``json.dumps(dict(zip(keys, row_i)), ensure_ascii=False,
-    separators=(",", ":")) + "\\n"``, where ``columns[j][i]`` holds the value
-    of ``keys[j]``. A column holds only scalars, or only lists and tuples of
-    scalars.
+def _template(keys: Sequence, separator: str, colon: str) -> str:
+    """``key<colon>%s`` for each of ``keys``, joined by ``separator``: one
+    object's items, for :func:`_json_rows`."""
+    return separator.join(_key(key).replace("%", "%%") + colon + "%s" for key in keys)
 
-    As in :func:`_table`, each column is one C call, split at the separator
-    ``",\\n"``, which an encoded string cannot hold, and each line is one
-    ``%`` of a template holding the keys. In a column of lists, a closing
-    bracket, a separator and an opening bracket in a row occur only between
-    two rows, so those separators become row breaks and the others the
-    compact ``","``.
+
+def _json_rows(template: str, columns: Sequence[Sequence]) -> list[str]:
+    """Row ``i`` as ``template % (cell_0, cell_1, ...)``, where ``cell_j`` is
+    ``columns[j][i]`` as compact JSON. A column holds only scalars, or only
+    lists and tuples of scalars.
+
+    Each column is one C call, split at the separator ``",\\n"``, which an
+    encoded string cannot hold, so no row is rebuilt. In a column of lists,
+    a closing bracket, a separator and an opening bracket in a row occur
+    only between two rows, so those separators become row breaks and the
+    others the compact ``","``.
     """
-    return _jsonl_lines(_jsonl_template(keys), columns)
-
-
-def _jsonl_template(keys: Sequence[str]) -> str:
-    return "{" + ",".join(_key(key).replace("%", "%%") + ":%s" for key in keys) + "}\n"
-
-
-def _jsonl_lines(template: str, columns: Sequence[Sequence]) -> list[str]:
     cells = []
     for column in columns:
         text = _ITEMS.encode(column)[1:-1]
         if text.startswith("["):  # a column of lists
-            text = text.replace("],\n[", "]\n[").replace(",\n", ",")
-            cells.append(text.split("\n"))
+            cells.append(text.replace("],\n[", "]\n[").replace(",\n", ",").split("\n"))
         else:
             cells.append(text.split(",\n"))
     return list(map(template.__mod__, zip(*cells)))

@@ -146,7 +146,7 @@ def cmd_build(args: argparse.Namespace) -> dict:
 def cmd_stats(args: argparse.Namespace) -> dict:
     from .stats import summarize, write_summary_csvs, write_summary_json
 
-    summary = summarize(_load_records(args), top_k=args.top)
+    summary = summarize(_load_records(args), top_k=args.top, names=_load_names(args))
     json_path = os.path.join(args.out, "summary.json")
     write_summary_json(json_path, summary)
     csvs = write_summary_csvs(args.out, summary)
@@ -414,7 +414,7 @@ def build_parser() -> _Parser:
     command("build", cmd_build, "build the co-appearance graph cache",
             "records", "persons", "kind", "year_min", "year_max", "min_cast", "max_cast")
 
-    p = command("stats", cmd_stats, "catalog summary and per-figure CSVs", "records")
+    p = command("stats", cmd_stats, "catalog summary and per-figure CSVs", "records", "persons")
     p.add_argument("--top", type=_positive_int, default=5)
 
     p = command("centrality", cmd_centrality, "compute one centrality measure",

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 import numpy as np
 
 from .errors import EmptyGraphError, EmptyInputError
-from .graph import CoGraph, _display_labels, build_bipartite, plurality_countries, project
+from .graph import CoGraph, build_bipartite, plurality_countries, project
 
 if TYPE_CHECKING:
     from .centrality import Scores
@@ -362,11 +362,9 @@ def community_evolution(
         raise EmptyInputError("no records carry release years")
     lo, hi = min(years), max(years)
     if names is not None:
-        # Label each person once over the whole catalog, so two people who
-        # share a name get distinct labels in every window, as in the whole
-        # catalog's graph.
-        keys = list(dict.fromkeys(key for rec in records for key in rec.cast))
-        names = dict(zip(keys, _display_labels(keys, names)))
+        from .ingest import _cast_labels  # here, so that analysis commands load no ingest
+
+        names = _cast_labels(records, names)  # distinct labels for namesakes in every window
 
     windows: list[EvolutionWindow] = []
     for start in range(lo, hi + 1, step_years):

@@ -8,7 +8,6 @@ outputs downstream report names, never indices.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
@@ -96,27 +95,11 @@ def build_bipartite(
         store.title_country.append(rec.country)
     if not store.title_ids:
         raise EmptyInputError("no titles survive the configured filters")
+    from .ingest import _display_labels  # here, so that analysis commands load no ingest
+
     store.person_keys = list(person_index)
     store.person_labels = _display_labels(store.person_keys, names)
     return store
-
-
-def _display_labels(keys: Sequence[str], names: Mapping[str, str] | None) -> list[str]:
-    """Each key's display name. A name equal to another label gains a
-    `` [key]`` suffix, and so does a name equal to a suffixed label, until
-    every label is unique."""
-    if names is None:
-        return list(keys)
-    labels = [names.get(k, k) for k in keys]
-    plain = set(range(len(labels)))
-    while True:
-        counts = Counter(labels)
-        clashing = {i for i in plain if counts[labels[i]] > 1}
-        if not clashing:
-            return labels
-        for i in clashing:
-            labels[i] = f"{labels[i]} [{keys[i]}]"
-        plain -= clashing
 
 
 @dataclass(eq=False)
@@ -140,11 +123,10 @@ class CoGraph:
     title_ptr: np.ndarray = field(default_factory=lambda: np.zeros(1, np.int64))  # len titles+1
     title_members: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int32))  # sorted per title
     node_country: list[str | None] | None = None
-    _label_index: dict[str, int] = field(default_factory=dict, repr=False)
+    _label_index: dict[str, int] = field(init=False, repr=False)  # built from labels
 
     def __post_init__(self) -> None:
-        if not self._label_index:
-            self._label_index = {name: i for i, name in enumerate(self.labels)}
+        self._label_index = {name: i for i, name in enumerate(self.labels)}
 
     @property
     def n(self) -> int:

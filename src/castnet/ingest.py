@@ -17,14 +17,14 @@ import io
 import json
 import os
 import zlib
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import date, datetime
 from enum import Enum
-from operator import attrgetter
-from typing import IO, Callable, Iterable, Iterator, Mapping, TypeVar, Union
+from typing import IO, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar, Union
 
-from ._write import jsonl_lines, write_jsonl
+from ._write import write_jsonl
 from .errors import CastnetError, JsonlFormatError, MissingColumnError
 
 Source = Union[str, "os.PathLike[str]", IO[str]]
@@ -41,9 +41,9 @@ class TitleKind(str, Enum):
     TV_SHOW = "tv_show"
 
 
-@dataclass(frozen=True)
-class TitleRecord:
-    """One normalized catalog entry."""
+class TitleRecord(NamedTuple):
+    """One normalized catalog entry. Its fields, in order, are the keys of a
+    ``records.jsonl`` line."""
 
     title_id: str
     title: str
@@ -91,6 +91,32 @@ class IngestResult:
     records: list[TitleRecord]
     report: IngestReport
     persons: dict[str, str] = field(default_factory=dict)  # IMDb nconst -> name; Netflix has none
+
+
+def _display_labels(keys: Sequence[str], names: Mapping[str, str] | None) -> list[str]:
+    """Each key's display name. A name equal to another label gains a
+    `` [key]`` suffix, and so does a name equal to a suffixed label, until
+    every label is unique."""
+    if names is None:
+        return list(keys)
+    labels = [names.get(k, k) for k in keys]
+    plain = set(range(len(labels)))
+    while True:
+        counts = Counter(labels)
+        clashing = {i for i in plain if counts[labels[i]] > 1}
+        if not clashing:
+            return labels
+        for i in clashing:
+            labels[i] = f"{labels[i]} [{keys[i]}]"
+        plain -= clashing
+
+
+def _cast_labels(records: Iterable[TitleRecord], names: Mapping[str, str]) -> dict[str, str]:
+    """Each cast key of ``records`` -> its display label over the whole
+    catalog, so two people who share a name get distinct labels in any part
+    of it, as in the whole catalog's graph."""
+    keys = list(dict.fromkeys(key for rec in records for key in rec.cast))
+    return dict(zip(keys, _display_labels(keys, names)))
 
 
 # C0 and C1 controls that are not whitespace, and U+FFFE and U+FFFF: XML 1.0
@@ -480,44 +506,22 @@ def _imdb_names(source: Source, referenced: set[str], report: IngestReport) -> d
 # ---------------------------------------------------------------------------
 
 
-# The keys of a records.jsonl line, in the order they are written; each
-# names a TitleRecord field.
-_RECORD_KEYS = (
-    "title_id",
-    "title",
-    "kind",
-    "release_year",
-    "directors",
-    "cast",
-    "country",
-    "rating",
-    "date_added",
-)
 _PERSON_KEYS = ("person_id", "name")
 
 _KINDS = {kind.value: kind for kind in TitleKind}
 
 
 def _record_columns(records: list[TitleRecord]) -> list:
-    """The values of ``_RECORD_KEYS`` for ``records``, a column per key."""
-    columns = list(zip(*map(attrgetter(*_RECORD_KEYS), records)))
-    columns[2] = [kind.value for kind in columns[2]]
+    """The fields of ``records`` as ``records.jsonl`` holds them, a column
+    per field; ``date_added``, the last, is an ISO date."""
+    columns = list(zip(*records))
     columns[8] = [added.isoformat() if added else None for added in columns[8]]
     return columns
 
 
-def record_to_json(rec: TitleRecord) -> str:
-    """``rec`` as one line of ``records.jsonl``, without its newline."""
-    return jsonl_lines(_RECORD_KEYS, _record_columns([rec]))[0][:-1]
-
-
-def record_from_json(line: str) -> TitleRecord:
-    """The record ``record_to_json`` wrote; a field of the wrong JSON type
-    raises :class:`TypeError` naming it."""
-    return _record(_object(line))
-
-
 def _record(payload: dict) -> TitleRecord:
+    """The record of one ``records.jsonl`` object; a field of the wrong JSON
+    type raises :class:`TypeError` naming it."""
     year = payload["release_year"]
     # bool is an int subclass, but true is not a year
     if year is not None and type(year) is not int:
@@ -565,7 +569,7 @@ def _wrong_type(key: str, value, expected: str) -> str:
 
 
 def write_records_jsonl(path: str | os.PathLike, records: Iterable[TitleRecord]) -> None:
-    write_jsonl(path, _RECORD_KEYS, records, _record_columns)
+    write_jsonl(path, TitleRecord._fields, records, _record_columns)
 
 
 def read_records_jsonl(path: str | os.PathLike) -> list[TitleRecord]:

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from ._write import write_csv, write_json
-from .ingest import TitleKind, TitleRecord
+from .ingest import TitleKind, TitleRecord, _cast_labels
 
 
 @dataclass
@@ -22,10 +22,15 @@ class CatalogSummary:
     rating_counts: dict[str, int] = field(default_factory=dict)
 
 
-def summarize(records: Sequence[TitleRecord], top_k: int = 5) -> CatalogSummary:
+def summarize(
+    records: Sequence[TitleRecord], top_k: int = 5, names: Mapping[str, str] | None = None
+) -> CatalogSummary:
     """Exact counts over the catalog; leaderboard ties break by name.
 
     Actors and directors are counted once per distinct title appearance.
+    Actors are counted by cast key; with ``names`` (cast key -> display
+    name, such as IMDb nconst -> primaryName) each is listed by the label
+    the whole catalog's graph gives it, and otherwise by its key.
     Titles without a release year land in the unknown-year bucket rather
     than being dropped. ``per_year_added`` counts only titles with a
     ``date_added``, which IMDb records never have.
@@ -55,6 +60,9 @@ def summarize(records: Sequence[TitleRecord], top_k: int = 5) -> CatalogSummary:
             director_counts[name] = director_counts.get(name, 0) + 1
         if rec.rating:
             ratings[rec.rating] = ratings.get(rec.rating, 0) + 1
+    if names is not None:
+        labels = _cast_labels(records, names)
+        actor_counts = {labels[key]: count for key, count in actor_counts.items()}
     return CatalogSummary(
         per_year=_by_year(per_year),
         unknown_year=(unknown[0], unknown[1]),

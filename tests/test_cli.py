@@ -224,6 +224,41 @@ class TestImdbPipeline:
         text = capsys.readouterr().out.strip()
         assert text == "Lead One —[Shared Film]→ Lead Two —[Second Film]→ Lead Three"
 
+    def test_stats_names_actors_as_the_graph_labels_them(self, tmp_path):
+        """With ``--persons``, ``top_actors.csv`` lists each actor by the
+        label an unfiltered ``build`` gives them, namesakes included;
+        without it, by nconst."""
+        dumps = tmp_path / "dumps"
+        dumps.mkdir()
+        (dumps / "title.basics.tsv").write_text(
+            "tconst\ttitleType\tprimaryTitle\tstartYear\n"
+            "tt1\tmovie\tFirst\t1990\ntt2\tmovie\tSecond\t1995\n"
+        )
+        (dumps / "title.principals.tsv").write_text(
+            "tconst\tordering\tnconst\tcategory\n"
+            "tt1\t1\tnm1\tactor\ntt1\t2\tnm2\tactress\n"
+            "tt2\t1\tnm3\tactor\ntt2\t2\tnm2\tactress\n"
+        )
+        (dumps / "name.basics.tsv").write_text(
+            "nconst\tprimaryName\nnm1\tSame Name\nnm2\tOther\nnm3\tSame Name\n"
+        )
+        out = tmp_path / "out"
+        assert run("ingest", "--source", "imdb",
+                   "--basics", str(dumps / "title.basics.tsv"),
+                   "--principals", str(dumps / "title.principals.tsv"),
+                   "--names", str(dumps / "name.basics.tsv"), "--out", str(out)) == 0
+        records = ("--records", str(out / "records.jsonl"))
+        persons = ("--persons", str(out / "persons.jsonl"))
+        assert run("build", *records, *persons, "--out", str(out)) == 0
+        assert run("stats", *records, *persons, "--out", str(out / "named")) == 0
+        assert run("stats", *records, "--out", str(out / "keyed")) == 0
+        named = (out / "named" / "top_actors.csv").read_text().splitlines()
+        assert named == ["name,count", "Other,2", "Same Name [nm1],1", "Same Name [nm3],1"]
+        labels = load_cache(out / "graph.bin").labels
+        assert sorted(labels) == sorted(line.rsplit(",", 1)[0] for line in named[1:])
+        keyed = (out / "keyed" / "top_actors.csv").read_text().splitlines()
+        assert keyed == ["name,count", "nm2,2", "nm1,1", "nm3,1"]
+
     # nm5 both directs and acts; tt10's director row comes before its cast
     # rows, whose orderings are out of order; tt2 has a \N year and a
     # reference to an unknown person; tt999 is an unknown title.

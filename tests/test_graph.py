@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import numpy as np
@@ -6,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from castnet.errors import EmptyInputError, NodeOutOfRangeError
-from castnet.graph import CoGraph, _display_labels, build_bipartite, project
-from castnet.ingest import TitleKind, TitleRecord
+from castnet.errors import EmptyInputError, NodeOutOfRangeError, UnknownActorError
+from castnet.graph import CoGraph, build_bipartite, project
+from castnet.ingest import TitleKind, TitleRecord, _display_labels
 
 
 def rec(tid, cast, kind=TitleKind.MOVIE, year=2000, country=None, title=None):
@@ -241,6 +242,13 @@ class TestAccessors:
 
     def test_node_lookup(self, k3):
         assert k3.node("b") == 1
+
+    def test_replace_rebuilds_the_name_index(self, k3):
+        g = dataclasses.replace(k3, labels=["x", "y", "z"])
+        assert [g.node(name) for name in ("x", "y", "z")] == [0, 1, 2]
+        with pytest.raises(UnknownActorError):
+            g.node("a")
+        assert k3.node("a") == 0
 
     def test_from_weighted_edges_rejects_self_loop(self):
         with pytest.raises(ValueError):

@@ -348,8 +348,7 @@ class TestGraphmlBytes:
 @example(CoGraph.from_weighted_edges(["a\x01b", "\x00", "\x1b[0m", "x\x9f\uffff"], [(0, 1, 1)]))
 def test_graphml_of_ingested_names_is_well_formed(tmp_path, g):
     """Names reach the graph through ``normalize_name``, as ingest passes them."""
-    g = dataclasses.replace(g, labels=[normalize_name(label) for label in g.labels],
-                            _label_index={})
+    g = dataclasses.replace(g, labels=[normalize_name(label) for label in g.labels])
     write_graphml(tmp_path / "graph.graphml", g)
     root = ET.parse(tmp_path / "graph.graphml").getroot()
     names = [data.text or "" for data in root.iter("{http://graphml.graphdrawing.org/xmlns}data")

@@ -1,6 +1,8 @@
 import gzip
 import io
 import json
+import re
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -17,8 +19,6 @@ from castnet.ingest import (
     parse_netflix,
     read_persons_jsonl,
     read_records_jsonl,
-    record_from_json,
-    record_to_json,
     write_persons_jsonl,
     write_records_jsonl,
 )
@@ -418,18 +418,6 @@ class TestParseImdb:
         assert res.report.counters == {"basics_filtered": 1, "basics_kept": 0}
 
 
-RECORD_STRATEGY = st.builds(
-    lambda tid, title, kind, year, cast: dict(
-        title_id=tid, title=title, kind=kind, release_year=year, cast=cast
-    ),
-    st.text(min_size=1, max_size=8),
-    st.text(max_size=20),
-    st.sampled_from(list(TitleKind)),
-    st.one_of(st.none(), st.integers(min_value=1870, max_value=2100)),
-    st.lists(st.text(min_size=1, max_size=10), max_size=4, unique=True),
-)
-
-
 class TestRoundTrip:
     def test_jsonl_round_trip_exact(self, tmp_path, catalog_csv):
         res = parse_netflix(catalog_csv)
@@ -437,20 +425,6 @@ class TestRoundTrip:
         write_records_jsonl(out, res.records)
         again = read_records_jsonl(out)
         assert again == res.records
-
-    @given(RECORD_STRATEGY)
-    def test_single_record_json_round_trip(self, payload):
-        from castnet.ingest import TitleRecord
-
-        rec = TitleRecord(
-            title_id=payload["title_id"],
-            title=payload["title"],
-            kind=payload["kind"],
-            release_year=payload["release_year"],
-            directors=(),
-            cast=tuple(payload["cast"]),
-        )
-        assert record_from_json(record_to_json(rec)) == rec
 
 
 def dumps_line(payload: dict) -> str:
@@ -516,3 +490,18 @@ def test_jsonl_writers_match_json_dumps_and_read_back(tmp_path, records, persons
     assert read_records_jsonl(tmp_path / "records.jsonl") == records
     again = read_persons_jsonl(tmp_path / "persons.jsonl")
     assert list(again.items()) == list(persons.items())
+
+
+def test_readme_jsonl_examples_are_what_the_writers_write(tmp_path):
+    """README's ``records.jsonl`` and ``persons.jsonl`` lines, read back and
+    written again, give the same bytes: the documented keys and their order
+    are the writers'."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    record = re.search(r"`ingest` writes `records.jsonl`.*?```json\n(.*?\n)```", readme, re.S)[1]
+    person = re.search(r"`persons.jsonl` names each one.*?`(\{.*?\})`", readme, re.S)[1] + "\n"
+    (tmp_path / "readme.jsonl").write_text(record, encoding="utf-8")
+    write_records_jsonl(tmp_path / "records.jsonl", read_records_jsonl(tmp_path / "readme.jsonl"))
+    assert (tmp_path / "records.jsonl").read_bytes() == record.encode("utf-8")
+    (tmp_path / "readme.jsonl").write_text(person, encoding="utf-8")
+    write_persons_jsonl(tmp_path / "persons.jsonl", read_persons_jsonl(tmp_path / "readme.jsonl"))
+    assert (tmp_path / "persons.jsonl").read_bytes() == person.encode("utf-8")

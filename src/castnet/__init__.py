@@ -13,8 +13,6 @@ __version__ = "0.1.0"
 # The public names, by the module that defines them.
 _EXPORTS = {
     "centrality": (
-        "Measure",
-        "ScoreTable",
         "Scores",
         "betweenness_centrality",
         "closeness_centrality",

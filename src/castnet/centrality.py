@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
@@ -23,18 +22,13 @@ from .errors import EmptyGraphError, TooFewNodesError
 from .graph import CoGraph, name_ranks
 
 
-class Measure(str, Enum):
-    DEGREE = "degree"
-    BETWEENNESS = "betweenness"
-    CLOSENESS = "closeness"
-    EIGENVECTOR = "eigenvector"
-
-
 @dataclass
 class Scores:
-    """Per-node scores, finite and non-negative, ranked for output."""
+    """Per-node scores, finite and non-negative, ranked for output, plus the
+    solver settings that produced them."""
 
     scores: np.ndarray  # float64, dense by node index
+    params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not np.all(np.isfinite(self.scores)) or np.any(self.scores < 0):
@@ -47,23 +41,15 @@ class Scores:
         return [(labels[i], float(self.scores[i])) for i in order]
 
 
-@dataclass
-class ScoreTable(Scores):
-    """One centrality measure's scores plus the solver settings used."""
-
-    measure: Measure
-    params: dict = field(default_factory=dict)
-
-
-def degree_centrality(g: CoGraph) -> ScoreTable:
+def degree_centrality(g: CoGraph) -> Scores:
     """Connection count scaled by the g-1 possible partners."""
     if g.n < 2:
         raise TooFewNodesError("degree centrality needs at least 2 nodes")
     scores = g.degrees().astype(np.float64) / (g.n - 1)
-    return ScoreTable(scores, Measure.DEGREE)
+    return Scores(scores)
 
 
-def betweenness_centrality(g: CoGraph, threads: int = 1) -> ScoreTable:
+def betweenness_centrality(g: CoGraph, threads: int = 1) -> Scores:
     """Normalized count of shortest paths between other pairs through a node.
 
     Brandes accumulation on the unweighted graph, run level-synchronously
@@ -76,7 +62,7 @@ def betweenness_centrality(g: CoGraph, threads: int = 1) -> ScoreTable:
     for part in _bfs.map_blocks(_brandes_block, _bfs.adjacency(g), np.arange(g.n), threads):
         raw += part
     scores = raw / float((g.n - 1) * (g.n - 2))
-    return ScoreTable(scores, Measure.BETWEENNESS, {"algorithm": "brandes", "pairs": "ordered"})
+    return Scores(scores, {"algorithm": "brandes", "pairs": "ordered"})
 
 
 def _brandes_block(adj, sources: np.ndarray) -> np.ndarray:
@@ -100,7 +86,7 @@ def _brandes_block(adj, sources: np.ndarray) -> np.ndarray:
     return delta.sum(axis=1)
 
 
-def closeness_centrality(g: CoGraph, threads: int = 1) -> ScoreTable:
+def closeness_centrality(g: CoGraph, threads: int = 1) -> Scores:
     """Inverse average BFS distance to reachable nodes, component-scaled.
 
     score(s) = (r / (g-1)) * (r / S) with r the nodes reachable from s and
@@ -110,7 +96,7 @@ def closeness_centrality(g: CoGraph, threads: int = 1) -> ScoreTable:
         raise TooFewNodesError("closeness centrality needs at least 2 nodes")
     blocks = _bfs.map_blocks(_closeness_block, g, np.arange(g.n), threads)
     scores = np.concatenate(list(blocks))
-    return ScoreTable(scores, Measure.CLOSENESS, {"scaling": "component"})
+    return Scores(scores, {"scaling": "component"})
 
 
 def _closeness_block(g: CoGraph, sources: np.ndarray) -> np.ndarray:
@@ -124,7 +110,7 @@ def _closeness_block(g: CoGraph, sources: np.ndarray) -> np.ndarray:
 
 def eigenvector_centrality(
     g: CoGraph, tol: float = 1e-10, max_iter: int = 1000
-) -> ScoreTable:
+) -> Scores:
     """Dominant-eigenvector scores on the binary adjacency.
 
     Power iteration from the uniform positive vector, L2-normalized each
@@ -156,9 +142,8 @@ def eigenvector_centrality(
             break
     # Rayleigh quotient of the unshifted adjacency at the final iterate.
     lam = float(np.sum(x * shifted(x))) - 1.0
-    return ScoreTable(
+    return Scores(
         x,
-        Measure.EIGENVECTOR,
         {
             "tol": tol,
             "max_iter": max_iter,
@@ -176,10 +161,13 @@ def _l2(x: np.ndarray) -> float:
     return float(np.sqrt(np.sum(x * x)))
 
 
-def write_scores_csv(path: str | os.PathLike, g: CoGraph, table: Scores) -> None:
-    write_csv(path, ["name", "score"], table.ranked(g.labels))
+def write_scores_csv(path: str | os.PathLike, ranked: list[tuple[str, float]]) -> None:
+    """``ranked``: the (name, score) rows of :meth:`Scores.ranked`."""
+    write_csv(path, ["name", "score"], ranked)
 
 
-def write_scores_json(path: str | os.PathLike, g: CoGraph, table: ScoreTable) -> None:
-    scores = [{"name": name, "score": score} for name, score in table.ranked(g.labels)]
-    write_json(path, {"measure": table.measure.value, "params": table.params, "scores": scores})
+def write_scores_json(
+    path: str | os.PathLike, measure: str, params: dict, ranked: list[tuple[str, float]]
+) -> None:
+    scores = [{"name": name, "score": score} for name, score in ranked]
+    write_json(path, {"measure": measure, "params": params, "scores": scores})

@@ -167,10 +167,11 @@ def cmd_centrality(args: argparse.Namespace) -> dict:
         table = centrality.closeness_centrality(g, threads=threads)
     else:
         table = centrality.eigenvector_centrality(g)
+    ranked = table.ranked(g.labels)
     csv_path = os.path.join(args.out, f"centrality_{args.measure}.csv")
     json_path = os.path.join(args.out, f"centrality_{args.measure}.json")
-    centrality.write_scores_csv(csv_path, g, table)
-    centrality.write_scores_json(json_path, g, table)
+    centrality.write_scores_csv(csv_path, ranked)
+    centrality.write_scores_json(json_path, args.measure, table.params, ranked)
     events = []
     if table.params.get("converged") is False:
         events.append({"type": "no_convergence", "detail": "max_iter reached"})
@@ -209,7 +210,7 @@ def cmd_predict(args: argparse.Namespace) -> dict:
     method = Method(args.method)
     scores = predict_top(g, method, args.top, min_common=args.min_common, cap=args.cap)
     out_path = os.path.join(args.out, "predictions.csv")
-    rows = [(ps.u, ps.v, ps.method.value, ps.score) for ps in scores]
+    rows = [(ps.u, ps.v, method.value, ps.score) for ps in scores]
     write_csv(out_path, ["actor_a", "actor_b", "method", "score"], rows)
     json_path = os.path.join(args.out, "predictions.json")
     write_json(json_path, [{"u": u, "v": v, "method": m, "score": s} for u, v, m, s in rows])
@@ -263,9 +264,8 @@ def cmd_crossover(args: argparse.Namespace) -> dict:
 
     g = _load_graph(args)
     part = louvain(g, seed=args.seed)
-    table = crossover_scores(g, part)
     out_path = os.path.join(args.out, "crossover.csv")
-    write_scores_csv(out_path, g, table)
+    write_scores_csv(out_path, crossover_scores(g, part).ranked(g.labels))
     return {"seed": args.seed, "outputs": [out_path]}
 
 

@@ -36,8 +36,11 @@ class Partition:
 
     assignment: tuple[int, ...]
     q: float
-    passes: int = 0
-    q_history: tuple[float, ...] = ()
+    q_history: tuple[float, ...] = ()  # quality after each pass
+
+    @property
+    def passes(self) -> int:
+        return len(self.q_history)
 
     @property
     def n_communities(self) -> int:
@@ -113,11 +116,9 @@ def louvain(g: CoGraph, seed: int, resolution: float = 1.0) -> Partition:
     level = _Level(rows, g.indices.astype(np.int64), g.weights, np.zeros(g.n, np.int64))
     node_map = np.arange(g.n)
 
-    passes = 0
     q_num_history: list = []
     while True:
         moved = _sweep(level, m2, resolution, rng)
-        passes += 1
         q_num_history.append(level.quality_numerator(m, resolution))
         if moved == 0:
             break
@@ -134,12 +135,7 @@ def louvain(g: CoGraph, seed: int, resolution: float = 1.0) -> Partition:
 
     denom = 4.0 * m * m
     q_history = tuple(float(num) / denom for num in q_num_history)
-    return Partition(
-        assignment=assignment,
-        q=modularity(g, assignment),
-        passes=passes,
-        q_history=q_history,
-    )
+    return Partition(assignment=assignment, q=modularity(g, assignment), q_history=q_history)
 
 
 def _sweep(level: _Level, m2: int, resolution: float, rng: random.Random) -> int:

@@ -118,7 +118,6 @@ class CoGraph:
     indptr: np.ndarray  # int64, len n+1
     indices: np.ndarray  # int32, sorted within each row
     weights: np.ndarray  # int64, parallel to indices
-    total_edge_weight: int
     title_names: list[str] = field(default_factory=list)
     title_ptr: np.ndarray = field(default_factory=lambda: np.zeros(1, np.int64))  # len titles+1
     title_members: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int32))  # sorted per title
@@ -135,6 +134,10 @@ class CoGraph:
     @property
     def edge_count(self) -> int:
         return len(self.indices) // 2
+
+    @property
+    def total_edge_weight(self) -> int:
+        return int(self.weights.sum()) // 2
 
     def _check(self, u: int) -> None:
         if not 0 <= u < self.n:
@@ -176,7 +179,6 @@ class CoGraph:
             and np.array_equal(self.indptr, other.indptr)
             and np.array_equal(self.indices, other.indices)
             and np.array_equal(self.weights, other.weights)
-            and self.total_edge_weight == other.total_edge_weight
             and self.title_names == other.title_names
             and np.array_equal(self.title_ptr, other.title_ptr)
             and np.array_equal(self.title_members, other.title_members)
@@ -238,7 +240,6 @@ class CoGraph:
             indptr=indptr,
             indices=cols[order].astype(np.int32),
             weights=np.concatenate([weights, weights])[order],
-            total_edge_weight=int(weights.sum()),
             **extra,
         )
 

@@ -222,7 +222,6 @@ def load_cache(path: str | os.PathLike) -> CoGraph:
         indptr=indptr,
         indices=indices,
         weights=weights,
-        total_edge_weight=total,
         title_names=title_names,
         title_ptr=title_ptr,
         title_members=title_members,

@@ -32,7 +32,6 @@ class PairScore:
 
     u: str
     v: str
-    method: Method
     score: float
 
 
@@ -89,7 +88,7 @@ def predict_top(
         keep = top_pairs(score, a, b, k)
         score, a, b = score[keep], a[keep], b[keep]
     return [
-        PairScore(names[x], names[y], method, s)
+        PairScore(names[x], names[y], s)
         for x, y, s in zip(a.tolist(), b.tolist(), score.tolist())
     ]
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -35,48 +36,33 @@ def summarize(
     than being dropped. ``per_year_added`` counts only titles with a
     ``date_added``, which IMDb records never have.
     """
-    per_year: dict[int, list[int]] = {}
-    added: dict[int, list[int]] = {}
-    unknown = [0, 0]
-    cast_hist: dict[int, int] = {}
-    actor_counts: dict[str, int] = {}
-    director_counts: dict[str, int] = {}
-    totals = [0, 0]
-    ratings: dict[str, int] = {}
-    for rec in records:
-        slot = 0 if rec.kind is TitleKind.MOVIE else 1
-        totals[slot] += 1
-        if rec.release_year is None:
-            unknown[slot] += 1
-        else:
-            per_year.setdefault(rec.release_year, [0, 0])[slot] += 1
-        if rec.date_added is not None:
-            added.setdefault(rec.date_added.year, [0, 0])[slot] += 1
-        size = len(rec.cast)
-        cast_hist[size] = cast_hist.get(size, 0) + 1
-        for name in rec.cast:
-            actor_counts[name] = actor_counts.get(name, 0) + 1
-        for name in rec.directors:
-            director_counts[name] = director_counts.get(name, 0) + 1
-        if rec.rating:
-            ratings[rec.rating] = ratings.get(rec.rating, 0) + 1
+    kinds = Counter((rec.release_year, rec.kind is not TitleKind.MOVIE) for rec in records)
+    added = Counter((rec.date_added.year, rec.kind is not TitleKind.MOVIE)
+                    for rec in records if rec.date_added is not None)
+    cast_sizes = Counter(len(rec.cast) for rec in records)
+    actors = Counter(key for rec in records for key in rec.cast)
+    directors = Counter(name for rec in records for name in rec.directors)
+    ratings = Counter(rec.rating for rec in records if rec.rating)
     if names is not None:
         labels = _cast_labels(records, names)
-        actor_counts = {labels[key]: count for key, count in actor_counts.items()}
+        actors = {labels[key]: count for key, count in actors.items()}
+    movies = sum(count for (_, tv), count in kinds.items() if not tv)
     return CatalogSummary(
-        per_year=_by_year(per_year),
-        unknown_year=(unknown[0], unknown[1]),
+        per_year=_by_year(kinds),
+        unknown_year=(kinds[None, False], kinds[None, True]),
         per_year_added=_by_year(added),
-        cast_histogram=dict(sorted(cast_hist.items())),
-        top_actors=_top(actor_counts, top_k),
-        top_directors=_top(director_counts, top_k),
-        type_totals=(totals[0], totals[1]),
+        cast_histogram=dict(sorted(cast_sizes.items())),
+        top_actors=_top(actors, top_k),
+        top_directors=_top(directors, top_k),
+        type_totals=(movies, len(records) - movies),
         rating_counts=dict(sorted(ratings.items())),
     )
 
 
-def _by_year(counts: dict[int, list[int]]) -> dict[int, tuple[int, int]]:
-    return {y: (c[0], c[1]) for y, c in sorted(counts.items())}
+def _by_year(counts: Counter) -> dict[int, tuple[int, int]]:
+    """``{year: (movies, tv)}`` by year from a count of (year, is TV); no None year."""
+    years = sorted({year for year, _ in counts} - {None})
+    return {y: (counts[y, False], counts[y, True]) for y in years}
 
 
 def _top(counts: dict[str, int], k: int) -> list[tuple[str, int]]:

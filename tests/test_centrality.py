@@ -10,7 +10,6 @@ import pytest
 import oracles
 import castnet
 from castnet.centrality import (
-    Measure,
     Scores,
     betweenness_centrality,
     closeness_centrality,
@@ -219,7 +218,3 @@ class TestProperties:
         order = sorted(range(n), key=lambda i: (-scores[i], labels[i]))
         expected = [(labels[i], float(scores[i])) for i in order]
         assert Scores(scores).ranked(labels) == expected
-
-    def test_measure_recorded(self, k3):
-        assert degree_centrality(k3).measure is Measure.DEGREE
-        assert betweenness_centrality(k3).measure is Measure.BETWEENNESS

@@ -25,6 +25,15 @@ def pipeline_dir(tmp_path, catalog_csv) -> Path:
     return out
 
 
+# The solver settings each measure's JSON records, in order.
+CENTRALITY_PARAMS = {
+    "degree": [],
+    "betweenness": ["algorithm", "pairs"],
+    "closeness": ["scaling"],
+    "eigenvector": ["tol", "max_iter", "iterations", "converged", "lambda"],
+}
+
+
 class TestPipeline:
     def test_ingest_outputs(self, pipeline_dir):
         records = (pipeline_dir / "records.jsonl").read_text().splitlines()
@@ -55,6 +64,16 @@ class TestPipeline:
         payload = json.loads((out / "centrality_eigenvector.json").read_text())
         assert payload["params"]["converged"] is True
         assert "lambda" in payload["params"]
+
+    @pytest.mark.parametrize("measure", sorted(CENTRALITY_PARAMS))
+    def test_centrality_json_names_measure_and_params(self, pipeline_dir, tmp_path, measure):
+        out = tmp_path / measure
+        assert run("centrality", measure, "--graph", str(pipeline_dir / "graph.bin"),
+                   "--out", str(out)) == 0
+        payload = json.loads((out / f"centrality_{measure}.json").read_text())
+        assert list(payload) == ["measure", "params", "scores"]
+        assert payload["measure"] == measure
+        assert list(payload["params"]) == CENTRALITY_PARAMS[measure]
 
     def test_path_zero_length(self, pipeline_dir, tmp_path, capsys):
         out = tmp_path / "p"

@@ -133,13 +133,13 @@ def _self_loop(g):
 def _zero_edge(g):
     weights = g.weights.copy()
     weights[:] = 0
-    return {"weights": weights, "total_edge_weight": 0}
+    return {"weights": weights}
 
 
 def _asymmetric_weight(g):
     weights = g.weights.copy()
     weights[0] += 1
-    return {"weights": weights, "total_edge_weight": g.total_edge_weight + 1}
+    return {"weights": weights}
 
 
 # Each mutation breaks one invariant of a valid graph; ``match`` names the
@@ -155,7 +155,6 @@ INVALID = {
     "self_loop": (_self_loop, "self-loop"),
     "weight_below_1": (_zero_edge, "weight below 1"),
     "weights_asymmetric": (_asymmetric_weight, "symmetric"),
-    "total_weight_wrong": (lambda g: {"total_edge_weight": g.total_edge_weight + 1}, "total"),
     "title_ptr_decreases": (_set("title_ptr", 2, 2), "offsets"),
     "title_ptr_end_wrong": (_set("title_ptr", -1, 7), "offsets"),
     "member_out_of_range": (_set("title_members", 4, 4), "outside"),
@@ -201,6 +200,18 @@ class TestCacheInvariants:
         data[-4:] = struct.pack("<i", 7)  # last node's country slot
         path.write_bytes(bytes(data))
         with pytest.raises(CacheFormatError, match="country"):
+            load_cache(path)
+
+    def test_total_weight_wrong_rejected(self, tmp_path):
+        g = self.graph()
+        path = tmp_path / "graph.bin"
+        save_cache(path, g)
+        data = bytearray(path.read_bytes())
+        # The header's u64 total_edge_weight follows the magic, version, flags, n and nnz.
+        assert struct.unpack("<Q", data[32:40]) == (g.total_edge_weight,)
+        data[32:40] = struct.pack("<Q", g.total_edge_weight + 1)
+        path.write_bytes(bytes(data))
+        with pytest.raises(CacheFormatError, match="total"):
             load_cache(path)
 
     def test_unknown_flag_rejected(self, tmp_path):

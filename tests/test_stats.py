@@ -3,6 +3,8 @@ import random
 from datetime import date
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from castnet.ingest import TitleKind, TitleRecord, parse_netflix
 from castnet.stats import summarize, write_summary_csvs, write_summary_json
@@ -91,6 +93,73 @@ class TestSummarize:
         large = summarize(records, top_k=10)
         assert large.top_actors[:3] == small.top_actors
         assert large.top_directors[:3] == small.top_directors
+
+
+# Keys k0-k5 and display names without brackets, so a clashing name's
+# " [key]" suffix never clashes again; "k1" as a name clashes with a key.
+_KEYS = st.sampled_from([f"k{i}" for i in range(6)])
+_RECORDS = st.lists(
+    st.builds(
+        rec,
+        tid=st.just("t"),
+        kind=st.sampled_from([TitleKind.MOVIE, TitleKind.TV_SHOW, "movie"]),
+        year=st.none() | st.integers(1990, 1994),
+        cast=st.lists(_KEYS, max_size=4),  # empty casts and a key twice in one cast
+        directors=st.lists(st.sampled_from(["D1", "D2", "D3"]), max_size=2, unique=True),
+        rating=st.none() | st.sampled_from(["", "PG", "R"]),
+        added=st.none() | st.dates(date(2018, 1, 1), date(2020, 12, 31)),
+    ),
+    max_size=12,
+)
+_NAMES = st.none() | st.dictionaries(_KEYS, st.sampled_from(["Ann", "Bob", "k1"]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(records=_RECORDS, top_k=st.integers(1, 8), names=_NAMES)
+def test_summarize_matches_counts_per_field(records, top_k, names):
+    """Each field against its own count over the records. A kind that is not
+    ``TitleKind.MOVIE`` itself, such as the plain string "movie", is a TV show."""
+    summary = summarize(records, top_k=top_k, names=names)
+
+    def split(titles):
+        titles = list(titles)
+        movies = sum(1 for r in titles if r.kind is TitleKind.MOVIE)
+        return movies, len(titles) - movies
+
+    years = sorted({r.release_year for r in records} - {None})
+    assert summary.per_year == {y: split(r for r in records if r.release_year == y) for y in years}
+    assert list(summary.per_year) == years
+    assert summary.unknown_year == split(r for r in records if r.release_year is None)
+    assert summary.type_totals == split(records)
+    added = sorted({r.date_added.year for r in records if r.date_added})
+    assert summary.per_year_added == {
+        y: split(r for r in records if r.date_added and r.date_added.year == y) for y in added
+    }
+    assert list(summary.per_year_added) == added
+    sizes = sorted({len(r.cast) for r in records})
+    assert summary.cast_histogram == {s: sum(len(r.cast) == s for r in records) for s in sizes}
+    assert list(summary.cast_histogram) == sizes
+    ratings = sorted({r.rating for r in records if r.rating})
+    assert summary.rating_counts == {x: sum(r.rating == x for r in records) for x in ratings}
+    assert list(summary.rating_counts) == ratings
+
+    def leaders(counts):
+        return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:top_k]
+
+    keys = {key for r in records for key in r.cast}
+    base = {key: (names or {}).get(key, key) for key in keys}
+    label = {
+        key: name if list(base.values()).count(name) == 1 else f"{name} [{key}]"
+        for key, name in base.items()
+    }
+    if names is None:
+        label = {key: key for key in keys}
+    actors = {label[key]: sum(r.cast.count(key) for r in records) for key in keys}
+    assert summary.top_actors == leaders(actors)
+    directors = {d for r in records for d in r.directors}
+    assert summary.top_directors == leaders(
+        {d: sum(d in r.directors for r in records) for d in directors}
+    )
 
 
 class TestOutputs:

@@ -166,8 +166,6 @@ def write_scores_csv(path: str | os.PathLike, ranked: list[tuple[str, float]]) -
     write_csv(path, ["name", "score"], ranked)
 
 
-def write_scores_json(
-    path: str | os.PathLike, measure: str, params: dict, ranked: list[tuple[str, float]]
-) -> None:
-    scores = [{"name": name, "score": score} for name, score in ranked]
-    write_json(path, {"measure": measure, "params": params, "scores": scores})
+def write_scores_json(path: str | os.PathLike, measure: str, params: dict) -> None:
+    """The measure and its solver settings; the scores are in the CSV."""
+    write_json(path, {"measure": measure, "params": params})

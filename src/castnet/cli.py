@@ -167,11 +167,10 @@ def cmd_centrality(args: argparse.Namespace) -> dict:
         table = centrality.closeness_centrality(g, threads=threads)
     else:
         table = centrality.eigenvector_centrality(g)
-    ranked = table.ranked(g.labels)
     csv_path = os.path.join(args.out, f"centrality_{args.measure}.csv")
     json_path = os.path.join(args.out, f"centrality_{args.measure}.json")
-    centrality.write_scores_csv(csv_path, ranked)
-    centrality.write_scores_json(json_path, args.measure, table.params, ranked)
+    centrality.write_scores_csv(csv_path, table.ranked(g.labels))
+    centrality.write_scores_json(json_path, args.measure, table.params)
     events = []
     if table.params.get("converged") is False:
         events.append({"type": "no_convergence", "detail": "max_iter reached"})
@@ -207,15 +206,14 @@ def cmd_predict(args: argparse.Namespace) -> dict:
     from .linkpred import predict_top
 
     g = _load_graph(args)
-    method = Method(args.method)
-    scores = predict_top(g, method, args.top, min_common=args.min_common, cap=args.cap)
+    scores = predict_top(g, args.method, args.top, min_common=args.min_common, cap=args.cap)
     out_path = os.path.join(args.out, "predictions.csv")
-    rows = [(ps.u, ps.v, method.value, ps.score) for ps in scores]
+    rows = [(ps.u, ps.v, args.method, ps.score) for ps in scores]
     write_csv(out_path, ["actor_a", "actor_b", "method", "score"], rows)
     json_path = os.path.join(args.out, "predictions.json")
-    write_json(json_path, [{"u": u, "v": v, "method": m, "score": s} for u, v, m, s in rows])
-    return {"method": method.value, "top": args.top, "min_common": args.min_common,
-            "outputs": [out_path, json_path]}
+    flags = {"method": args.method, "top": args.top, "min_common": args.min_common}
+    write_json(json_path, flags)
+    return {**flags, "outputs": [out_path, json_path]}
 
 
 def cmd_communities(args: argparse.Namespace) -> dict:

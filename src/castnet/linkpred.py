@@ -37,13 +37,14 @@ class PairScore:
 
 def predict_top(
     g: CoGraph,
-    method: Method,
+    method: Method | str,
     k: int,
     min_common: int = 1,
     *,
     cap: int | None = None,
 ) -> list[PairScore]:
-    """Top-k non-adjacent pairs by the chosen index.
+    """Top-k non-adjacent pairs by the chosen index, a ``Method`` or its
+    value; any other value raises ValueError.
 
     Candidates are non-adjacent pairs with at least ``min_common`` common
     neighbors, enumerated over 2-hop neighborhoods rather than all pairs.
@@ -57,6 +58,7 @@ def predict_top(
     block's candidates are merged into the running top k, so memory does not
     grow with the candidate count.
     """
+    method = Method(method)
     if k < 1:
         raise ValueError("k must be >= 1")
     degrees = g.degrees()

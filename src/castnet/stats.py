@@ -28,19 +28,23 @@ def summarize(
 ) -> CatalogSummary:
     """Exact counts over the catalog; leaderboard ties break by name.
 
-    Actors and directors are counted once per distinct title appearance.
+    Actors and directors are counted once per distinct title appearance,
+    and a cast's size is its number of distinct keys, as in the graph.
     Actors are counted by cast key; with ``names`` (cast key -> display
     name, such as IMDb nconst -> primaryName) each is listed by the label
     the whole catalog's graph gives it, and otherwise by its key.
     Titles without a release year land in the unknown-year bucket rather
     than being dropped. ``per_year_added`` counts only titles with a
-    ``date_added``, which IMDb records never have.
+    ``date_added``, which IMDb records never have. A record's kind is a
+    ``TitleKind`` or its value; any other value raises ValueError.
     """
-    kinds = Counter((rec.release_year, rec.kind is not TitleKind.MOVIE) for rec in records)
-    added = Counter((rec.date_added.year, rec.kind is not TitleKind.MOVIE)
-                    for rec in records if rec.date_added is not None)
-    cast_sizes = Counter(len(rec.cast) for rec in records)
-    actors = Counter(key for rec in records for key in rec.cast)
+    is_tv = [TitleKind(rec.kind) is TitleKind.TV_SHOW for rec in records]
+    kinds = Counter(zip((rec.release_year for rec in records), is_tv))
+    added = Counter((rec.date_added.year, tv)
+                    for rec, tv in zip(records, is_tv) if rec.date_added is not None)
+    casts = [set(rec.cast) for rec in records]
+    cast_sizes = Counter(map(len, casts))
+    actors = Counter(key for cast in casts for key in cast)
     directors = Counter(name for rec in records for name in rec.directors)
     ratings = Counter(rec.rating for rec in records if rec.rating)
     if names is not None:

@@ -1,3 +1,4 @@
+import csv
 import gzip
 import json
 import os
@@ -71,7 +72,7 @@ class TestPipeline:
         assert run("centrality", measure, "--graph", str(pipeline_dir / "graph.bin"),
                    "--out", str(out)) == 0
         payload = json.loads((out / f"centrality_{measure}.json").read_text())
-        assert list(payload) == ["measure", "params", "scores"]
+        assert list(payload) == ["measure", "params"]
         assert payload["measure"] == measure
         assert list(payload["params"]) == CENTRALITY_PARAMS[measure]
 
@@ -98,6 +99,16 @@ class TestPipeline:
         lines = (out / "partners.csv").read_text().splitlines()
         assert lines[0] == "actor_a,actor_b,shared_titles"
         assert len(lines) == 6
+
+    def test_predictions_json_holds_the_method_and_flags(self, pipeline_dir, tmp_path):
+        out = tmp_path / "pred"
+        assert run("predict", "preferential_attachment", "--top", "3", "--min-common", "0",
+                   "--graph", str(pipeline_dir / "graph.bin"), "--out", str(out)) == 0
+        payload = json.loads((out / "predictions.json").read_text())
+        assert payload == {"method": "preferential_attachment", "top": 3, "min_common": 0}
+        assert list(payload) == ["method", "top", "min_common"]
+        lines = (out / "predictions.csv").read_text().splitlines()
+        assert lines[0] == "actor_a,actor_b,method,score" and len(lines) == 4
 
     def test_predict_empty_on_no_candidates(self, tmp_path, two_triangles):
         graph_path = tmp_path / "tri.bin"
@@ -801,6 +812,10 @@ class TestConfig:
         assert (out / "records.jsonl").exists()
 
 
+# A CSV cell as ``fmt_score`` writes a float with a point or an exponent.
+_FLOAT_CELL = re.compile(r"-?(\d+\.\d+|\d+(\.\d+)?e[-+]\d+)")
+
+
 def run_every_command(out: Path, catalog_csv) -> None:
     """The whole pipeline, every command writing into ``out``."""
     assert run("ingest", "--source", "netflix", "--input", str(catalog_csv),
@@ -830,10 +845,15 @@ class TestDeterminism:
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
     def test_json_floats_have_at_most_6_significant_digits(self, tmp_path, catalog_csv):
+        """The floats of every JSON file and the float cells of every CSV."""
         run_every_command(tmp_path, catalog_csv)
         floats: list[str] = []
         for path in sorted(tmp_path.glob("*.json")):
             json.loads(path.read_text(encoding="utf-8"), parse_float=floats.append)
+        for path in sorted(tmp_path.glob("*.csv")):
+            with open(path, newline="", encoding="utf-8") as fh:
+                floats += [cell for row in csv.reader(fh) for cell in row
+                           if _FLOAT_CELL.fullmatch(cell)]
         assert len(floats) > 100
         for text in floats:
             assert len(Decimal(text).normalize().as_tuple().digits) <= 6, text

@@ -175,6 +175,21 @@ class TestPredictTop:
     def test_two_disjoint_triangles_empty(self, two_triangles):
         assert predict_top(two_triangles, Method.JACCARD, 5) == []
 
+    @pytest.mark.parametrize("method", list(Method), ids=lambda method: method.value)
+    def test_method_value_means_its_method(self, method):
+        """A method's string value gives the same pairs and scores as the
+        member, at every ``min_common`` the method accepts."""
+        rng = random.Random(5)
+        g = make_graph(30, oracles.random_graph(rng, 30, 0.15))
+        for min_common in (0, 1, 2) if method is Method.PREFERENTIAL_ATTACHMENT else (1, 2):
+            expected = predict_top(g, method, 10, min_common)
+            assert expected
+            assert predict_top(g, method.value, 10, min_common) == expected
+
+    def test_unknown_method_raises(self, two_triangles):
+        with pytest.raises(ValueError, match="nonsense"):
+            predict_top(two_triangles, "nonsense", 5)
+
     def test_five_cycle_common_neighbors(self):
         g = make_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
         scores = predict_top(g, Method.COMMON_NEIGHBORS, 10)

@@ -102,7 +102,7 @@ _RECORDS = st.lists(
     st.builds(
         rec,
         tid=st.just("t"),
-        kind=st.sampled_from([TitleKind.MOVIE, TitleKind.TV_SHOW, "movie"]),
+        kind=st.sampled_from([TitleKind.MOVIE, TitleKind.TV_SHOW, "movie", "tv_show"]),
         year=st.none() | st.integers(1990, 1994),
         cast=st.lists(_KEYS, max_size=4),  # empty casts and a key twice in one cast
         directors=st.lists(st.sampled_from(["D1", "D2", "D3"]), max_size=2, unique=True),
@@ -117,13 +117,14 @@ _NAMES = st.none() | st.dictionaries(_KEYS, st.sampled_from(["Ann", "Bob", "k1"]
 @settings(max_examples=200, deadline=None)
 @given(records=_RECORDS, top_k=st.integers(1, 8), names=_NAMES)
 def test_summarize_matches_counts_per_field(records, top_k, names):
-    """Each field against its own count over the records. A kind that is not
-    ``TitleKind.MOVIE`` itself, such as the plain string "movie", is a TV show."""
+    """Each field against its own count over the records. A kind counts by
+    its value, so the plain string "movie" is a movie; a cast counts each
+    distinct key once."""
     summary = summarize(records, top_k=top_k, names=names)
 
     def split(titles):
         titles = list(titles)
-        movies = sum(1 for r in titles if r.kind is TitleKind.MOVIE)
+        movies = sum(1 for r in titles if r.kind == "movie")
         return movies, len(titles) - movies
 
     years = sorted({r.release_year for r in records} - {None})
@@ -136,8 +137,10 @@ def test_summarize_matches_counts_per_field(records, top_k, names):
         y: split(r for r in records if r.date_added and r.date_added.year == y) for y in added
     }
     assert list(summary.per_year_added) == added
-    sizes = sorted({len(r.cast) for r in records})
-    assert summary.cast_histogram == {s: sum(len(r.cast) == s for r in records) for s in sizes}
+    sizes = sorted({len(set(r.cast)) for r in records})
+    assert summary.cast_histogram == {
+        s: sum(len(set(r.cast)) == s for r in records) for s in sizes
+    }
     assert list(summary.cast_histogram) == sizes
     ratings = sorted({r.rating for r in records if r.rating})
     assert summary.rating_counts == {x: sum(r.rating == x for r in records) for x in ratings}
@@ -154,12 +157,17 @@ def test_summarize_matches_counts_per_field(records, top_k, names):
     }
     if names is None:
         label = {key: key for key in keys}
-    actors = {label[key]: sum(r.cast.count(key) for r in records) for key in keys}
+    actors = {label[key]: sum(key in r.cast for r in records) for key in keys}
     assert summary.top_actors == leaders(actors)
     directors = {d for r in records for d in r.directors}
     assert summary.top_directors == leaders(
         {d: sum(d in r.directors for r in records) for d in directors}
     )
+
+
+def test_summarize_rejects_an_unknown_kind():
+    with pytest.raises(ValueError, match="film"):
+        summarize([rec("t", "film", 2000)])
 
 
 class TestOutputs:

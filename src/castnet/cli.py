@@ -1,9 +1,11 @@
 """Command-line surface: ingest -> build -> analyze -> export.
 
-``main`` frames every command: the parser rejects each usage error before
-the output directory is created, the command writes its files and returns
-its report, and ``main`` writes that as ``run_report.json`` (skipped rows,
-non-convergence, parameters) and maps the outcome to an exit code.
+``main`` frames every command. The parser rejects each usage error before
+the output directory is created. ``main`` then reads the command's
+``--graph``, or its ``--records`` and ``--persons``, once before the command
+runs; a failed read exits 1 with one line. The command writes its files and
+returns its report, and ``main`` writes that as ``run_report.json`` (skipped
+rows, non-convergence, parameters) and maps the outcome to an exit code.
 Diagnostics go to stderr; stdout carries machine-readable data only. Same
 inputs + same seed produce byte-identical output trees: no timestamps, fixed
 key order, floats at 6 significant digits. ``_write`` writes every file.
@@ -15,6 +17,7 @@ only what its command needs, and ``stats`` and ``ingest`` never load numpy.
 from __future__ import annotations
 
 import argparse
+import codecs
 import json
 import math
 import os
@@ -54,25 +57,20 @@ def _write_report(args: argparse.Namespace, payload: dict) -> None:
     write_json(os.path.join(args.out, "run_report.json"), report, sort_keys=True)
 
 
-def _load_records(args: argparse.Namespace):
-    from .ingest import read_records_jsonl
+def _read_inputs(args: argparse.Namespace, settings: set[str]) -> dict:
+    """The inputs a command declares, each read once: ``graph``, or ``records`` and ``persons``."""
+    inputs = {}
+    if "graph" in settings:
+        from . import graphio
 
-    return read_records_jsonl(args.records)
+        inputs["graph"] = graphio.load_cache(args.graph)
+    if "records" in settings:
+        from . import ingest
 
-
-def _load_names(args: argparse.Namespace) -> dict[str, str] | None:
-    """Person key -> display name from ``--persons``, if given."""
-    if not args.persons:
-        return None
-    from .ingest import read_persons_jsonl
-
-    return read_persons_jsonl(args.persons)
-
-
-def _load_graph(args: argparse.Namespace):
-    from .graphio import load_cache
-
-    return load_cache(args.graph)
+        inputs["records"] = ingest.read_records_jsonl(args.records)
+        if "persons" in settings:  # display names of the records' person keys
+            inputs["persons"] = ingest.read_persons_jsonl(args.persons) if args.persons else None
+    return inputs
 
 
 # ---------------------------------------------------------------------------
@@ -111,19 +109,19 @@ def cmd_ingest(args: argparse.Namespace) -> dict:
     }
 
 
-def cmd_build(args: argparse.Namespace) -> dict:
+def cmd_build(args: argparse.Namespace, records, persons) -> dict:
     from .graph import build_bipartite, project
     from .graphio import save_cache
     from .ingest import TitleKind
 
     years = (args.year_min, args.year_max)
     store = build_bipartite(
-        _load_records(args),
+        records,
         kind=TitleKind(args.kind) if args.kind else None,
         year_range=None if years == (None, None) else years,
         min_cast=args.min_cast,
         max_cast=args.max_cast,
-        names=_load_names(args),
+        names=persons,
     )
     graph = project(store)
     cache_path = os.path.join(args.out, "graph.bin")
@@ -143,33 +141,32 @@ def cmd_build(args: argparse.Namespace) -> dict:
     }
 
 
-def cmd_stats(args: argparse.Namespace) -> dict:
+def cmd_stats(args: argparse.Namespace, records, persons) -> dict:
     from .stats import summarize, write_summary_csvs, write_summary_json
 
-    summary = summarize(_load_records(args), top_k=args.top, names=_load_names(args))
+    summary = summarize(records, top_k=args.top, names=persons)
     json_path = os.path.join(args.out, "summary.json")
     write_summary_json(json_path, summary)
     csvs = write_summary_csvs(args.out, summary)
     return {"outputs": [json_path] + csvs}
 
 
-def cmd_centrality(args: argparse.Namespace) -> dict:
+def cmd_centrality(args: argparse.Namespace, graph) -> dict:
     from . import centrality
 
-    g = _load_graph(args)
     cores = os.cpu_count() or 1
     threads = min(args.threads or cores, cores)  # 0 = all cores, and never more
     if args.measure == "degree":
-        table = centrality.degree_centrality(g)
+        table = centrality.degree_centrality(graph)
     elif args.measure == "betweenness":
-        table = centrality.betweenness_centrality(g, threads=threads)
+        table = centrality.betweenness_centrality(graph, threads=threads)
     elif args.measure == "closeness":
-        table = centrality.closeness_centrality(g, threads=threads)
+        table = centrality.closeness_centrality(graph, threads=threads)
     else:
-        table = centrality.eigenvector_centrality(g)
+        table = centrality.eigenvector_centrality(graph)
     csv_path = os.path.join(args.out, f"centrality_{args.measure}.csv")
     json_path = os.path.join(args.out, f"centrality_{args.measure}.json")
-    centrality.write_scores_csv(csv_path, table.ranked(g.labels))
+    centrality.write_scores_csv(csv_path, table.ranked(graph.labels))
     centrality.write_scores_json(json_path, args.measure, table.params)
     events = []
     if table.params.get("converged") is False:
@@ -182,31 +179,29 @@ def cmd_centrality(args: argparse.Namespace) -> dict:
     }
 
 
-def cmd_path(args: argparse.Namespace) -> dict:
+def cmd_path(args: argparse.Namespace, graph) -> dict:
     from .paths import path_to_dict, render_path, shortest_path
 
-    result = shortest_path(_load_graph(args), args.a, args.b)
+    result = shortest_path(graph, args.a, args.b)
     print(render_path(result))
     json_path = os.path.join(args.out, "path.json")
     write_json(json_path, path_to_dict(result))
     return {"a": args.a, "b": args.b, "outputs": [json_path]}
 
 
-def cmd_partners(args: argparse.Namespace) -> dict:
+def cmd_partners(args: argparse.Namespace, graph) -> dict:
     from .paths import top_partnerships
 
-    g = _load_graph(args)
-    rows = top_partnerships(g, args.top)
+    rows = top_partnerships(graph, args.top)
     out_path = os.path.join(args.out, "partners.csv")
     write_csv(out_path, ["actor_a", "actor_b", "shared_titles"], rows)
     return {"top": args.top, "outputs": [out_path]}
 
 
-def cmd_predict(args: argparse.Namespace) -> dict:
+def cmd_predict(args: argparse.Namespace, graph) -> dict:
     from .linkpred import predict_top
 
-    g = _load_graph(args)
-    scores = predict_top(g, args.method, args.top, min_common=args.min_common, cap=args.cap)
+    scores = predict_top(graph, args.method, args.top, min_common=args.min_common, cap=args.cap)
     out_path = os.path.join(args.out, "predictions.csv")
     rows = [(ps.u, ps.v, args.method, ps.score) for ps in scores]
     write_csv(out_path, ["actor_a", "actor_b", "method", "score"], rows)
@@ -216,14 +211,13 @@ def cmd_predict(args: argparse.Namespace) -> dict:
     return {**flags, "outputs": [out_path, json_path]}
 
 
-def cmd_communities(args: argparse.Namespace) -> dict:
+def cmd_communities(args: argparse.Namespace, graph) -> dict:
     from .community import louvain
     from .graphio import write_partition_csv
 
-    g = _load_graph(args)
-    part = louvain(g, seed=args.seed, resolution=args.resolution)
+    part = louvain(graph, seed=args.seed, resolution=args.resolution)
     out_path = os.path.join(args.out, "communities.csv")
-    write_partition_csv(out_path, g.labels, part)
+    write_partition_csv(out_path, graph.labels, part)
     print(f"communities: {part.n_communities} (q={part.q:.4f})", file=sys.stderr)
     return {
         "seed": args.seed,
@@ -235,13 +229,12 @@ def cmd_communities(args: argparse.Namespace) -> dict:
     }
 
 
-def cmd_clusters(args: argparse.Namespace) -> dict:
+def cmd_clusters(args: argparse.Namespace, graph) -> dict:
     from .community import build_cluster_graph, filter_interactions, louvain
     from .graphio import write_cluster_dot, write_cluster_json
 
-    g = _load_graph(args)
-    part = louvain(g, seed=args.seed)
-    cg = build_cluster_graph(g, part, overrides=args.labels)
+    part = louvain(graph, seed=args.seed)
+    cg = build_cluster_graph(graph, part, overrides=args.labels)
     cg = filter_interactions(cg, args.tau)
     json_path = os.path.join(args.out, "clusters.json")
     dot_path = os.path.join(args.out, "clusters.dot")
@@ -256,23 +249,20 @@ def cmd_clusters(args: argparse.Namespace) -> dict:
     }
 
 
-def cmd_crossover(args: argparse.Namespace) -> dict:
+def cmd_crossover(args: argparse.Namespace, graph) -> dict:
     from .centrality import write_scores_csv
     from .community import crossover_scores, louvain
 
-    g = _load_graph(args)
-    part = louvain(g, seed=args.seed)
+    part = louvain(graph, seed=args.seed)
     out_path = os.path.join(args.out, "crossover.csv")
-    write_scores_csv(out_path, crossover_scores(g, part).ranked(g.labels))
+    write_scores_csv(out_path, crossover_scores(graph, part).ranked(graph.labels))
     return {"seed": args.seed, "outputs": [out_path]}
 
 
-def cmd_evolve(args: argparse.Namespace) -> dict:
+def cmd_evolve(args: argparse.Namespace, records, persons) -> dict:
     from .community import community_evolution
 
-    records = _load_records(args)
-    names = _load_names(args)
-    timeline = community_evolution(records, args.window, args.step, args.seed, names=names)
+    timeline = community_evolution(records, args.window, args.step, args.seed, names=persons)
     evolution = {
         "windows": [
             {
@@ -303,12 +293,11 @@ def cmd_evolve(args: argparse.Namespace) -> dict:
     return {"window": args.window, "step": args.step, "seed": args.seed, "outputs": [out_path]}
 
 
-def cmd_export(args: argparse.Namespace) -> dict:
+def cmd_export(args: argparse.Namespace, graph) -> dict:
     from .graphio import write_dot, write_graphml
 
-    g = _load_graph(args)
     out_path = os.path.join(args.out, f"graph.{args.format}")
-    (write_dot if args.format == "dot" else write_graphml)(out_path, g)
+    (write_dot if args.format == "dot" else write_graphml)(out_path, graph)
     return {"format": args.format, "outputs": [out_path]}
 
 
@@ -352,10 +341,13 @@ _resolution = _checked(float, "a finite number > 0", lambda v: 0 < v < math.inf)
 def _label_overrides(path: str) -> dict[int, str]:
     """``--labels``: a JSON file holding an object of community id -> label."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return {int(k): str(v) for k, v in json.load(fh).items()}
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            labels = {int(k): v for k, v in json.load(fh).items()}
+        if all(isinstance(v, str) for v in labels.values()):
+            return labels
     except (OSError, ValueError, AttributeError):
-        raise argparse.ArgumentTypeError(f"{path!r} is not a JSON object of id -> label") from None
+        pass
+    raise argparse.ArgumentTypeError(f"{path!r} is not a JSON object of id -> label")
 
 
 # The settings a config file may hold, each declared once as the keywords of
@@ -478,6 +470,7 @@ def _check_flag_pairs(parser: argparse.ArgumentParser, args: argparse.Namespace)
 def load_config_file(parser: argparse.ArgumentParser, path: str, settings: set[str]) -> list[str]:
     """A ``key = value`` config file (# comments) as ``--key=value`` flags.
 
+    One leading UTF-8 BOM is dropped, as in every data file castnet reads.
     Every key must be one of ``SETTINGS``; any other key, a line without
     ``=``, a line that is not UTF-8, or a file that cannot be read, is a
     ``parser`` error. Keys outside ``settings``, the ones the command does
@@ -485,7 +478,7 @@ def load_config_file(parser: argparse.ArgumentParser, path: str, settings: set[s
     """
     try:
         with open(path, "rb") as fh:
-            data = fh.read()
+            data = fh.read().removeprefix(codecs.BOM_UTF8)
     except OSError as exc:
         parser.error(f"{path}: cannot read config file: {exc.strerror}")
     flags = []
@@ -528,7 +521,8 @@ def main(argv: list[str] | None = None) -> int:
         _check_flag_pairs(parser, args)
         _resolve_data_paths(args)
         os.makedirs(args.out, exist_ok=True)
-        _write_report(args, args.func(args))
+        inputs = _read_inputs(args, parser.settings_of[args.command])
+        _write_report(args, args.func(args, **inputs))
     except SystemExit as exc:  # a usage error (2), before --out exists, or --help (0)
         return exc.code
     except (OSError, CastnetError) as exc:

@@ -3,9 +3,12 @@ import os
 import random
 import subprocess
 import sys
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 import castnet
@@ -19,6 +22,24 @@ from castnet.centrality import (
 from castnet.errors import EmptyGraphError, TooFewNodesError
 from castnet.graph import CoGraph
 from conftest import make_graph
+
+
+@st.composite
+def clique_graphs(draw) -> tuple[int, set]:
+    """A few cliques and random edges among 3-12 actors, relabelled into a
+    larger set of isolated actors, sometimes past one 64-source block."""
+    core = draw(st.integers(3, 12))
+    edges = set()
+    for clique in draw(st.lists(st.lists(st.integers(0, core - 1), min_size=2, max_size=5,
+                                         unique=True), max_size=3)):
+        edges.update(combinations(sorted(clique), 2))
+    for u, v in draw(st.lists(st.tuples(st.integers(0, core - 1), st.integers(0, core - 1)),
+                              max_size=10)):
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    n = core + draw(st.integers(0, 80))
+    place = draw(st.permutations(range(n)))
+    return n, {(min(place[u], place[v]), max(place[u], place[v])) for u, v in edges}
 
 
 class TestDegree:
@@ -57,6 +78,24 @@ class TestBetweenness:
 
     def test_disconnected_pairs_contribute_zero(self, two_triangles):
         assert np.all(betweenness_centrality(two_triangles).scores == 0.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(clique_graphs())
+    def test_exactly_zero_when_and_only_when_neighbours_form_a_clique(self, graph):
+        """A simplicial actor lies inside no shortest path, so it must score
+        exactly 0.0, at every thread count; every other actor scores above 0."""
+        n, edges = graph
+        neighbours = [set() for _ in range(n)]
+        for u, v in edges:
+            neighbours[u].add(v)
+            neighbours[v].add(u)
+        simplicial = [all(b in neighbours[a] for a, b in combinations(sorted(nb), 2))
+                      for nb in neighbours]
+        g = make_graph(n, sorted(edges))
+        for threads in (1, 2):
+            scores = betweenness_centrality(g, threads=threads).scores
+            assert [s == 0.0 for s in scores.tolist()] == simplicial
+            assert np.all(scores >= 0.0)
 
 
 class TestCloseness:

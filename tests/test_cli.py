@@ -1,3 +1,4 @@
+import codecs
 import csv
 import gzip
 import json
@@ -145,6 +146,14 @@ class TestPipeline:
         payload = json.loads((out / "clusters.json").read_text())
         assert payload["clusters"][0]["label"] == "Renamed"
 
+    def test_cluster_label_file_may_start_with_a_bom(self, pipeline_dir, tmp_path):
+        overrides = tmp_path / "labels.json"
+        overrides.write_text('\ufeff{"0": "Renamed"}', encoding="utf-8")
+        assert run("clusters", "--tau", "0.05", "--labels", str(overrides),
+                   "--graph", str(pipeline_dir / "graph.bin"), "--out", str(tmp_path)) == 0
+        payload = json.loads((tmp_path / "clusters.json").read_text())
+        assert payload["clusters"][0]["label"] == "Renamed"
+
     def test_crossover(self, pipeline_dir, tmp_path):
         out = tmp_path / "cx"
         assert run("crossover", "--graph", str(pipeline_dir / "graph.bin"),
@@ -175,6 +184,51 @@ class TestPipeline:
         resaved = pipeline_dir / "resaved.bin"
         save_cache(resaved, g)
         assert (pipeline_dir / "graph.bin").read_bytes() == resaved.read_bytes()
+
+    @pytest.mark.parametrize("argv, loads", [
+        (("ingest", "--source", "netflix", "--input", "CATALOG"), (0, 0, 0)),
+        (("build", "--records", "RECORDS"), (0, 1, 0)),
+        (("build", "--records", "RECORDS", "--persons", "PERSONS"), (0, 1, 1)),
+        (("stats", "--records", "RECORDS"), (0, 1, 0)),
+        (("stats", "--records", "RECORDS", "--persons", "PERSONS"), (0, 1, 1)),
+        (("evolve", "--window", "4", "--step", "2", "--records", "RECORDS"), (0, 1, 0)),
+        (("evolve", "--window", "4", "--step", "2", "--records", "RECORDS",
+          "--persons", "PERSONS"), (0, 1, 1)),
+        (("centrality", "eigenvector", "--graph", "GRAPH"), (1, 0, 0)),
+        (("path", "Us ActorA", "In ActorA", "--graph", "GRAPH"), (1, 0, 0)),
+        (("partners", "--top", "3", "--graph", "GRAPH"), (1, 0, 0)),
+        (("predict", "jaccard", "--top", "3", "--graph", "GRAPH"), (1, 0, 0)),
+        (("communities", "--graph", "GRAPH"), (1, 0, 0)),
+        (("clusters", "--tau", "0.05", "--graph", "GRAPH"), (1, 0, 0)),
+        (("crossover", "--graph", "GRAPH"), (1, 0, 0)),
+        (("export", "--format", "dot", "--graph", "GRAPH"), (1, 0, 0)),
+    ], ids=["ingest", "build", "build-persons", "stats", "stats-persons", "evolve",
+            "evolve-persons", "centrality", "path", "partners", "predict", "communities",
+            "clusters", "crossover", "export"])
+    def test_each_command_reads_each_declared_input_once(self, pipeline_dir, catalog_csv,
+                                                          tmp_path, monkeypatch, argv, loads):
+        """(graph cache, records, persons) loads; ``ingest`` reads only raw catalogs."""
+        from castnet import graphio, ingest
+
+        persons = tmp_path / "persons.jsonl"
+        persons.write_text('{"person_id": "Us ActorA", "name": "Ann"}\n', encoding="utf-8")
+        paths = {"CATALOG": catalog_csv, "GRAPH": pipeline_dir / "graph.bin",
+                 "RECORDS": pipeline_dir / "records.jsonl", "PERSONS": persons}
+        loaders = ((graphio, "load_cache"), (ingest, "read_records_jsonl"),
+                   (ingest, "read_persons_jsonl"))
+        calls = dict.fromkeys((name for _, name in loaders), 0)
+
+        def counted(name, fn):
+            def loader(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return loader
+
+        for module, name in loaders:
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        argv = [str(paths.get(a, a)) for a in argv]
+        assert run(*argv, "--out", str(tmp_path / "out")) == 0
+        assert tuple(calls.values()) == loads
 
     @pytest.mark.parametrize("kind, kept, counters", [
         (None, ["s1", "s2"], {}),
@@ -454,6 +508,8 @@ class TestExitCodes:
             (("communities", "--resolution", "-1"), "--resolution"),
             (("stats", "--top", "-1"), "--top"),
             (("clusters", "--tau", "0.05", "--labels", "LABELS"), "--labels"),
+            (("clusters", "--tau", "0.05", "--labels", "LABELS_OBJECT"), "--labels"),
+            (("clusters", "--tau", "0.05", "--labels", "LABELS_NULL"), "--labels"),
             (("evolve", "--window", "5", "--step", "0"), "--step"),
             (("evolve", "--window", "3", "--step", "5"), "--window"),
             (("predict", "jaccard", "--top", "5", "--min-common", "0"), "--min-common"),
@@ -466,16 +522,19 @@ class TestExitCodes:
             (("export",), "--format"),
         ],
         ids=["partners-top", "predict-top", "clusters-tau", "communities-resolution",
-             "stats-top", "clusters-labels", "evolve-step", "evolve-window-below-step",
+             "stats-top", "clusters-labels", "clusters-labels-object",
+             "clusters-labels-null", "evolve-step", "evolve-window-below-step",
              "predict-min-common-zero", "predict-min-common-zero-not-pa", "predict-cap",
              "build-max-cast", "build-min-cast-above-max", "build-years-reversed",
              "stats-takes-no-seed", "export-format-required"],
     )
     def test_bad_flag_value_exits_2_with_one_line(self, pipeline_dir, tmp_path, capsys,
                                                   argv, flag):
-        labels = tmp_path / "labels.json"
-        labels.write_text('{"0": "unterminated', encoding="utf-8")
-        argv = [str(labels) if a == "LABELS" else a for a in argv]
+        labels = {"LABELS": '{"0": "unterminated', "LABELS_OBJECT": '{"0": {"x": 1}}',
+                  "LABELS_NULL": '{"0": "ok", "1": null}'}  # a label must be a string
+        for token, text in labels.items():
+            (tmp_path / f"{token}.json").write_text(text, encoding="utf-8")
+        argv = [str(tmp_path / f"{a}.json") if a in labels else a for a in argv]
         source = ("--records", str(pipeline_dir / "records.jsonl")) \
             if argv[0] in ("build", "stats", "evolve") \
             else ("--graph", str(pipeline_dir / "graph.bin"))
@@ -786,6 +845,18 @@ class TestConfig:
         conf.write_text(f"seed = 7\ngraph = {pipeline_dir / 'graph.bin'}\n", encoding="utf-8")
         assert run("crossover", "--config", str(conf), "--seed", "3", "--out", str(tmp_path)) == 0
         assert json.loads((tmp_path / "run_report.json").read_text())["seed"] == 3
+
+    def test_config_may_start_with_a_bom(self, pipeline_dir, tmp_path):
+        outputs = []
+        for name, head in (("plain", b""), ("bom", codecs.BOM_UTF8)):
+            conf = tmp_path / f"{name}.cfg"
+            conf.write_bytes(head + b"seed = 3\n")
+            out = tmp_path / name
+            assert run("communities", "--config", str(conf), "--graph",
+                       str(pipeline_dir / "graph.bin"), "--out", str(out)) == 0
+            outputs.append([(out / f).read_bytes() for f in ("communities.csv", "run_report.json")])
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[1][1])["seed"] == 3
 
     def test_keys_the_command_does_not_read_are_ignored(self, tmp_path, catalog_csv):
         conf = tmp_path / "run.conf"

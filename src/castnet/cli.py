@@ -3,9 +3,11 @@
 ``main`` frames every command. The parser rejects each usage error before
 the output directory is created. ``main`` then reads the command's
 ``--graph``, or its ``--records`` and ``--persons``, once before the command
-runs; a failed read exits 1 with one line. The command writes its files and
-returns its report, and ``main`` writes that as ``run_report.json`` (skipped
-rows, non-convergence, parameters) and maps the outcome to an exit code.
+runs; a failed read exits 1 with one line. ``main`` hands each command its
+``Run``, which names each file the command writes. The command returns its
+report's facts (skipped rows, non-convergence, parameters), the ``Run``
+writes them with those files' names as ``run_report.json``, and ``main`` maps
+the outcome to an exit code.
 Diagnostics go to stderr; stdout carries machine-readable data only. Same
 inputs + same seed produce byte-identical output trees: no timestamps, fixed
 key order, floats at 6 significant digits. ``_write`` writes every file.
@@ -48,13 +50,23 @@ def _resolve_data_paths(args: argparse.Namespace) -> None:
                 setattr(args, key, os.path.join(data_dir, value))
 
 
-def _write_report(args: argparse.Namespace, payload: dict) -> None:
-    report = {"command": args.command, **payload}
-    if "outputs" in report:
-        # Relative to the output dir so identical runs into different
-        # directories still produce byte-identical trees.
-        report["outputs"] = [os.path.relpath(p, args.out) for p in report["outputs"]]
-    write_json(os.path.join(args.out, "run_report.json"), report, sort_keys=True)
+class Run:
+    """One command's run: its ``--out`` directory and, in the order the
+    command names them, the files it writes there."""
+
+    def __init__(self, out: str):
+        self.out = out
+        self.outputs: list[str] = []  # relative to ``out``, so runs into two dirs match
+
+    def output(self, name: str) -> str:
+        """The path of the command's output file ``name``, recorded for the report."""
+        self.outputs.append(name)
+        return os.path.join(self.out, name)
+
+    def write_report(self, command: str, payload: dict) -> None:
+        """``run_report.json``: the command's payload and its ``outputs``."""
+        report = {"command": command, **payload, "outputs": self.outputs}
+        write_json(os.path.join(self.out, "run_report.json"), report, sort_keys=True)
 
 
 def _read_inputs(args: argparse.Namespace, settings: set[str]) -> dict:
@@ -74,11 +86,11 @@ def _read_inputs(args: argparse.Namespace, settings: set[str]) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Commands: each writes its files and returns its run report's payload
+# Commands: each writes the files ``run`` names and returns its report's facts
 # ---------------------------------------------------------------------------
 
 
-def cmd_ingest(args: argparse.Namespace) -> dict:
+def cmd_ingest(args: argparse.Namespace, run: Run) -> dict:
     from .ingest import (
         TitleKind,
         parse_imdb,
@@ -88,14 +100,12 @@ def cmd_ingest(args: argparse.Namespace) -> dict:
     )
 
     kinds = {TitleKind(args.kind)} if args.kind else None
-    records_path = os.path.join(args.out, "records.jsonl")
-    persons_path = None
+    records_path = run.output("records.jsonl")  # listed first, though written last
     if args.source == "netflix":
         result = parse_netflix(args.input, kinds)
     else:
         result = parse_imdb(args.basics, args.principals, args.names, kinds)
-        persons_path = os.path.join(args.out, "persons.jsonl")
-        write_persons_jsonl(persons_path, result.persons)
+        write_persons_jsonl(run.output("persons.jsonl"), result.persons)
     records, report = result.records, result.report
     write_records_jsonl(records_path, records)
     print(f"ingest: {len(records)} records, {len(report.skipped)} skipped", file=sys.stderr)
@@ -105,11 +115,10 @@ def cmd_ingest(args: argparse.Namespace) -> dict:
         "records": len(records),
         "skipped": [{"line": ev.line, "reason": ev.reason} for ev in report.skipped],
         "counters": dict(sorted(report.counters.items())),
-        "outputs": [p for p in (records_path, persons_path) if p],
     }
 
 
-def cmd_build(args: argparse.Namespace, records, persons) -> dict:
+def cmd_build(args: argparse.Namespace, run: Run, records, persons) -> dict:
     from .graph import build_bipartite, project
     from .graphio import save_cache
     from .ingest import TitleKind
@@ -124,8 +133,7 @@ def cmd_build(args: argparse.Namespace, records, persons) -> dict:
         names=persons,
     )
     graph = project(store)
-    cache_path = os.path.join(args.out, "graph.bin")
-    save_cache(cache_path, graph)
+    save_cache(run.output("graph.bin"), graph)
     print(
         f"build: {graph.n} actors, {graph.edge_count} edges "
         f"({store.oversize_titles} oversize titles rejected)",
@@ -137,21 +145,20 @@ def cmd_build(args: argparse.Namespace, records, persons) -> dict:
         "edges": graph.edge_count,
         "total_edge_weight": graph.total_edge_weight,
         "oversize_titles_rejected": store.oversize_titles,
-        "outputs": [cache_path],
     }
 
 
-def cmd_stats(args: argparse.Namespace, records, persons) -> dict:
+def cmd_stats(args: argparse.Namespace, run: Run, records, persons) -> dict:
     from .stats import summarize, write_summary_csvs, write_summary_json
 
     summary = summarize(records, top_k=args.top, names=persons)
-    json_path = os.path.join(args.out, "summary.json")
-    write_summary_json(json_path, summary)
-    csvs = write_summary_csvs(args.out, summary)
-    return {"outputs": [json_path] + csvs}
+    write_summary_json(run.output("summary.json"), summary)
+    for path in write_summary_csvs(run.out, summary):
+        run.output(os.path.basename(path))
+    return {}
 
 
-def cmd_centrality(args: argparse.Namespace, graph) -> dict:
+def cmd_centrality(args: argparse.Namespace, run: Run, graph) -> dict:
     from . import centrality
 
     cores = os.cpu_count() or 1
@@ -164,60 +171,49 @@ def cmd_centrality(args: argparse.Namespace, graph) -> dict:
         table = centrality.closeness_centrality(graph, threads=threads)
     else:
         table = centrality.eigenvector_centrality(graph)
-    csv_path = os.path.join(args.out, f"centrality_{args.measure}.csv")
-    json_path = os.path.join(args.out, f"centrality_{args.measure}.json")
-    centrality.write_scores_csv(csv_path, table.ranked(graph.labels))
-    centrality.write_scores_json(json_path, args.measure, table.params)
+    name = f"centrality_{args.measure}"
+    centrality.write_scores_csv(run.output(f"{name}.csv"), table.ranked(graph.labels))
+    centrality.write_scores_json(run.output(f"{name}.json"), args.measure, table.params)
     events = []
     if table.params.get("converged") is False:
         events.append({"type": "no_convergence", "detail": "max_iter reached"})
-    return {
-        "measure": args.measure,
-        "params": table.params,
-        "events": events,
-        "outputs": [csv_path, json_path],
-    }
+    return {"measure": args.measure, "params": table.params, "events": events}
 
 
-def cmd_path(args: argparse.Namespace, graph) -> dict:
+def cmd_path(args: argparse.Namespace, run: Run, graph) -> dict:
     from .paths import path_to_dict, render_path, shortest_path
 
     result = shortest_path(graph, args.a, args.b)
     print(render_path(result))
-    json_path = os.path.join(args.out, "path.json")
-    write_json(json_path, path_to_dict(result))
-    return {"a": args.a, "b": args.b, "outputs": [json_path]}
+    write_json(run.output("path.json"), path_to_dict(result))
+    return {"a": args.a, "b": args.b}
 
 
-def cmd_partners(args: argparse.Namespace, graph) -> dict:
+def cmd_partners(args: argparse.Namespace, run: Run, graph) -> dict:
     from .paths import top_partnerships
 
     rows = top_partnerships(graph, args.top)
-    out_path = os.path.join(args.out, "partners.csv")
-    write_csv(out_path, ["actor_a", "actor_b", "shared_titles"], rows)
-    return {"top": args.top, "outputs": [out_path]}
+    write_csv(run.output("partners.csv"), ["actor_a", "actor_b", "shared_titles"], rows)
+    return {"top": args.top}
 
 
-def cmd_predict(args: argparse.Namespace, graph) -> dict:
+def cmd_predict(args: argparse.Namespace, run: Run, graph) -> dict:
     from .linkpred import predict_top
 
     scores = predict_top(graph, args.method, args.top, min_common=args.min_common, cap=args.cap)
-    out_path = os.path.join(args.out, "predictions.csv")
     rows = [(ps.u, ps.v, args.method, ps.score) for ps in scores]
-    write_csv(out_path, ["actor_a", "actor_b", "method", "score"], rows)
-    json_path = os.path.join(args.out, "predictions.json")
+    write_csv(run.output("predictions.csv"), ["actor_a", "actor_b", "method", "score"], rows)
     flags = {"method": args.method, "top": args.top, "min_common": args.min_common}
-    write_json(json_path, flags)
-    return {**flags, "outputs": [out_path, json_path]}
+    write_json(run.output("predictions.json"), flags)
+    return flags
 
 
-def cmd_communities(args: argparse.Namespace, graph) -> dict:
+def cmd_communities(args: argparse.Namespace, run: Run, graph) -> dict:
     from .community import louvain
     from .graphio import write_partition_csv
 
     part = louvain(graph, seed=args.seed, resolution=args.resolution)
-    out_path = os.path.join(args.out, "communities.csv")
-    write_partition_csv(out_path, graph.labels, part)
+    write_partition_csv(run.output("communities.csv"), graph.labels, part)
     print(f"communities: {part.n_communities} (q={part.q:.4f})", file=sys.stderr)
     return {
         "seed": args.seed,
@@ -225,41 +221,32 @@ def cmd_communities(args: argparse.Namespace, graph) -> dict:
         "q": part.q,
         "passes": part.passes,
         "communities": part.n_communities,
-        "outputs": [out_path],
     }
 
 
-def cmd_clusters(args: argparse.Namespace, graph) -> dict:
+def cmd_clusters(args: argparse.Namespace, run: Run, graph) -> dict:
     from .community import build_cluster_graph, filter_interactions, louvain
     from .graphio import write_cluster_dot, write_cluster_json
 
     part = louvain(graph, seed=args.seed)
     cg = build_cluster_graph(graph, part, overrides=args.labels)
     cg = filter_interactions(cg, args.tau)
-    json_path = os.path.join(args.out, "clusters.json")
-    dot_path = os.path.join(args.out, "clusters.dot")
-    write_cluster_json(json_path, cg)
-    write_cluster_dot(dot_path, cg)
-    return {
-        "seed": args.seed,
-        "tau": args.tau,
-        "clusters": len(cg.clusters),
-        "links": len(cg.links),
-        "outputs": [json_path, dot_path],
-    }
+    write_cluster_json(run.output("clusters.json"), cg)
+    write_cluster_dot(run.output("clusters.dot"), cg)
+    return {"seed": args.seed, "tau": args.tau,
+            "clusters": len(cg.clusters), "links": len(cg.links)}
 
 
-def cmd_crossover(args: argparse.Namespace, graph) -> dict:
+def cmd_crossover(args: argparse.Namespace, run: Run, graph) -> dict:
     from .centrality import write_scores_csv
     from .community import crossover_scores, louvain
 
-    part = louvain(graph, seed=args.seed)
-    out_path = os.path.join(args.out, "crossover.csv")
-    write_scores_csv(out_path, crossover_scores(graph, part).ranked(graph.labels))
-    return {"seed": args.seed, "outputs": [out_path]}
+    scores = crossover_scores(graph, louvain(graph, seed=args.seed))
+    write_scores_csv(run.output("crossover.csv"), scores.ranked(graph.labels))
+    return {"seed": args.seed}
 
 
-def cmd_evolve(args: argparse.Namespace, records, persons) -> dict:
+def cmd_evolve(args: argparse.Namespace, run: Run, records, persons) -> dict:
     from .community import community_evolution
 
     timeline = community_evolution(records, args.window, args.step, args.seed, names=persons)
@@ -288,17 +275,16 @@ def cmd_evolve(args: argparse.Namespace, records, persons) -> dict:
             for step in timeline.matches
         ],
     }
-    out_path = os.path.join(args.out, "evolution.json")
-    write_json(out_path, evolution)
-    return {"window": args.window, "step": args.step, "seed": args.seed, "outputs": [out_path]}
+    write_json(run.output("evolution.json"), evolution)
+    return {"window": args.window, "step": args.step, "seed": args.seed}
 
 
-def cmd_export(args: argparse.Namespace, graph) -> dict:
+def cmd_export(args: argparse.Namespace, run: Run, graph) -> dict:
     from .graphio import write_dot, write_graphml
 
-    out_path = os.path.join(args.out, f"graph.{args.format}")
-    (write_dot if args.format == "dot" else write_graphml)(out_path, graph)
-    return {"format": args.format, "outputs": [out_path]}
+    write = write_dot if args.format == "dot" else write_graphml
+    write(run.output(f"graph.{args.format}"), graph)
+    return {"format": args.format}
 
 
 # ---------------------------------------------------------------------------
@@ -521,8 +507,9 @@ def main(argv: list[str] | None = None) -> int:
         _check_flag_pairs(parser, args)
         _resolve_data_paths(args)
         os.makedirs(args.out, exist_ok=True)
+        run = Run(args.out)
         inputs = _read_inputs(args, parser.settings_of[args.command])
-        _write_report(args, args.func(args, **inputs))
+        run.write_report(args.command, args.func(args, run, **inputs))
     except SystemExit as exc:  # a usage error (2), before --out exists, or --help (0)
         return exc.code
     except (OSError, CastnetError) as exc:

@@ -56,8 +56,8 @@ def build_bipartite(
 
     ``names`` optionally maps person keys to display labels (IMDb nconst to
     primaryName); colliding display labels are disambiguated with the key.
-    Titles with more than ``max_cast`` cast members are rejected as data
-    errors and counted, since projection is quadratic per title.
+    Cast sizes count distinct keys. Titles with more than ``max_cast`` are
+    rejected as data errors and counted, since projection is quadratic per title.
     """
     store = BipartiteStore(
         person_keys=[],
@@ -80,9 +80,10 @@ def build_bipartite(
                 continue
             if hi is not None and rec.release_year > hi:
                 continue
-        if len(rec.cast) < min_cast:
+        cast = dict.fromkeys(rec.cast)  # distinct keys, in first-seen order
+        if len(cast) < min_cast:
             continue
-        if len(rec.cast) > max_cast:
+        if len(cast) > max_cast:
             store.oversize_titles += 1
             continue
         if rec.title_id in seen_titles:
@@ -90,7 +91,7 @@ def build_bipartite(
         seen_titles.add(rec.title_id)
         store.title_ids.append(rec.title_id)
         store.title_names.append(rec.title)
-        members = {person_index.setdefault(key, len(person_index)) for key in rec.cast}
+        members = [person_index.setdefault(key, len(person_index)) for key in cast]
         store.incidence.append(sorted(members))
         store.title_country.append(rec.country)
     if not store.title_ids:

@@ -45,7 +45,7 @@ def summarize(
     casts = [set(rec.cast) for rec in records]
     cast_sizes = Counter(map(len, casts))
     actors = Counter(key for cast in casts for key in cast)
-    directors = Counter(name for rec in records for name in rec.directors)
+    directors = Counter(name for rec in records for name in set(rec.directors))
     ratings = Counter(rec.rating for rec in records if rec.rating)
     if names is not None:
         labels = _cast_labels(records, names)

@@ -230,6 +230,42 @@ class TestPipeline:
         assert run(*argv, "--out", str(tmp_path / "out")) == 0
         assert tuple(calls.values()) == loads
 
+    @pytest.mark.parametrize("argv", [
+        ("ingest", "--source", "netflix", "--input", "CATALOG"),
+        ("ingest", "--source", "imdb", "--basics", "BASICS", "--principals", "PRINCIPALS",
+         "--names", "NAMES"),
+        ("build", "--records", "RECORDS"),
+        ("stats", "--records", "RECORDS"),
+        ("evolve", "--window", "4", "--step", "2", "--records", "RECORDS"),
+        *(("centrality", measure, "--graph", "GRAPH") for measure in CENTRALITY_PARAMS),
+        ("path", "Us ActorA", "In ActorA", "--graph", "GRAPH"),
+        ("partners", "--top", "3", "--graph", "GRAPH"),
+        ("predict", "jaccard", "--top", "3", "--graph", "GRAPH"),
+        ("communities", "--graph", "GRAPH"),
+        ("clusters", "--tau", "0.05", "--graph", "GRAPH"),
+        ("crossover", "--graph", "GRAPH"),
+        ("export", "--format", "dot", "--graph", "GRAPH"),
+        ("export", "--format", "graphml", "--graph", "GRAPH"),
+    ], ids=["ingest-netflix", "ingest-imdb", "build", "stats", "evolve",
+            *(f"centrality-{measure}" for measure in CENTRALITY_PARAMS), "path", "partners",
+            "predict", "communities", "clusters", "crossover", "export-dot", "export-graphml"])
+    def test_report_outputs_are_the_files_written(self, pipeline_dir, catalog_csv, tmp_path,
+                                                  argv):
+        dumps = {
+            "BASICS": "tconst\ttitleType\tprimaryTitle\tstartYear\ntt1\tmovie\tFirst\t1990\n",
+            "PRINCIPALS": "tconst\tordering\tnconst\tcategory\ntt1\t1\tnm1\tactor\n",
+            "NAMES": "nconst\tprimaryName\nnm1\tLead One\n",
+        }
+        for key, text in dumps.items():
+            (tmp_path / key).write_text(text, encoding="utf-8")
+        paths = {"CATALOG": catalog_csv, "GRAPH": pipeline_dir / "graph.bin",
+                 "RECORDS": pipeline_dir / "records.jsonl", **{k: tmp_path / k for k in dumps}}
+        out = tmp_path / "run"  # a fresh directory: pipeline_dir is tmp_path / "out"
+        assert run(*(str(paths.get(a, a)) for a in argv), "--out", str(out)) == 0
+        outputs = json.loads((out / "run_report.json").read_text())["outputs"]
+        # A directory lists each name once, so equal sorted lists also rule out repeats.
+        assert sorted(outputs) == sorted(set(os.listdir(out)) - {"run_report.json"})
+
     @pytest.mark.parametrize("kind, kept, counters", [
         (None, ["s1", "s2"], {}),
         ("movie", ["s1"], {"filtered": 1}),

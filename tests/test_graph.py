@@ -57,6 +57,12 @@ class TestBuildBipartite:
         assert store.title_ids == ["t2"]
         assert store.oversize_titles == 1
 
+    def test_cast_filters_count_distinct_keys(self):
+        records = [rec("t1", ["x", "x"]), rec("t2", ["y", "z"])]
+        assert build_bipartite(records, min_cast=2).incidence == [[0, 1]]
+        store = build_bipartite(records, max_cast=1)
+        assert (store.title_ids, store.incidence, store.oversize_titles) == (["t1"], [[0]], 1)
+
     def test_empty_input_error(self):
         with pytest.raises(EmptyInputError):
             build_bipartite([rec("t1", ["A"], kind=TitleKind.MOVIE)], kind=TitleKind.TV_SHOW)

@@ -73,6 +73,10 @@ class TestSummarize:
         assert summary.top_actors == [("X", 2), ("Y", 1)]  # Y before Z by name
         assert summary.top_directors == [("D1", 2), ("D2", 1)]
 
+    def test_director_counted_once_per_title(self):
+        records = [rec("t1", TitleKind.MOVIE, 2000, cast=["x"], directors=["D", "D"])]
+        assert summarize(records).top_directors == [("D", 1)]
+
     def test_rating_counts(self):
         records = [
             rec("a", TitleKind.MOVIE, 2000, rating="PG"),

@@ -1,24 +1,12 @@
-"""Breadth-first search over the CSR adjacency, as array code.
+"""Breadth-first search over the CSR adjacency, as numpy array code.
 
 All-source traversals advance a block of sources together, one BFS level
-per step. Two kernels do this:
-
-- ``reach_counts`` (closeness) only needs how many nodes each source reaches
-  at each distance. It keeps one bit per source: a block of up to 64 sources
-  is one ``uint64`` word per node, and a level is a gather of the frontier
-  words over the CSR plus an OR-reduction per row. This is the multi-source
-  BFS of Then et al., "The More the Merrier: Efficient Multi-Source Graph
-  Traversal" (PVLDB 2014), and it needs numpy only.
-- ``levels`` (Brandes' betweenness) also carries shortest-path counts, so
-  its n x B float frontier is multiplied by the binary adjacency: one
-  sparse-times-dense product per level replaces B queue-based searches.
-  This is the level-synchronous form of BFS and Brandes given by Kepner &
-  Gilbert, *Graph Algorithms in the Language of Linear Algebra* (2011).
-
-scipy is imported inside ``adjacency``, never at module level: ``import
-scipy.sparse`` costs about 0.2 s of CPU and 19 MB per process (on a 2-vCPU
-Xeon VM), which only betweenness pays. The thread pool's module is imported
-only when a traversal asks for a second thread.
+per step. ``reach_counts`` (closeness) keeps one bit per source: a block of
+up to 64 sources is one ``uint64`` word per node, and a level is a gather of
+the frontier words over the CSR plus an OR-reduction per row. This is the
+multi-source BFS of Then et al., "The More the Merrier: Efficient
+Multi-Source Graph Traversal" (PVLDB 2014). The thread pool's module is
+imported only when a traversal asks for a second thread.
 """
 
 from __future__ import annotations
@@ -27,8 +15,6 @@ from functools import partial
 from typing import Callable, Iterator, TypeVar
 
 import numpy as np
-
-from .graph import CoGraph
 
 # Sources per block, for every all-source traversal. Fixed, never derived
 # from the thread count, so per-block float partials are always summed in
@@ -43,42 +29,6 @@ BLOCK = 64
 _WORD = np.dtype("<u8")
 
 T = TypeVar("T")
-
-
-def adjacency(g: CoGraph):
-    """Binary float64 adjacency of ``g`` as a ``scipy.sparse.csr_matrix``."""
-    from scipy.sparse import csr_matrix
-
-    data = np.ones(len(g.indices), np.float64)
-    return csr_matrix((data, g.indices, g.indptr), shape=(g.n, g.n))
-
-
-def levels(adj, sources: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Breadth-first levels from a block of sources, one column per source.
-
-    Yields ``(level, new, sigma)`` for level = 1, 2, ...: ``new[v, j]`` marks
-    the nodes first reached at that level from ``sources[j]``, and ``sigma``
-    holds their shortest-path counts (zero elsewhere). The counts are the
-    frontier values at first discovery: summing the predecessors' counts is
-    exactly what the product with the adjacency does.
-    """
-    n = adj.shape[0]
-    cols = np.arange(len(sources))
-    frontier = np.zeros((n, len(sources)), np.float64)
-    frontier[sources, cols] = 1.0
-    seen = frontier != 0.0
-    level = 0
-    while True:
-        reach = adj @ frontier
-        new = reach != 0.0
-        new &= ~seen
-        if not new.any():
-            return
-        seen |= new
-        level += 1
-        np.copyto(reach, 0.0, where=~new)  # in place: one fewer n x B array
-        frontier = reach
-        yield level, new, frontier
 
 
 def reach_counts(indptr: np.ndarray, indices: np.ndarray, sources: np.ndarray) -> np.ndarray:
@@ -124,8 +74,8 @@ def map_blocks(
 
     The partition never depends on ``threads``, and callers reduce the
     results in the order they arrive, so output is the same for every
-    thread count. numpy's gathers and reductions and scipy's sparse
-    products release the interpreter lock, so threads overlap real work.
+    thread count. Array gathers, reductions and sparse products release
+    the interpreter lock, so threads overlap real work.
     """
     blocks = [sources[lo : lo + BLOCK] for lo in range(0, len(sources), BLOCK)]
     workers = min(threads, len(blocks))

@@ -494,7 +494,7 @@ def _config_flags(parser: _Parser, argv: list[str]) -> list[str]:
     pre = _Parser(prog=f"{parser.prog} {argv[0]}", add_help=False)
     pre.add_argument("--config")
     path = pre.parse_known_args(argv[1:])[0].config
-    return load_config_file(pre, path, settings) if path else []
+    return load_config_file(pre, path, settings) if path is not None else []
 
 
 def main(argv: list[str] | None = None) -> int:

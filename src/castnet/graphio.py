@@ -136,9 +136,11 @@ class _Reader:
         return self.data[self.pos - size : self.pos]
 
     def array(self, dtype: str, count: int) -> np.ndarray:
-        """``count`` little-endian items, as a native-endian copy."""
+        """``count`` little-endian items, native-endian and read-only."""
         raw = np.frombuffer(self.take(np.dtype(dtype).itemsize * count), dtype)
-        return raw.astype(raw.dtype.newbyteorder("="))
+        out = raw.astype(raw.dtype.newbyteorder("="), copy=False)
+        out.flags.writeable = False
+        return out
 
     def strings(self, count: int) -> list[str]:
         lengths = self.array("<u4", count).astype(np.int64)
@@ -183,7 +185,8 @@ def _check_adjacency(n: int, total: int, indptr, indices, weights) -> None:
 
 def load_cache(path: str | os.PathLike) -> CoGraph:
     """Read a cache written by :func:`save_cache`, rejecting any file that is
-    truncated, carries trailing bytes or breaks a CSR or incidence invariant."""
+    truncated, carries trailing bytes or breaks a CSR or incidence invariant.
+    The graph's arrays are read-only."""
     with open(path, "rb") as fh:
         r = _Reader(fh.read())
     if r.take(len(CACHE_MAGIC)) != CACHE_MAGIC:

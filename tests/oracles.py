@@ -75,11 +75,12 @@ def path_counts(n: int, edges, dist: np.ndarray) -> np.ndarray:
     return sigma
 
 
-def betweenness(n: int, edges) -> np.ndarray:
-    """Ordered-pair betweenness / ((n-1)(n-2)) via sigma counting."""
+def dependencies(n: int, edges) -> np.ndarray:
+    """delta[s, v]: over the targets t outside {s, v}, the summed share of
+    shortest s-t paths that pass through v (Brandes' dependency of s on v)."""
     dist = floyd_warshall(n, edges)
     sigma = path_counts(n, edges, dist)
-    scores = np.zeros(n)
+    delta = np.zeros((n, n))
     for i in range(n):
         on_path = (dist[:, i, None] + dist[None, i, :]) == dist
         valid = np.isfinite(dist) & on_path
@@ -88,8 +89,13 @@ def betweenness(n: int, edges) -> np.ndarray:
         np.fill_diagonal(valid, False)
         with np.errstate(invalid="ignore", divide="ignore"):
             contrib = np.where(valid, np.outer(sigma[:, i], sigma[i, :]) / sigma, 0.0)
-        scores[i] = contrib.sum()
-    return scores / ((n - 1) * (n - 2))
+        delta[:, i] = contrib.sum(axis=1)
+    return delta
+
+
+def betweenness(n: int, edges) -> np.ndarray:
+    """Ordered-pair betweenness / ((n-1)(n-2)): every source's dependencies."""
+    return dependencies(n, edges).sum(axis=0) / ((n - 1) * (n - 2))
 
 
 def closeness(n: int, edges) -> np.ndarray:

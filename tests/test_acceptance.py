@@ -85,17 +85,16 @@ def test_oracle_equivalence_200_random_graphs():
             for u, v in edges:
                 adj[u, v] = adj[v, u] = 1.0
 
-            # pairwise distances: level-synchronous BFS from every source at
-            # once vs Floyd-Warshall and a queue BFS
+            # pairwise distances: each source's distance histogram from the
+            # bit-parallel BFS of every source at once vs Floyd-Warshall and
+            # a queue BFS
             fw = oracles.floyd_warshall(n, edges)
             expected = np.where(np.isinf(fw), -1, fw).astype(np.int64)
-            dist = np.full((n, n), -1, np.int64)
-            np.fill_diagonal(dist, 0)
-            for level, new, _ in _bfs.levels(_bfs.adjacency(g), np.arange(n)):
-                dist[new.T] = level
-            assert np.array_equal(dist, expected)
+            counts = _bfs.reach_counts(g.indptr, g.indices, np.arange(n))
             for s in range(n):
                 assert np.array_equal(oracles.bfs_distances(n, edges, s), expected[s])
+                reached = expected[s][expected[s] > 0]
+                assert np.array_equal(counts[:, s], np.bincount(reached, minlength=len(counts)))
 
             # four centralities
             assert np.allclose(

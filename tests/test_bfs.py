@@ -1,5 +1,5 @@
-"""The traversal kernels (bit-parallel reach counts, level-synchronous Brandes
-levels) and their thread-count contract."""
+"""The traversal kernels (bit-parallel reach counts, the level-synchronous
+Brandes block) and their thread-count contract."""
 
 import os
 import random
@@ -8,36 +8,27 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 import castnet
 import oracles
 from castnet import _bfs
-from castnet.centrality import betweenness_centrality, closeness_centrality
+from castnet.centrality import _brandes_block, betweenness_centrality, closeness_centrality
 from conftest import make_graph
 
 
-def _all_source_levels(g):
-    """(dist, sigma) as n x n matrices, row = source, from one block."""
-    n = g.n
-    dist = np.full((n, n), -1, np.int64)
-    sigma = np.eye(n)
-    np.fill_diagonal(dist, 0)
-    for level, new, counts in _bfs.levels(_bfs.adjacency(g), np.arange(n)):
-        dist[new.T] = level
-        sigma += counts.T
-    return dist, sigma
-
-
-def test_levels_match_distance_and_path_count_oracles():
+def test_brandes_block_matches_dependency_oracle():
+    """Each block's summed dependencies, for sources in any order and blocks
+    of any width, equal the brute-force path-counting sums."""
     rng = random.Random(2024)
     for _ in range(30):
         n = rng.randint(3, 40)
         edges = oracles.random_graph(rng, n, rng.uniform(0.05, 0.4))
         g = make_graph(n, edges)
-        dist, sigma = _all_source_levels(g)
-        fw = oracles.floyd_warshall(n, edges)
-        assert np.array_equal(dist, np.where(np.isinf(fw), -1, fw))
-        assert np.array_equal(sigma, oracles.path_counts(n, edges, fw))
+        adj = csr_matrix((np.ones(len(g.indices)), g.indices, g.indptr), shape=(n, n))
+        delta = oracles.dependencies(n, edges)
+        sources = np.array(rng.sample(range(n), rng.randint(1, n)))
+        assert np.allclose(_brandes_block(adj, sources), delta[sources].sum(axis=0), atol=1e-9)
 
 
 def _distance_histograms(n, edges, sources):
@@ -105,9 +96,10 @@ def test_reach_counts_take_at_most_one_block():
         _bfs.reach_counts(g.indptr, g.indices, np.arange(n))
 
 
-def test_levels_of_edgeless_graph_yield_nothing():
-    g = make_graph(3, [])
-    assert list(_bfs.levels(_bfs.adjacency(g), np.arange(3))) == []
+@pytest.mark.parametrize("threads", [1, 2])
+def test_betweenness_of_edgeless_graph_is_exactly_zero(threads):
+    g = make_graph(_bfs.BLOCK + 3, [])  # two source blocks, so two threads both run
+    assert betweenness_centrality(g, threads=threads).scores.tolist() == [0.0] * g.n
 
 
 def test_map_blocks_partition_is_fixed_and_ordered():

@@ -788,8 +788,9 @@ class TestExitCodes:
         (("crossover", "--config", "MISSING"),
          "nope.conf: cannot read config file: No such file or directory"),
         (("frobnicate",), "'frobnicate'"),
+        (("crossover", "--config", ""), ": cannot read config file: No such file or directory"),
     ], ids=["build-no-records", "imdb-no-names", "netflix-no-input", "config-unknown-key",
-            "config-missing", "unknown-command"])
+            "config-missing", "unknown-command", "config-empty"])
     def test_usage_error_exits_2_before_out_exists(self, tmp_path, capsys, argv, message):
         conf = tmp_path / "bad.conf"
         conf.write_text("source = netflix\nnonsense = 1\n", encoding="utf-8")

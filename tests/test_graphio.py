@@ -88,6 +88,15 @@ class TestCache:
         assert loaded.title_members.tolist() == [0, 1, 1, 2, 3]
         assert loaded.titles_for_edge(1, 2) == ("Other",)
 
+    def test_loaded_arrays_are_read_only(self, tmp_path):
+        save_cache(tmp_path / "graph.bin", full_featured_graph())
+        loaded = load_cache(tmp_path / "graph.bin")
+        for name in ("indptr", "indices", "weights", "title_ptr", "title_members"):
+            array = getattr(loaded, name)
+            assert array.dtype.isnative, name
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[0]
+
     def test_failed_write_keeps_previous_cache(self, tmp_path):
         path = tmp_path / "graph.bin"
         save_cache(path, full_featured_graph())

@@ -124,7 +124,7 @@ def cmd_build(args: argparse.Namespace, run: Run, records, persons) -> dict:
     from .ingest import TitleKind
 
     years = (args.year_min, args.year_max)
-    store = build_bipartite(
+    graph, oversize = build_bipartite(
         records,
         kind=TitleKind(args.kind) if args.kind else None,
         year_range=None if years == (None, None) else years,
@@ -132,19 +132,19 @@ def cmd_build(args: argparse.Namespace, run: Run, records, persons) -> dict:
         max_cast=args.max_cast,
         names=persons,
     )
-    graph = project(store)
+    graph = project(graph)
     save_cache(run.output("graph.bin"), graph)
     print(
         f"build: {graph.n} actors, {graph.edge_count} edges "
-        f"({store.oversize_titles} oversize titles rejected)",
+        f"({oversize} oversize titles rejected)",
         file=sys.stderr,
     )
     return {
-        "titles": store.n_titles,
-        "persons": store.n_persons,
+        "titles": len(graph.title_names),
+        "persons": graph.n,
         "edges": graph.edge_count,
         "total_edge_weight": graph.total_edge_weight,
-        "oversize_titles_rejected": store.oversize_titles,
+        "oversize_titles_rejected": oversize,
     }
 
 
@@ -153,8 +153,7 @@ def cmd_stats(args: argparse.Namespace, run: Run, records, persons) -> dict:
 
     summary = summarize(records, top_k=args.top, names=persons)
     write_summary_json(run.output("summary.json"), summary)
-    for path in write_summary_csvs(run.out, summary):
-        run.output(os.path.basename(path))
+    write_summary_csvs(run.output, summary)
     return {}
 
 
@@ -330,6 +329,7 @@ def _label_overrides(path: str) -> dict[int, str]:
         with open(path, "r", encoding="utf-8-sig") as fh:
             labels = {int(k): v for k, v in json.load(fh).items()}
         if all(isinstance(v, str) for v in labels.values()):
+            "".join(labels.values()).encode("utf-8")  # a lone surrogate escape raises
             return labels
     except (OSError, ValueError, AttributeError):
         pass
@@ -492,7 +492,7 @@ def _config_flags(parser: _Parser, argv: list[str]) -> list[str]:
     if settings is None:
         return []
     pre = _Parser(prog=f"{parser.prog} {argv[0]}", add_help=False)
-    pre.add_argument("--config")
+    pre.add_argument("--config", type=_checked(str, "a file path", bool))
     path = pre.parse_known_args(argv[1:])[0].config
     return load_config_file(pre, path, settings) if path is not None else []
 

@@ -366,7 +366,7 @@ def community_evolution(
     for start in range(lo, hi + 1, step_years):
         span = (start, start + window_years - 1)
         try:
-            graph = project(build_bipartite(records, year_range=span, names=names))
+            graph = project(build_bipartite(records, year_range=span, names=names)[0])
         except EmptyInputError:
             windows.append(EvolutionWindow(span, (), None))
             continue

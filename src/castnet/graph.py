@@ -1,15 +1,17 @@
-"""Bipartite person-title store and its projection to the co-appearance graph.
+"""The actor co-appearance graph: the title x person incidence of a catalog
+and its projection onto actors.
 
-The projected :class:`CoGraph` is the analysis substrate for every other
-module. It is immutable once built: adjacency is CSR-style (sorted neighbor
-arrays), node indices are dense and assigned in first-seen order, and all
-outputs downstream report names, never indices.
+:func:`build_bipartite` returns the edgeless :class:`CoGraph` of the
+incidence and :func:`project` adds its co-appearance edges. The graph is the
+analysis substrate for every other module. It is immutable once built:
+adjacency is CSR-style (sorted neighbor arrays), node indices are dense and
+assigned in first-seen order, and all outputs downstream report names, never
+indices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import chain
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -21,27 +23,6 @@ if TYPE_CHECKING:
     from .ingest import TitleKind, TitleRecord
 
 
-@dataclass
-class BipartiteStore:
-    """Interned person/title tables plus per-title cast incidence."""
-
-    person_keys: list[str]
-    person_labels: list[str]
-    title_ids: list[str]
-    title_names: list[str]
-    incidence: list[list[int]]  # per title: sorted, duplicate-free person indices
-    title_country: list[str | None]
-    oversize_titles: int = 0  # casts above the cap, rejected as data errors
-
-    @property
-    def n_persons(self) -> int:
-        return len(self.person_keys)
-
-    @property
-    def n_titles(self) -> int:
-        return len(self.title_ids)
-
-
 def build_bipartite(
     records: Sequence[TitleRecord],
     *,
@@ -50,26 +31,24 @@ def build_bipartite(
     min_cast: int = 0,
     max_cast: int = DEFAULT_MAX_CAST,
     names: Mapping[str, str] | None = None,
-) -> BipartiteStore:
-    """Intern persons/titles from ``records``, excluding titles that fail
-    the filters.
+) -> tuple[CoGraph, int]:
+    """``(graph, oversize)``: the edgeless graph of the title x person
+    incidence of the ``records`` that pass the filters, and the number of
+    titles rejected as oversize.
 
     ``names`` optionally maps person keys to display labels (IMDb nconst to
     primaryName); colliding display labels are disambiguated with the key.
     Cast sizes count distinct keys. Titles with more than ``max_cast`` are
     rejected as data errors and counted, since projection is quadratic per title.
     """
-    store = BipartiteStore(
-        person_keys=[],
-        person_labels=[],
-        title_ids=[],
-        title_names=[],
-        incidence=[],
-        title_country=[],
-    )
     lo, hi = year_range if year_range else (None, None)
     seen_titles: set[str] = set()
     person_index: dict[str, int] = {}  # key -> index, in first-seen order
+    title_names: list[str] = []
+    title_country: list[str | None] = []
+    title_ptr = [0]
+    members: list[int] = []  # title after title: sorted, duplicate-free person indices
+    oversize = 0
     for rec in records:
         if kind is not None and rec.kind != kind:
             continue
@@ -84,23 +63,35 @@ def build_bipartite(
         if len(cast) < min_cast:
             continue
         if len(cast) > max_cast:
-            store.oversize_titles += 1
+            oversize += 1
             continue
         if rec.title_id in seen_titles:
             continue
         seen_titles.add(rec.title_id)
-        store.title_ids.append(rec.title_id)
-        store.title_names.append(rec.title)
-        members = [person_index.setdefault(key, len(person_index)) for key in cast]
-        store.incidence.append(sorted(members))
-        store.title_country.append(rec.country)
-    if not store.title_ids:
+        title_names.append(rec.title)
+        title_country.append(rec.country)
+        members.extend(sorted([person_index.setdefault(key, len(person_index)) for key in cast]))
+        title_ptr.append(len(members))
+    if not title_names:
         raise EmptyInputError("no titles survive the configured filters")
     from .ingest import _display_labels  # here, so that analysis commands load no ingest
 
-    store.person_keys = list(person_index)
-    store.person_labels = _display_labels(store.person_keys, names)
-    return store
+    n = len(person_index)
+    ptr = np.array(title_ptr, np.int64)
+    owners = np.array(members, np.int64)
+    graph = CoGraph(
+        labels=_display_labels(list(person_index), names),
+        indptr=np.zeros(n + 1, np.int64),
+        indices=np.zeros(0, np.int32),
+        weights=np.zeros(0, np.int64),
+        title_names=title_names,
+        title_ptr=ptr,
+        title_members=owners.astype(np.int32),
+        node_country=plurality_countries(
+            title_country, np.repeat(np.arange(len(title_names)), np.diff(ptr)), owners, n
+        ),
+    )
+    return graph, oversize
 
 
 @dataclass(eq=False)
@@ -109,10 +100,10 @@ class CoGraph:
 
     Edge weight counts shared titles. Neighbor arrays are sorted by index;
     there are no self-loops and all weights are >= 1. ``total_edge_weight``
-    sums weights over undirected edges (each edge once). A projected graph
-    keeps the title x person incidence it came from: title ``t`` has the cast
-    ``title_members[title_ptr[t]:title_ptr[t + 1]]``. Graphs built from an
-    edge list have no titles.
+    sums weights over undirected edges (each edge once). A graph built from
+    records keeps its title x person incidence: title ``t`` has the cast
+    ``title_members[title_ptr[t]:title_ptr[t + 1]]``. Only graphs built by
+    :meth:`from_weighted_edges` have no titles.
     """
 
     labels: list[str]
@@ -220,29 +211,22 @@ class CoGraph:
         keys, inverse = np.unique(lo * n + hi, return_inverse=True)
         weights = np.zeros(len(keys), np.int64)
         np.add.at(weights, inverse, w)
-        return cls._from_upper(
+        return cls(
             list(labels),
-            keys,
-            weights,
+            *_from_upper(n, keys, weights),
             node_country=list(node_country) if node_country is not None else None,
         )
 
-    @classmethod
-    def _from_upper(cls, labels: list[str], keys: np.ndarray, weights: np.ndarray, **extra) -> "CoGraph":
-        """Symmetric CSR from sorted, unique upper-triangle keys ``u * n + v`` (u < v)."""
-        n = len(labels)
-        u, v = np.divmod(keys, max(n, 1))
-        rows, cols = np.concatenate([u, v]), np.concatenate([v, u])
-        order = np.lexsort((cols, rows))
-        indptr = np.zeros(n + 1, np.int64)
-        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-        return cls(
-            labels=labels,
-            indptr=indptr,
-            indices=cols[order].astype(np.int32),
-            weights=np.concatenate([weights, weights])[order],
-            **extra,
-        )
+
+def _from_upper(n: int, keys: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``(indptr, indices, weights)`` of the symmetric CSR on ``n`` nodes from
+    sorted, unique upper-triangle keys ``u * n + v`` (u < v)."""
+    u, v = np.divmod(keys, max(n, 1))
+    rows, cols = np.concatenate([u, v]), np.concatenate([v, u])
+    order = np.lexsort((cols, rows))
+    indptr = np.zeros(n + 1, np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr, cols[order].astype(np.int32), np.concatenate([weights, weights])[order]
 
 
 def name_ranks(labels: Sequence[str]) -> tuple[np.ndarray, list[str]]:
@@ -269,39 +253,25 @@ def top_pairs(score: np.ndarray, a: np.ndarray, b: np.ndarray, k: int) -> np.nda
     return idx[order[:k]]
 
 
-def project(store: BipartiteStore) -> CoGraph:
-    """Project the bipartite store onto actors.
+def project(graph: CoGraph) -> CoGraph:
+    """``graph`` with the co-appearance edges of its title x person incidence.
 
     Edge (u, v) has weight = number of titles whose cast contains both.
-    Isolated persons (solo casts) remain as degree-0 nodes. The graph keeps
-    the store's incidence, which names the titles linking two actors.
+    Isolated persons (solo casts) remain as degree-0 nodes. Only the
+    incidence is read and no array is written, so ``graph`` may be a loaded,
+    read-only cache.
     """
-    n = store.n_persons
-    sizes = np.array([len(m) for m in store.incidence], np.int64)
-    title_ptr = np.zeros(len(sizes) + 1, np.int64)
-    np.cumsum(sizes, out=title_ptr[1:])
-    members = np.fromiter(chain.from_iterable(store.incidence), np.int64, int(title_ptr[-1]))
+    n, title_ptr = graph.n, graph.title_ptr
+    members = graph.title_members.astype(np.int64)
     # Every within-title pair u < v: the member in slot p pairs with the
     # ``after[p]`` members that follow it in its title's sorted cast.
     slot = np.arange(len(members))
-    after = np.repeat(title_ptr[1:], sizes) - slot - 1
+    after = np.repeat(title_ptr[1:], np.diff(title_ptr)) - slot - 1
     run_start = np.cumsum(after) - after
     partner = np.arange(int(after.sum())) - np.repeat(run_start - slot - 1, after)
     keys, counts = np.unique(np.repeat(members, after) * n + members[partner], return_counts=True)
-    return CoGraph._from_upper(
-        list(store.person_labels),
-        keys,
-        counts,
-        title_names=list(store.title_names),
-        title_ptr=title_ptr,
-        title_members=members.astype(np.int32),
-        node_country=plurality_countries(
-            store.title_country,
-            np.repeat(np.arange(len(sizes)), sizes),
-            members,
-            store.n_persons,
-        ),
-    )
+    indptr, indices, weights = _from_upper(n, keys, counts)
+    return replace(graph, indptr=indptr, indices=indices, weights=weights)
 
 
 def plurality_countries(

@@ -604,7 +604,8 @@ def _object(line: str) -> dict:
     raises :class:`TypeError` naming its type. A line that one
     ``raw_decode`` cannot read whole, such as one with surrounding
     whitespace, goes through ``json.loads``, so an error keeps its message
-    and column."""
+    and column. A string holding a lone surrogate, which no UTF-8 output can
+    carry, raises :class:`ValueError`."""
     try:
         payload, end = _decode(line)
     except json.JSONDecodeError:
@@ -613,6 +614,11 @@ def _object(line: str) -> dict:
         payload = json.loads(line)
     if type(payload) is not dict:
         raise TypeError(f"expected a JSON object, not {type(payload).__name__}")
+    if "\\u" in line:  # UTF-8 text holds no surrogate, so only an escape makes one
+        try:
+            json.dumps(payload, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ValueError(f"lone surrogate {exc.object[exc.start]!r} in a string") from None
     return payload
 
 

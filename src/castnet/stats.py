@@ -5,7 +5,7 @@ from __future__ import annotations
 import os
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from ._write import write_csv, write_json
 from .ingest import TitleKind, TitleRecord, _cast_labels
@@ -94,23 +94,14 @@ def _kinds_by_year(table: dict[int, tuple[int, int]]) -> dict[str, dict[str, int
     return {str(year): {"movies": mv, "tv_shows": tv} for year, (mv, tv) in table.items()}
 
 
-def write_summary_csvs(outdir: str | os.PathLike, summary: CatalogSummary) -> list[str]:
-    """Per-figure CSVs (yearly trends, cast histogram, leaderboards)."""
-    written = []
-
-    def _write(name: str, header: list[str], rows) -> None:
-        path = os.path.join(outdir, name)
-        write_csv(path, header, rows)
-        written.append(path)
-
+def write_summary_csvs(output: Callable[[str], str], summary: CatalogSummary) -> None:
+    """Per-figure CSVs (yearly trends, cast histogram, leaderboards), each at
+    the path ``output`` gives its file name."""
     for name, table in (("per_year.csv", summary.per_year),
                         ("per_year_added.csv", summary.per_year_added)):
-        _write(name, ["year", "movies", "tv"], [(y, mv, tv) for y, (mv, tv) in table.items()])
-    _write(
-        "cast_histogram.csv",
-        ["cast_size", "count"],
-        list(summary.cast_histogram.items()),
-    )
-    _write("top_actors.csv", ["name", "count"], summary.top_actors)
-    _write("top_directors.csv", ["name", "count"], summary.top_directors)
-    return written
+        rows = [(y, mv, tv) for y, (mv, tv) in table.items()]
+        write_csv(output(name), ["year", "movies", "tv"], rows)
+    write_csv(output("cast_histogram.csv"), ["cast_size", "count"],
+              list(summary.cast_histogram.items()))
+    write_csv(output("top_actors.csv"), ["name", "count"], summary.top_actors)
+    write_csv(output("top_directors.csv"), ["name", "count"], summary.top_directors)

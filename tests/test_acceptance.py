@@ -31,11 +31,11 @@ from castnet.centrality import (
     eigenvector_centrality,
 )
 from castnet.community import build_cluster_graph, filter_interactions, louvain
-from castnet.graph import CoGraph, build_bipartite, project
+from castnet.graph import CoGraph
 from castnet.ingest import parse_netflix
 from castnet.linkpred import Method, predict_top
 from castnet.stats import summarize
-from conftest import make_graph
+from conftest import graph_of, make_graph
 
 # SHA-256 of the frozen Kaggle 2021 snapshot this suite reproduces. Unset
 # (None) until a maintainer with the canonical file records it; while unset,
@@ -243,7 +243,7 @@ def test_netflix_snapshot_reproduction():
         check(len(records) == 8807, f"expected 8807 records, parsed {len(records)}")
 
         threads = os.cpu_count() or 1
-        g = project(build_bipartite(records))
+        g = graph_of(records)
         betw = betweenness_centrality(g, threads=threads)
         ranked_b = betw.ranked(g.labels)
         top_name, top_score = ranked_b[0]
@@ -342,7 +342,7 @@ def test_imdb_movie_graph_landmarks():
     result = parse_imdb(
         dumps["basics"], dumps["principals"], dumps["names"], {TitleKind.MOVIE}
     )
-    g = project(build_bipartite(result.records, names=result.persons))
+    g = graph_of(result.records, names=result.persons)
     pairs = {(a.split(" [")[0], b.split(" [")[0]): w for a, b, w in top_partnerships(g, 10)}
     flat = {name for pair in pairs for name in pair}
     assert "Adoor Bhasi" in flat and "Bahadur" in flat

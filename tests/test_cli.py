@@ -12,6 +12,7 @@ import pytest
 from castnet import cli
 from castnet.graphio import load_cache, save_cache
 from castnet.graph import CoGraph
+from conftest import graph_of
 
 
 def run(*argv: str) -> int:
@@ -546,6 +547,7 @@ class TestExitCodes:
             (("clusters", "--tau", "0.05", "--labels", "LABELS"), "--labels"),
             (("clusters", "--tau", "0.05", "--labels", "LABELS_OBJECT"), "--labels"),
             (("clusters", "--tau", "0.05", "--labels", "LABELS_NULL"), "--labels"),
+            (("clusters", "--tau", "0.05", "--labels", "LABELS_SURROGATE"), "--labels"),
             (("evolve", "--window", "5", "--step", "0"), "--step"),
             (("evolve", "--window", "3", "--step", "5"), "--window"),
             (("predict", "jaccard", "--top", "5", "--min-common", "0"), "--min-common"),
@@ -559,7 +561,8 @@ class TestExitCodes:
         ],
         ids=["partners-top", "predict-top", "clusters-tau", "communities-resolution",
              "stats-top", "clusters-labels", "clusters-labels-object",
-             "clusters-labels-null", "evolve-step", "evolve-window-below-step",
+             "clusters-labels-null", "clusters-labels-lone-surrogate",
+             "evolve-step", "evolve-window-below-step",
              "predict-min-common-zero", "predict-min-common-zero-not-pa", "predict-cap",
              "build-max-cast", "build-min-cast-above-max", "build-years-reversed",
              "stats-takes-no-seed", "export-format-required"],
@@ -567,7 +570,8 @@ class TestExitCodes:
     def test_bad_flag_value_exits_2_with_one_line(self, pipeline_dir, tmp_path, capsys,
                                                   argv, flag):
         labels = {"LABELS": '{"0": "unterminated', "LABELS_OBJECT": '{"0": {"x": 1}}',
-                  "LABELS_NULL": '{"0": "ok", "1": null}'}  # a label must be a string
+                  "LABELS_NULL": '{"0": "ok", "1": null}',  # a label must be a string
+                  "LABELS_SURROGATE": '{"0": "X\\udc00"}'}  # ... that UTF-8 can carry
         for token, text in labels.items():
             (tmp_path / f"{token}.json").write_text(text, encoding="utf-8")
         argv = [str(tmp_path / f"{a}.json") if a in labels else a for a in argv]
@@ -635,6 +639,7 @@ class TestExitCodes:
         "object-directors": ("directors", {"name": "A"}),
         "number-title": ("title", 12),
         "number-country": ("country", 1),
+        "lone-surrogate-cast": ("cast", ["A\ud800", "B"]),  # json.dumps writes "A\ud800"
     }
 
     @pytest.mark.parametrize("case, reason", [
@@ -657,6 +662,8 @@ class TestExitCodes:
         ("persons-not-an-object", "expected a JSON object, not list"),
         ("extra-data", "not JSON: Extra data (column 4)"),
         ("bom-in-line", "not JSON: Unexpected UTF-8 BOM (decode using utf-8-sig) (column 1)"),
+        ("lone-surrogate-cast", "lone surrogate '\\ud800' in a string"),
+        ("persons-lone-surrogate", "lone surrogate '\\ud800' in a string"),
     ])
     def test_malformed_jsonl_exits_1_with_one_line(self, pipeline_dir, catalog_csv,
                                                    tmp_path, capsys, case, reason):
@@ -690,6 +697,12 @@ class TestExitCodes:
         elif case == "persons-not-utf8":
             bad, line = tmp_path / "persons.jsonl", 1
             bad.write_bytes(b'{"person_id": "nm1", "name": "\xff", "roles": ["actor"]}\n')
+            flags = ["--records", records, "--persons", str(bad)]
+            commands = ["build", "evolve"]
+        elif case == "persons-lone-surrogate":
+            bad, line = tmp_path / "persons.jsonl", 1
+            bad.write_text(json.dumps({"person_id": "nm1", "name": "Y\ud800"}) + "\n",
+                           encoding="utf-8")
             flags = ["--records", records, "--persons", str(bad)]
             commands = ["build", "evolve"]
         elif case == "persons-not-an-object":
@@ -762,15 +775,12 @@ class TestExitCodes:
         assert capsys.readouterr().err == "error: unknown actor: 'No Such Person'\n"
 
     def test_ambiguous_actor_suggests_candidates(self, tmp_path, capsys):
-        from castnet.graph import build_bipartite, project
         from castnet.ingest import TitleKind, TitleRecord
 
         records = [
             TitleRecord("t1", "Film", TitleKind.MOVIE, 2000, (), ("nm1", "nm2")),
         ]
-        g = project(build_bipartite(
-            records, names={"nm1": "Same Name", "nm2": "Same Name"}
-        ))
+        g = graph_of(records, names={"nm1": "Same Name", "nm2": "Same Name"})
         graph_path = tmp_path / "dup.bin"
         save_cache(graph_path, g)
         code = run("path", "Same Name", "Same Name [nm2]",
@@ -788,7 +798,7 @@ class TestExitCodes:
         (("crossover", "--config", "MISSING"),
          "nope.conf: cannot read config file: No such file or directory"),
         (("frobnicate",), "'frobnicate'"),
-        (("crossover", "--config", ""), ": cannot read config file: No such file or directory"),
+        (("crossover", "--config", ""), "argument --config: expected a file path, got ''"),
     ], ids=["build-no-records", "imdb-no-names", "netflix-no-input", "config-unknown-key",
             "config-missing", "unknown-command", "config-empty"])
     def test_usage_error_exits_2_before_out_exists(self, tmp_path, capsys, argv, message):

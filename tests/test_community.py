@@ -20,9 +20,9 @@ from castnet.community import (
     Partition,
 )
 from castnet.errors import EmptyGraphError
-from castnet.graph import CoGraph, build_bipartite, project
+from castnet.graph import CoGraph
 from castnet.ingest import TitleKind, TitleRecord
-from conftest import make_graph
+from conftest import graph_of, make_graph
 
 TRIANGLES_EDGES = [(0, 1, 1), (1, 2, 1), (0, 2, 1), (3, 4, 1), (4, 5, 1), (3, 5, 1)]
 
@@ -280,11 +280,10 @@ class TestClusterGraph:
                         tuple(f"P{p}" for p in cast), country)
             for i, (cast, country) in enumerate(titles)
         ]
-        store = build_bipartite(records)
-        g = project(store)
+        g = graph_of(records)
         actor_country = oracles.plurality_countries(
-            ((p, t) for t, members in enumerate(store.incidence) for p in members),
-            store.title_country,
+            ((g.node(p), t) for t, rec in enumerate(records) for p in rec.cast),
+            [rec.country for rec in records],
             g.n,
         )
         assert g.node_country == actor_country

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 import oracles
 from castnet.errors import EmptyInputError, NodeOutOfRangeError, UnknownActorError
 from castnet.graph import CoGraph, build_bipartite, project
+from castnet.graphio import load_cache, save_cache
 from castnet.ingest import TitleKind, TitleRecord, _display_labels
+from conftest import graph_of
 
 
 def rec(tid, cast, kind=TitleKind.MOVIE, year=2000, country=None, title=None):
@@ -24,58 +26,73 @@ def rec(tid, cast, kind=TitleKind.MOVIE, year=2000, country=None, title=None):
     )
 
 
+def titles(graph):
+    """Each title's name and sorted cast labels, in title order."""
+    ptr, members = graph.title_ptr.tolist(), graph.title_members.tolist()
+    return [
+        (name, [graph.labels[p] for p in members[ptr[t] : ptr[t + 1]]])
+        for t, name in enumerate(graph.title_names)
+    ]
+
+
 class TestBuildBipartite:
     def test_basic_interning(self):
-        store = build_bipartite([rec("t1", ["A", "B", "C"])])
-        assert store.n_persons == 3
-        assert store.n_titles == 1
-        assert store.incidence == [[0, 1, 2]]
+        g, oversize = build_bipartite([rec("t1", ["A", "B", "C"])])
+        assert (g.n, g.edge_count, oversize) == (3, 0, 0)
+        assert g.indptr.tolist() == [0, 0, 0, 0]
+        assert titles(g) == [("t1", ["A", "B", "C"])]
+        assert g.title_members.dtype == np.int32 and g.title_ptr.dtype == np.int64
 
     def test_kind_filter(self):
         records = [
             rec("t1", ["A"], kind=TitleKind.MOVIE),
             rec("t2", ["B"], kind=TitleKind.TV_SHOW),
         ]
-        store = build_bipartite(records, kind=TitleKind.MOVIE)
-        assert store.n_titles == 1
-        assert store.title_ids == ["t1"]
+        g, _ = build_bipartite(records, kind=TitleKind.MOVIE)
+        assert titles(g) == [("t1", ["A"])]
 
     def test_year_range_filter(self):
         records = [rec("t1", ["A"], year=1999), rec("t2", ["B"], year=2005)]
-        store = build_bipartite(records, year_range=(2000, 2010))
-        assert store.title_ids == ["t2"]
+        g, _ = build_bipartite(records, year_range=(2000, 2010))
+        assert g.title_names == ["t2"]
 
     def test_min_cast_filter(self):
         records = [rec("t1", ["A"]), rec("t2", ["B", "C"])]
-        store = build_bipartite(records, min_cast=2)
-        assert store.title_ids == ["t2"]
+        g, _ = build_bipartite(records, min_cast=2)
+        assert g.title_names == ["t2"]
 
     def test_oversize_cast_rejected(self):
         big = [f"P{i}" for i in range(11)]
         records = [rec("t1", big), rec("t2", ["A", "B"])]
-        store = build_bipartite(records, max_cast=10)
-        assert store.title_ids == ["t2"]
-        assert store.oversize_titles == 1
+        g, oversize = build_bipartite(records, max_cast=10)
+        assert (titles(g), oversize) == ([("t2", ["A", "B"])], 1)
 
     def test_cast_filters_count_distinct_keys(self):
         records = [rec("t1", ["x", "x"]), rec("t2", ["y", "z"])]
-        assert build_bipartite(records, min_cast=2).incidence == [[0, 1]]
-        store = build_bipartite(records, max_cast=1)
-        assert (store.title_ids, store.incidence, store.oversize_titles) == (["t1"], [[0]], 1)
+        g, _ = build_bipartite(records, min_cast=2)
+        assert g.title_ptr.tolist() == [0, 2] and g.title_members.tolist() == [0, 1]
+        g, oversize = build_bipartite(records, max_cast=1)
+        assert (titles(g), oversize) == ([("t1", ["x"])], 1)
+
+    def test_duplicate_title_id_kept_once(self):
+        records = [rec("t1", ["A"], title="First"), rec("t1", ["B"], title="Second")]
+        g, _ = build_bipartite(records)
+        assert titles(g) == [("First", ["A"])]
 
     def test_empty_input_error(self):
         with pytest.raises(EmptyInputError):
             build_bipartite([rec("t1", ["A"], kind=TitleKind.MOVIE)], kind=TitleKind.TV_SHOW)
 
     def test_first_seen_order(self):
-        store = build_bipartite([rec("t1", ["B", "A"]), rec("t2", ["C", "A"])])
-        assert store.person_keys == ["B", "A", "C"]
+        g, _ = build_bipartite([rec("t1", ["B", "A"]), rec("t2", ["C", "A"])])
+        assert g.labels == ["B", "A", "C"]
+        assert g.title_members.tolist() == [0, 1, 1, 2]  # sorted within each title
 
     def test_display_name_collision_disambiguated(self):
-        store = build_bipartite(
+        g, _ = build_bipartite(
             [rec("t1", ["nm1", "nm2"])], names={"nm1": "Same Name", "nm2": "Same Name"}
         )
-        assert store.person_labels == ["Same Name [nm1]", "Same Name [nm2]"]
+        assert g.labels == ["Same Name [nm1]", "Same Name [nm2]"]
 
     def test_name_equal_to_a_suffixed_label_is_suffixed(self):
         names = {"nm1": "John", "nm2": "John", "nm3": "John [nm1]"}
@@ -86,26 +103,26 @@ class TestBuildBipartite:
 
 class TestProjection:
     def test_single_title_triangle(self):
-        g = project(build_bipartite([rec("t1", ["A", "B", "C"])]))
+        g = graph_of([rec("t1", ["A", "B", "C"])])
         assert g.edge_count == 3
         assert all(w == 1 for _, _, w in g.edges())
 
     def test_repeat_collaboration_weight(self):
-        g = project(build_bipartite([rec("t1", ["A", "B"]), rec("t2", ["A", "B"])]))
+        g = graph_of([rec("t1", ["A", "B"]), rec("t2", ["A", "B"])])
         assert list(g.edges()) == [(0, 1, 2)]
 
     def test_solo_cast_isolated_node(self):
-        g = project(build_bipartite([rec("t1", ["A", "B"]), rec("t2", ["C"])]))
+        g = graph_of([rec("t1", ["A", "B"]), rec("t2", ["C"])])
         assert g.n == 3
         assert g.degrees().tolist() == [1, 1, 0]
 
     def test_weight_zero_for_nonadjacent(self):
-        g = project(build_bipartite([rec("t1", ["A", "B"]), rec("t2", ["C", "D"])]))
+        g = graph_of([rec("t1", ["A", "B"]), rec("t2", ["C", "D"])])
         assert list(g.edges()) == [(0, 1, 1), (2, 3, 1)]  # no (0, 2) edge
 
     def test_large_shared_count(self):
         records = [rec(f"t{i}", ["A", "B"]) for i in range(187)]
-        g = project(build_bipartite(records))
+        g = graph_of(records)
         assert g.edge_arrays()[2].tolist() == [187]
 
     def test_edge_titles_kept_and_sorted(self):
@@ -113,7 +130,7 @@ class TestProjection:
             rec("t1", ["A", "B"], title="Zeta"),
             rec("t2", ["A", "B"], title="Alpha"),
         ]
-        g = project(build_bipartite(records))
+        g = graph_of(records)
         assert g.titles_for_edge(0, 1) == ("Alpha", "Zeta")
         assert g.titles_for_edge(1, 0) == ("Alpha", "Zeta")
 
@@ -121,7 +138,7 @@ class TestProjection:
         rng = random.Random(7)
         casts = [[f"P{rng.randrange(30)}" for _ in range(rng.randint(1, 6))] for _ in range(20)]
         records = [rec(f"t{i}", sorted(set(c))) for i, c in enumerate(casts)]
-        g = project(build_bipartite(records))
+        g = graph_of(records)
         assert int(g.degrees().sum()) == 2 * g.edge_count
 
     @pytest.mark.parametrize("seed", range(8))
@@ -134,10 +151,9 @@ class TestProjection:
             size = rng.randint(1, min(6, n_persons))
             casts.append(sorted(rng.sample(range(n_persons), size)))
         records = [rec(f"t{i}", [f"P{p:02d}" for p in cast]) for i, cast in enumerate(casts)]
-        store = build_bipartite(records)
-        g = project(store)
+        g = graph_of(records)
         # Map interned indices back to the raw person numbers used by the oracle
-        raw_of = [int(key[1:]) for key in store.person_keys]
+        raw_of = [int(key[1:]) for key in g.labels]
         got = {
             tuple(sorted((raw_of[u], raw_of[v]))): w for u, v, w in g.edges()
         }
@@ -149,7 +165,7 @@ class TestProjection:
         for i in range(15):
             cast = rng.sample([f"P{j}" for j in range(25)], rng.randint(1, 6))
             records.append(rec(f"t{i}", cast))
-        g = project(build_bipartite(records))
+        g = graph_of(records)
         total = sum(w for _, _, w in g.edges())
         expected = sum(
             len(c) * (len(c) - 1) // 2 for c in (r.cast for r in records)
@@ -169,10 +185,9 @@ class TestProjection:
             rec(f"t{i}", [f"P{p:02d}" for p in cast], title=f"Title {i:02d}")
             for i, cast in enumerate(casts)
         ]
-        store = build_bipartite(records)
-        g = project(store)
+        g = graph_of(records)
         # Interned person ids follow first appearance; map the oracle onto them.
-        ids = {int(key[1:]): i for i, key in enumerate(store.person_keys)}
+        ids = {int(key[1:]): i for i, key in enumerate(g.labels)}
         interned = [[ids[p] for p in cast] for cast in casts]
         rows: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
         for (u, v), w in oracles.projection_weights(interned).items():
@@ -189,9 +204,34 @@ class TestProjection:
             assert len(expected) == w
 
     def test_duplicate_cast_entry_adds_no_self_loop(self):
-        g = project(build_bipartite([rec("t1", ["A", "B", "A"])]))
+        g = graph_of([rec("t1", ["A", "B", "A"])])
         assert g.edge_count == 1 and list(g.edges()) == [(0, 1, 1)]
         assert g.title_members.tolist() == [0, 1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(st.integers(0, 12), min_size=1, max_size=6),
+                st.sampled_from([None, "India", "US"]),
+            ),
+            min_size=1,
+            max_size=20,
+        )
+    )
+    def test_projecting_a_projected_or_loaded_graph_changes_nothing(
+        self, tmp_path_factory, titles
+    ):
+        records = [
+            rec(f"t{i}", [f"P{p}" for p in cast], country=country, title=f"Title {i % 4}")
+            for i, (cast, country) in enumerate(titles)
+        ]
+        g = graph_of(records)
+        assert project(g) == g
+        path = tmp_path_factory.mktemp("cache") / "graph.bin"
+        save_cache(path, g)
+        loaded = load_cache(path)
+        assert project(loaded) == loaded == g
 
     def test_plurality_country(self):
         records = [
@@ -200,12 +240,12 @@ class TestProjection:
             rec("t3", ["A"], country="France"),
             rec("t4", ["B"], country=None),
         ]
-        g = project(build_bipartite(records))
+        g = graph_of(records)
         assert g.node_country == ["India", None]
 
     def test_plurality_tie_lexicographic(self):
         records = [rec("t1", ["A"], country="India"), rec("t2", ["A"], country="France")]
-        g = project(build_bipartite(records))
+        g = graph_of(records)
         assert g.node_country == ["France"]
 
     @settings(max_examples=80, deadline=None)
@@ -224,13 +264,14 @@ class TestProjection:
             rec(f"t{i}", [f"P{p}" for p in cast], country=country)
             for i, (cast, country) in enumerate(titles)
         ]
-        store = build_bipartite(records)
+        g = graph_of(records)
         expected = oracles.plurality_countries(
-            ((p, t) for t, members in enumerate(store.incidence) for p in members),
-            store.title_country,
-            store.n_persons,
+            ((g.node(p), t) for t, rec in enumerate(records) for p in rec.cast),
+            [rec.country for rec in records],
+            g.n,
         )
-        assert project(store).node_country == expected
+        assert g.node_country == expected
+        assert build_bipartite(records)[0].node_country == expected
 
 
 class TestAccessors:

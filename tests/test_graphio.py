@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import oracles
 from castnet.community import build_cluster_graph, louvain
 from castnet.errors import CacheFormatError
-from castnet.graph import CoGraph, build_bipartite, project
+from castnet.graph import CoGraph
 from castnet.graphio import (
     CACHE_MAGIC,
     load_cache,
@@ -23,7 +23,7 @@ from castnet.graphio import (
     write_partition_csv,
 )
 from castnet.ingest import TitleKind, TitleRecord, normalize_name
-from conftest import make_graph
+from conftest import graph_of, make_graph
 
 
 def full_featured_graph():
@@ -32,7 +32,7 @@ def full_featured_graph():
         TitleRecord("t2", "Other", TitleKind.MOVIE, 2001, (), ("Bob", "Cat"), "IN"),
         TitleRecord("t3", "Third", TitleKind.MOVIE, 2002, (), ("Solo",), "US"),
     ]
-    return project(build_bipartite(records))
+    return graph_of(records)
 
 
 class TestCache:
@@ -185,7 +185,7 @@ class TestCacheInvariants:
             TitleRecord("t2", "B", TitleKind.MOVIE, 2001, (), ("c", "d"), None),
             TitleRecord("t3", "C", TitleKind.MOVIE, 2002, (), ("d",), "IN"),
         ]
-        return project(build_bipartite(records))
+        return graph_of(records)
 
     def test_fixture_is_valid(self, tmp_path):
         g = self.graph()

@@ -73,6 +73,7 @@ def test_every_public_name_resolves_and_is_listed():
         (["centrality", "closeness", "--threads", "2"],
          "_bfs _options _write centrality cli errors graph graphio"),
         (["path", "actor000", "actor149"], "_bfs _options _write cli errors graph graphio paths"),
+        (["build"], "_options _write cli errors graph graphio ingest"),
     ],
 )
 def test_graph_commands_load_only_their_modules(tmp_path, catalog_csv, argv, modules):
@@ -80,7 +81,7 @@ def test_graph_commands_load_only_their_modules(tmp_path, catalog_csv, argv, mod
     about 0.2 s of CPU per process, and only betweenness needs it. Nor does
     one load ``numpy.ma``, which ``np.unique`` imports when it returns the
     values alone (10-14 ms of CPU per process)."""
-    if argv[0] == "evolve":
+    if argv[0] in ("build", "evolve"):
         castnet.cli.main(["ingest", "--source", "netflix", "--input", str(catalog_csv),
                           "--out", str(tmp_path)])
         source = ["--records", str(tmp_path / "records.jsonl")]

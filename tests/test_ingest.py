@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from castnet import _write
-from castnet.errors import CastnetError, MissingColumnError
+from castnet.errors import CastnetError, JsonlFormatError, MissingColumnError
 from castnet.ingest import (
     TitleKind,
     TitleRecord,
@@ -490,6 +490,28 @@ def test_jsonl_writers_match_json_dumps_and_read_back(tmp_path, records, persons
     assert read_records_jsonl(tmp_path / "records.jsonl") == records
     again = read_persons_jsonl(tmp_path / "persons.jsonl")
     assert list(again.items()) == list(persons.items())
+
+
+@pytest.mark.parametrize("reader, payload", [
+    (read_records_jsonl, dict(json.loads(record_line(TitleRecord(
+        "t1", "T", TitleKind.MOVIE, 2000, (), ()))), cast=["A\ud800", "B"])),
+    (read_persons_jsonl, {"person_id": "nm1", "name": "Y\ud800"}),
+], ids=["records-cast", "persons-name"])
+def test_lone_surrogate_escape_is_a_format_error(tmp_path, reader, payload):
+    """No UTF-8 output can carry a lone surrogate, which only a ``\\u``
+    escape can put in a line, so the reader rejects it at its line."""
+    path = tmp_path / "in.jsonl"
+    path.write_text("\n" + json.dumps(payload) + "\n", encoding="utf-8")
+    with pytest.raises(JsonlFormatError, match=r":2: lone surrogate '\\ud800' in a string$"):
+        reader(path)
+
+
+def test_surrogate_pair_and_escaped_backslash_read_back(tmp_path):
+    name = "\U0001F600 \\ud800"  # a pair escape, and a backslash before "ud800"
+    path = tmp_path / "persons.jsonl"
+    path.write_text(json.dumps({"person_id": "nm1", "name": name}) + "\n", encoding="utf-8")
+    assert "\\ud83d\\ude00" in path.read_text(encoding="utf-8")
+    assert read_persons_jsonl(path) == {"nm1": name}
 
 
 def test_readme_jsonl_examples_are_what_the_writers_write(tmp_path):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from castnet.errors import UnknownActorError
-from castnet.graph import CoGraph, build_bipartite, project
+from castnet.graph import CoGraph
 from castnet.ingest import TitleKind, TitleRecord
 from castnet.paths import (
     AnnotatedPath,
@@ -16,7 +16,7 @@ from castnet.paths import (
     shortest_path,
     top_partnerships,
 )
-from conftest import make_graph
+from conftest import graph_of, make_graph
 
 
 def annotated_graph():
@@ -26,7 +26,7 @@ def annotated_graph():
         TitleRecord("t3", "Third Film", TitleKind.MOVIE, 2002, (), ("Bob", "Cat")),
         TitleRecord("t4", "Fourth Film", TitleKind.MOVIE, 2003, (), ("Dee",)),
     ]
-    return project(build_bipartite(records))
+    return graph_of(records)
 
 
 class TestShortestPath:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from castnet.cli import Run
 from castnet.ingest import TitleKind, TitleRecord, parse_netflix
 from castnet.stats import summarize, write_summary_csvs, write_summary_json
 
@@ -182,8 +183,10 @@ class TestOutputs:
         write_summary_json(json_path, summary)
         payload = json.loads(json_path.read_text())
         assert payload["type_totals"]["movies"] == summary.type_totals[0]
-        paths = write_summary_csvs(tmp_path, summary)
-        assert len(paths) == 5
+        run = Run(str(tmp_path))
+        write_summary_csvs(run.output, summary)
+        assert run.outputs == ["per_year.csv", "per_year_added.csv", "cast_histogram.csv",
+                               "top_actors.csv", "top_directors.csv"]
         per_year = (tmp_path / "per_year.csv").read_text().splitlines()
         assert per_year[0] == "year,movies,tv"
         assert len(per_year) == len(summary.per_year) + 1
@@ -196,5 +199,5 @@ class TestOutputs:
         write_summary_json(tmp_path / "summary.json", summary)
         payload = json.loads((tmp_path / "summary.json").read_text())
         assert payload["per_year_added"] == {"2021": {"movies": 35, "tv_shows": 4}}
-        write_summary_csvs(tmp_path, summary)
+        write_summary_csvs(lambda name: str(tmp_path / name), summary)
         assert (tmp_path / "per_year_added.csv").read_text() == "year,movies,tv\n2021,35,4\n"

@@ -13,6 +13,8 @@ from enum import Enum
 # projection is quadratic per title.
 DEFAULT_MAX_CAST = 500
 
+YEAR_MIN, YEAR_MAX = 1870, 2100  # the release years a record may carry
+
 
 class Method(str, Enum):
     """The link-prediction indices."""

@@ -160,7 +160,8 @@ def cmd_stats(args: argparse.Namespace, run: Run, records, persons) -> dict:
 def cmd_centrality(args: argparse.Namespace, run: Run, graph) -> dict:
     from . import centrality
 
-    cores = os.cpu_count() or 1
+    affinity = getattr(os, "sched_getaffinity", None)
+    cores = len(affinity(0)) if affinity else os.cpu_count() or 1
     threads = min(args.threads or cores, cores)  # 0 = all cores, and never more
     if args.measure == "degree":
         table = centrality.degree_centrality(graph)
@@ -247,15 +248,18 @@ def cmd_crossover(args: argparse.Namespace, run: Run, graph) -> dict:
 
 def cmd_evolve(args: argparse.Namespace, run: Run, records, persons) -> dict:
     from .community import community_evolution
+    from .graph import build_bipartite
 
-    timeline = community_evolution(records, args.window, args.step, args.seed, names=persons)
+    graph = build_bipartite(records, names=persons)[0]
+    timeline = community_evolution(graph, args.window, args.step, args.seed)
     evolution = {
         "windows": [
             {
                 "years": list(w.years),
-                "actors": len(w.names),
+                "actors": len(w.actors),
                 "communities": (
-                    [sorted(w.names[v] for v in group) for group in w.partition.members()]
+                    [sorted(graph.labels[w.actors[v]] for v in group)
+                     for group in w.partition.members()]
                     if w.partition
                     else []
                 ),

@@ -23,11 +23,10 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 import numpy as np
 
 from .errors import EmptyGraphError, EmptyInputError
-from .graph import CoGraph, build_bipartite, plurality_countries, project
+from .graph import CoGraph, plurality_countries, project
 
 if TYPE_CHECKING:
     from .centrality import Scores
-    from .ingest import TitleRecord
 
 
 @dataclass
@@ -319,13 +318,13 @@ def crossover_scores(g: CoGraph, partition: Partition) -> Scores:
 @dataclass(frozen=True)
 class CommunityMatch:
     new_cid: int
-    overlap: float  # Jaccard of member-name sets
+    overlap: float  # Jaccard of member sets
 
 
 @dataclass
 class EvolutionWindow:
     years: tuple[int, int]
-    names: tuple[str, ...]
+    actors: tuple[int, ...]  # the window's actors by global node id, ascending
     partition: Partition | None  # None for windows with no titles or no edges
 
 
@@ -336,54 +335,51 @@ class EvolutionTimeline:
 
 
 def community_evolution(
-    records: Sequence[TitleRecord],
-    window_years: int,
-    step_years: int,
-    seed: int,
-    *,
-    names: Mapping[str, str] | None = None,
+    graph: CoGraph, window_years: int, step_years: int, seed: int
 ) -> EvolutionTimeline:
     """Windowed Louvain over release years with best-overlap matching.
 
-    Windows of ``window_years`` advance by ``step_years``; each window's
-    graph is built from titles whose release year falls inside it. Windows
-    with no titles (or no co-appearances) are recorded as empty. Consecutive
-    windows are matched community-by-community via maximum Jaccard overlap
-    of member-name sets, ties to the smallest new community id.
+    Windows of ``window_years`` advance by ``step_years`` from the earliest
+    year of a title of ``graph`` to the latest. A window's graph projects
+    the titles released inside it, its actors numbered in ascending global
+    id (so each cast stays sorted): partition node ``i`` is ``actors[i]``.
+    A window without co-appearances has no partition. Consecutive windows
+    are matched community-by-community via maximum Jaccard overlap of
+    member sets, ties to the smallest new community id.
     """
     if step_years < 1 or window_years < step_years:
         raise ValueError("need window_years >= step_years >= 1")
-    years = [r.release_year for r in records if r.release_year is not None]
-    if not years:
-        raise EmptyInputError("no records carry release years")
-    lo, hi = min(years), max(years)
-    if names is not None:
-        from .ingest import _cast_labels  # here, so that analysis commands load no ingest
-
-        names = _cast_labels(records, names)  # distinct labels for namesakes in every window
+    years = graph.title_year
+    if not np.any(years >= 0):
+        raise EmptyInputError("no titles carry release years")
+    lo, hi = int(years[years >= 0].min()), int(years.max())
+    sizes = np.diff(graph.title_ptr)
 
     windows: list[EvolutionWindow] = []
     for start in range(lo, hi + 1, step_years):
         span = (start, start + window_years - 1)
-        try:
-            graph = project(build_bipartite(records, year_range=span, names=names)[0])
-        except EmptyInputError:
-            windows.append(EvolutionWindow(span, (), None))
-            continue
-        partition = louvain(graph, seed=seed) if graph.edge_count else None
-        windows.append(EvolutionWindow(span, tuple(graph.labels), partition))
+        titles = (years >= start) & (years <= span[1])
+        actors, members = np.unique(graph.title_members[np.repeat(titles, sizes)],
+                                    return_inverse=True)
+        window = project(CoGraph(
+            [graph.labels[a] for a in actors.tolist()], np.zeros(len(actors) + 1, np.int64),
+            np.zeros(0, np.int32), np.zeros(0, np.int64),
+            title_ptr=np.concatenate([[0], np.cumsum(sizes[titles])]),
+            title_members=members.astype(np.int32),
+        ))
+        partition = louvain(window, seed=seed) if window.edge_count else None
+        windows.append(EvolutionWindow(span, tuple(actors.tolist()), partition))
 
     matches = [_match_windows(prev, cur) for prev, cur in zip(windows, windows[1:])]
     return EvolutionTimeline(windows=windows, matches=matches)
 
 
 def _match_windows(prev: EvolutionWindow, cur: EvolutionWindow) -> dict[int, CommunityMatch]:
-    """Each old community's best new one by Jaccard overlap of member names,
-    ties to the smallest new id; id 0 at overlap 0.0 when it shares no name.
+    """Each old community's best new one by Jaccard overlap of members, ties
+    to the smallest new id; id 0 at overlap 0.0 when it shares no member.
 
-    One count of (old, new) community pairs over the names both windows hold
-    gives every intersection, and a union is ``|old| + |new| - shared``.
-    Names are graph labels, so they are unique within a window.
+    One count of (old, new) community pairs over the actors both windows
+    hold gives every intersection, and a union is ``|old| + |new| - shared``.
     """
     if prev.partition is None or cur.partition is None:
         return {}
@@ -391,7 +387,7 @@ def _match_windows(prev: EvolutionWindow, cur: EvolutionWindow) -> dict[int, Com
     new = np.asarray(cur.partition.assignment, np.int64)
     n_new = cur.partition.n_communities
     _, i_old, i_new = np.intersect1d(
-        prev.names, cur.names, assume_unique=True, return_indices=True
+        prev.actors, cur.actors, assume_unique=True, return_indices=True
     )
     keys, shared = np.unique(old[i_old] * n_new + new[i_new], return_counts=True)
     a, b = np.divmod(keys, n_new)

@@ -45,6 +45,7 @@ def build_bipartite(
     seen_titles: set[str] = set()
     person_index: dict[str, int] = {}  # key -> index, in first-seen order
     title_names: list[str] = []
+    title_year: list[int] = []
     title_country: list[str | None] = []
     title_ptr = [0]
     members: list[int] = []  # title after title: sorted, duplicate-free person indices
@@ -69,6 +70,7 @@ def build_bipartite(
             continue
         seen_titles.add(rec.title_id)
         title_names.append(rec.title)
+        title_year.append(-1 if rec.release_year is None else rec.release_year)
         title_country.append(rec.country)
         members.extend(sorted([person_index.setdefault(key, len(person_index)) for key in cast]))
         title_ptr.append(len(members))
@@ -87,6 +89,7 @@ def build_bipartite(
         title_names=title_names,
         title_ptr=ptr,
         title_members=owners.astype(np.int32),
+        title_year=np.array(title_year, np.int32),
         node_country=plurality_countries(
             title_country, np.repeat(np.arange(len(title_names)), np.diff(ptr)), owners, n
         ),
@@ -102,7 +105,8 @@ class CoGraph:
     there are no self-loops and all weights are >= 1. ``total_edge_weight``
     sums weights over undirected edges (each edge once). A graph built from
     records keeps its title x person incidence: title ``t`` has the cast
-    ``title_members[title_ptr[t]:title_ptr[t + 1]]``. Only graphs built by
+    ``title_members[title_ptr[t]:title_ptr[t + 1]]`` and the release year
+    ``title_year[t]``, -1 when unknown. Only graphs built by
     :meth:`from_weighted_edges` have no titles.
     """
 
@@ -113,6 +117,7 @@ class CoGraph:
     title_names: list[str] = field(default_factory=list)
     title_ptr: np.ndarray = field(default_factory=lambda: np.zeros(1, np.int64))  # len titles+1
     title_members: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int32))  # sorted per title
+    title_year: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int32))  # len titles
     node_country: list[str | None] | None = None
     _label_index: dict[str, int] = field(init=False, repr=False)  # built from labels
 
@@ -174,6 +179,7 @@ class CoGraph:
             and self.title_names == other.title_names
             and np.array_equal(self.title_ptr, other.title_ptr)
             and np.array_equal(self.title_members, other.title_members)
+            and np.array_equal(self.title_year, other.title_year)
             and self.node_country == other.node_country
         )
 

@@ -15,6 +15,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ._options import YEAR_MAX, YEAR_MIN
 from ._write import fmt_score, replacing, write_csv, write_json
 from .errors import CacheFormatError
 from .graph import CoGraph
@@ -23,7 +24,7 @@ if TYPE_CHECKING:
     from .community import ClusterGraph, Partition
 
 CACHE_MAGIC = b"CASTNETG"
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 
 _FLAG_NODE_COUNTRY = 1
 
@@ -108,6 +109,7 @@ def _sections(g: CoGraph):
     yield _strings(g.title_names)
     yield g.title_ptr.astype("<i8").tobytes()
     yield g.title_members.astype("<i4").tobytes()
+    yield g.title_year.astype("<i4").tobytes()
     if g.node_country is not None:
         names = sorted({c for c in g.node_country if c is not None})
         slot = {name: i for i, name in enumerate(names)}
@@ -206,6 +208,7 @@ def load_cache(path: str | os.PathLike) -> CoGraph:
     title_names = r.strings(n_titles)
     title_ptr = r.array("<i8", n_titles + 1)
     title_members = r.array("<i4", n_members)
+    title_year = r.array("<i4", n_titles)
     node_country = None
     if flags & _FLAG_NODE_COUNTRY:
         (n_countries,) = struct.unpack("<Q", r.take(8))
@@ -218,6 +221,8 @@ def load_cache(path: str | os.PathLike) -> CoGraph:
         raise CacheFormatError("trailing bytes after cache payload")
     _check_adjacency(n, total, indptr, indices, weights)
     _rows("title", title_ptr, title_members, n)
+    if np.any((title_year != -1) & ((title_year < YEAR_MIN) | (title_year > YEAR_MAX))):
+        raise CacheFormatError(f"title year neither -1 nor in {YEAR_MIN}..{YEAR_MAX}")
     if len(set(labels)) != n:
         raise CacheFormatError("repeated actor label")
     return CoGraph(
@@ -228,6 +233,7 @@ def load_cache(path: str | os.PathLike) -> CoGraph:
         title_names=title_names,
         title_ptr=title_ptr,
         title_members=title_members,
+        title_year=title_year,
         node_country=node_country,
     )
 

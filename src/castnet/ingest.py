@@ -24,14 +24,12 @@ from datetime import date, datetime
 from enum import Enum
 from typing import IO, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar, Union
 
+from ._options import YEAR_MAX, YEAR_MIN
 from ._write import write_jsonl
 from .errors import CastnetError, JsonlFormatError, MissingColumnError
 
 Source = Union[str, "os.PathLike[str]", IO[str]]
 T = TypeVar("T")
-
-YEAR_MIN = 1870
-YEAR_MAX = 2100
 
 GZIP_MAGIC = b"\x1f\x8b"
 
@@ -109,14 +107,6 @@ def _display_labels(keys: Sequence[str], names: Mapping[str, str] | None) -> lis
         for i in clashing:
             labels[i] = f"{labels[i]} [{keys[i]}]"
         plain -= clashing
-
-
-def _cast_labels(records: Iterable[TitleRecord], names: Mapping[str, str]) -> dict[str, str]:
-    """Each cast key of ``records`` -> its display label over the whole
-    catalog, so two people who share a name get distinct labels in any part
-    of it, as in the whole catalog's graph."""
-    keys = list(dict.fromkeys(key for rec in records for key in rec.cast))
-    return dict(zip(keys, _display_labels(keys, names)))
 
 
 # C0 and C1 controls that are not whitespace, and U+FFFE and U+FFFF: XML 1.0
@@ -526,6 +516,8 @@ def _record(payload: dict) -> TitleRecord:
     # bool is an int subclass, but true is not a year
     if year is not None and type(year) is not int:
         raise TypeError(_wrong_type("release_year", year, "an integer or null"))
+    if year is not None and not YEAR_MIN <= year <= YEAR_MAX:
+        raise ValueError(f"'release_year' {year} outside {YEAR_MIN}..{YEAR_MAX}")
     added = payload.get("date_added")
     if added is not None and type(added) is not str:
         raise TypeError(_wrong_type("date_added", added, "a string or null"))

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 from ._write import write_csv, write_json
-from .ingest import TitleKind, TitleRecord, _cast_labels
+from .ingest import TitleKind, TitleRecord, _display_labels
 
 
 @dataclass
@@ -48,8 +48,7 @@ def summarize(
     directors = Counter(name for rec in records for name in set(rec.directors))
     ratings = Counter(rec.rating for rec in records if rec.rating)
     if names is not None:
-        labels = _cast_labels(records, names)
-        actors = {labels[key]: count for key, count in actors.items()}
+        actors = dict(zip(_display_labels(list(actors), names), actors.values()))
     movies = sum(count for (_, tv), count in kinds.items() if not tv)
     return CatalogSummary(
         per_year=_by_year(kinds),

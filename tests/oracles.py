@@ -7,6 +7,7 @@ straight from the distance matrix, eigenvector from a dense power method,
 link indices from Python set arithmetic, modularity and participation from
 exact rational arithmetic, cluster sizes, volumes and links from one loop
 over the edges, window matches from Python set intersection and union,
+evolution windows from one graph rebuilt from the records per window,
 Louvain's local moving from a full recount of every node's community
 weights, and community connectivity from a queue BFS inside each community.
 """
@@ -19,6 +20,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
+
+from castnet._options import DEFAULT_MAX_CAST
 
 INF = float("inf")
 
@@ -290,6 +293,35 @@ def window_matches(old_names, old_assignment, new_names, new_assignment) -> dict
                 best_overlap = overlap
                 best_cid = new_cid
         out[old_cid] = (best_cid, best_overlap)
+    return out
+
+
+def evolution_windows(records, window_years: int, step_years: int, names=None,
+                      max_cast: int = DEFAULT_MAX_CAST) -> list:
+    """Each window's ``(years, titles, labels)``, with the graph of each window
+    rebuilt from the records released in it, as
+    ``project(build_bipartite(records, year_range=years, ...))``, and each
+    person labelled as in the whole catalog's graph. A window that keeps no
+    title has 0 titles and no labels. Windows run from the earliest to the
+    latest year of a title within ``max_cast``; title ids must be unique."""
+    from castnet.errors import EmptyInputError
+    from castnet.graph import build_bipartite, project
+    from castnet.ingest import _display_labels
+
+    kept = [rec for rec in records if len(set(rec.cast)) <= max_cast]
+    keys = list(dict.fromkeys(key for rec in kept for key in rec.cast))
+    labels = dict(zip(keys, _display_labels(keys, names)))
+    years = [rec.release_year for rec in kept if rec.release_year is not None]
+    out = []
+    for start in range(min(years), max(years) + 1, step_years):
+        span = (start, start + window_years - 1)
+        try:
+            g = project(build_bipartite(records, year_range=span, max_cast=max_cast,
+                                        names=labels)[0])
+        except EmptyInputError:
+            out.append((span, 0, set()))
+            continue
+        out.append((span, len(g.title_names), set(g.labels)))
     return out
 
 

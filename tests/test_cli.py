@@ -171,6 +171,33 @@ class TestPipeline:
         assert len(payload["windows"]) >= 2
         assert len(payload["matches"]) == len(payload["windows"]) - 1
 
+    def test_evolve_builds_the_catalog_graph_once(self, pipeline_dir, tmp_path, monkeypatch):
+        from castnet import graph
+
+        calls = []
+        build = graph.build_bipartite
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(graph, "build_bipartite", counting)
+        assert run("evolve", "--window", "2", "--step", "1",
+                   "--records", str(pipeline_dir / "records.jsonl"),
+                   "--out", str(tmp_path / "ev")) == 0
+        assert calls == [{"names": None}]
+
+    def test_evolve_on_only_oversize_titles_exits_1(self, tmp_path, capsys):
+        from castnet.ingest import TitleKind, TitleRecord, write_records_jsonl
+
+        cast = tuple(f"P{i}" for i in range(501))
+        records = tmp_path / "records.jsonl"
+        write_records_jsonl(records, [TitleRecord("t1", "Epic", TitleKind.MOVIE, 2000, (), cast)])
+        capsys.readouterr()
+        assert run("evolve", "--window", "5", "--step", "5", "--records", str(records),
+                   "--out", str(tmp_path / "ev")) == 1
+        assert capsys.readouterr().err == "error: no titles survive the configured filters\n"
+
     def test_export_formats(self, pipeline_dir, tmp_path):
         out = tmp_path / "exp"
         assert run("export", "--format", "dot", "--graph",
@@ -536,6 +563,33 @@ class TestExitCodes:
                    "--graph", str(pipeline_dir / "graph.bin"), "--out", str(tmp_path)) == 0
         assert (tmp_path / "centrality_closeness.csv").exists()
 
+    @pytest.mark.parametrize("flags, affinity, threads", [
+        (["--threads", "0"], {0, 2, 5}, 3),  # the usable cores, not the 8 the machine has
+        (["--threads", "0"], None, 8),  # no affinity call: every core
+        (["--threads", "5"], {0, 2, 5}, 3),  # never more threads than usable cores
+        ([], {0, 2, 5}, 1),  # the default
+    ], ids=["auto-affinity", "auto-cpu-count", "capped", "default"])
+    def test_thread_count_comes_from_the_usable_cores(self, pipeline_dir, tmp_path, monkeypatch,
+                                                      flags, affinity, threads):
+        from castnet import centrality
+
+        seen = []
+        betweenness = centrality.betweenness_centrality
+
+        def recording(graph, threads):
+            seen.append(threads)
+            return betweenness(graph, threads=threads)
+
+        monkeypatch.setattr(centrality, "betweenness_centrality", recording)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+        assert run("centrality", "betweenness", *flags,
+                   "--graph", str(pipeline_dir / "graph.bin"), "--out", str(tmp_path)) == 0
+        assert seen == [threads]
+
     @pytest.mark.parametrize(
         "argv, flag",
         [
@@ -634,6 +688,9 @@ class TestExitCodes:
         "unknown-kind": ("kind", "film"),
         "string-year": ("release_year", "2010"),
         "bool-year": ("release_year", True),
+        "year-before-min": ("release_year", 1869),
+        "year-after-max": ("release_year", 2101),
+        "huge-year": ("release_year", 10**30),
         "string-cast": ("cast", "Us ActorA"),
         "number-in-cast": ("cast", ["Us ActorA", 7]),
         "object-directors": ("directors", {"name": "A"}),
@@ -649,6 +706,9 @@ class TestExitCodes:
         ("persons-not-json", "not JSON: "),
         ("string-year", "'release_year' must be an integer or null, not str"),
         ("bool-year", "'release_year' must be an integer or null, not bool"),
+        ("year-before-min", "'release_year' 1869 outside 1870..2100"),
+        ("year-after-max", "'release_year' 2101 outside 1870..2100"),
+        ("huge-year", f"'release_year' {10**30} outside 1870..2100"),
         ("string-cast", "'cast' must be a list of strings, not str"),
         ("number-in-cast", "'cast' must be a list of strings, not list"),
         ("object-directors", "'directors' must be a list of strings, not dict"),

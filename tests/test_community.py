@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -19,8 +19,8 @@ from castnet.community import (
     modularity,
     Partition,
 )
-from castnet.errors import EmptyGraphError
-from castnet.graph import CoGraph
+from castnet.errors import EmptyGraphError, EmptyInputError
+from castnet.graph import CoGraph, build_bipartite
 from castnet.ingest import TitleKind, TitleRecord
 from conftest import graph_of, make_graph
 
@@ -409,11 +409,21 @@ def era_records(era: str, year: int, casts: list[list[str]]):
     ]
 
 
+def evolution_of(records, window_years, step_years, seed, names=None):
+    """``(graph, timeline)``: the incidence of ``records`` and its windows."""
+    graph = build_bipartite(records, names=names)[0]
+    return graph, community_evolution(graph, window_years, step_years, seed)
+
+
+def window_labels(graph, window):
+    return tuple(graph.labels[a] for a in window.actors)
+
+
 class TestEvolution:
     def test_identical_casts_full_overlap(self):
         casts = [["A", "B", "C"], ["D", "E", "F"]]
         records = era_records("x", 2000, casts) + era_records("y", 2001, casts)
-        timeline = community_evolution(records, window_years=1, step_years=1, seed=42)
+        _, timeline = evolution_of(records, window_years=1, step_years=1, seed=42)
         assert len(timeline.windows) == 2
         assert timeline.matches[0]
         assert all(m.overlap == 1.0 for m in timeline.matches[0].values())
@@ -422,7 +432,7 @@ class TestEvolution:
         records = era_records("x", 2000, [["A", "B"], ["C", "D"]]) + era_records(
             "y", 2001, [["E", "F"], ["G", "H"]]
         )
-        timeline = community_evolution(records, window_years=1, step_years=1, seed=42)
+        _, timeline = evolution_of(records, window_years=1, step_years=1, seed=42)
         assert all(m.overlap == 0.0 for m in timeline.matches[0].values())
 
     def test_community_split_half_overlap(self):
@@ -430,7 +440,7 @@ class TestEvolution:
         records = era_records("x", 2000, [["A", "B", "C", "D"]]) + era_records(
             "y", 2001, [["A", "B"], ["C", "D"]]
         )
-        timeline = community_evolution(records, window_years=1, step_years=1, seed=42)
+        _, timeline = evolution_of(records, window_years=1, step_years=1, seed=42)
         (match,) = timeline.matches[0].values()
         assert match.overlap == pytest.approx(0.5)
 
@@ -442,17 +452,17 @@ class TestEvolution:
             + era_records("w", 2002, [oversize])
             + era_records("z", 2004, [["C", "D"]])
         )
-        timeline = community_evolution(records, window_years=1, step_years=1, seed=42)
+        _, timeline = evolution_of(records, window_years=1, step_years=1, seed=42)
         assert len(timeline.windows) == 5
         for window in timeline.windows[1:4]:
-            assert window.names == () and window.partition is None
+            assert window.actors == () and window.partition is None
 
     def test_window_validation(self):
-        records = era_records("x", 2000, [["A", "B"]])
+        graph = build_bipartite(era_records("x", 2000, [["A", "B"]]))[0]
         with pytest.raises(ValueError):
-            community_evolution(records, window_years=1, step_years=2, seed=1)
+            community_evolution(graph, window_years=1, step_years=2, seed=1)
         with pytest.raises(ValueError):
-            community_evolution(records, window_years=0, step_years=0, seed=1)
+            community_evolution(graph, window_years=0, step_years=0, seed=1)
 
     def test_windows_cover_year_span(self):
         # the yearless title takes part in no window
@@ -461,13 +471,15 @@ class TestEvolution:
             + era_records("y", 2005, [["C", "D"]])
             + era_records("u", None, [["A", "B", "Y"], ["Y", "Z"]])
         )
-        timeline = community_evolution(records, window_years=3, step_years=2, seed=1)
+        graph, timeline = evolution_of(records, window_years=3, step_years=2, seed=1)
         assert [w.years for w in timeline.windows] == [
             (2000, 2002),
             (2002, 2004),
             (2004, 2006),
         ]
-        assert [w.names for w in timeline.windows] == [("A", "B"), (), ("C", "D")]
+        assert [window_labels(graph, w) for w in timeline.windows] == [
+            ("A", "B"), (), ("C", "D")
+        ]
 
     def test_namesakes_are_distinct_actors_across_windows(self):
         # nm1 and nm2 are both "John" but never share a window: labelled per
@@ -476,26 +488,75 @@ class TestEvolution:
             "t2", 2005, [["nm2", "nmB"]]
         )
         names = {"nm1": "John", "nm2": "John"}
-        timeline = community_evolution(records, 5, 5, 42, names=names)
-        assert [w.names for w in timeline.windows] == [("John [nm1]", "nmA"),
-                                                       ("John [nm2]", "nmB")]
+        graph, timeline = evolution_of(records, 5, 5, 42, names=names)
+        assert [window_labels(graph, w) for w in timeline.windows] == [
+            ("John [nm1]", "nmA"), ("John [nm2]", "nmB")
+        ]
         assert timeline.matches == [{0: CommunityMatch(0, 0.0)}]
 
     def test_matches_equal_set_jaccard_oracle(self):
         rng = random.Random(8)
-        pool = [f"actor{i}" for i in range(40)]
 
         def window():
             if rng.random() < 0.1:
                 return community.EvolutionWindow((2000, 2000), (), None)
-            names = tuple(rng.sample(pool, rng.randint(1, 30)))
+            actors = tuple(sorted(rng.sample(range(40), rng.randint(1, 30))))
             k = rng.randint(1, 6)  # ids may skip values: empty communities
-            part = Partition(assignment=tuple(rng.randrange(k) for _ in names), q=0.0)
-            return community.EvolutionWindow((2000, 2000), names, part)
+            part = Partition(assignment=tuple(rng.randrange(k) for _ in actors), q=0.0)
+            return community.EvolutionWindow((2000, 2000), actors, part)
 
         for _ in range(300):
             prev, cur = window(), window()
             got = community._match_windows(prev, cur)
-            args = [(w.names, w.partition.assignment if w.partition else ()) for w in (prev, cur)]
+            args = [(w.actors, w.partition.assignment if w.partition else ()) for w in (prev, cur)]
             expected = oracles.window_matches(*args[0], *args[1])
             assert {c: (m.new_cid, m.overlap) for c, m in got.items()} == expected
+
+
+_KEYS = [f"k{i}" for i in range(6)]
+
+
+@st.composite
+def evolution_catalogs(draw):
+    """Up to 8 titles with unique ids over 6 cast keys: yearless titles,
+    casts above a cap of 3, shared actors, and namesakes, some of whose
+    names equal another key or a suffixed label."""
+    records = [
+        TitleRecord(
+            f"t{i}", f"title {i}", TitleKind.MOVIE,
+            draw(st.none() | st.integers(2000, 2006)),
+            (), tuple(draw(st.lists(st.sampled_from(_KEYS), max_size=5))),
+        )
+        for i in range(draw(st.integers(1, 8)))
+    ]
+    names = draw(st.none() | st.dictionaries(
+        st.sampled_from(_KEYS), st.sampled_from(["Ann", "Bob", "k0", "Ann [k1]"]), max_size=6
+    ))
+    return records, names
+
+
+@settings(max_examples=150, deadline=None)
+@given(catalog=evolution_catalogs(), window=st.integers(1, 4), step=st.integers(1, 4),
+       seed=st.integers(0, 3))
+def test_windows_equal_a_graph_rebuilt_per_window(catalog, window, step, seed):
+    """Windows masked out of one incidence hold the years, titles and actors
+    of a graph rebuilt from the records for each window."""
+    records, names = catalog
+    step = min(step, window)
+    try:
+        graph = build_bipartite(records, max_cast=3, names=names)[0]
+    except EmptyInputError:
+        assume(False)
+    if not np.any(graph.title_year >= 0):
+        with pytest.raises(EmptyInputError):
+            community_evolution(graph, window, step, seed)
+        return
+    timeline = community_evolution(graph, window, step, seed)
+    got = [
+        (w.years,
+         int(np.count_nonzero((graph.title_year >= w.years[0]) & (graph.title_year <= w.years[1]))),
+         set(window_labels(graph, w)))
+        for w in timeline.windows
+    ]
+    assert got == oracles.evolution_windows(records, window, step, names, max_cast=3)
+    assert len(timeline.matches) == len(timeline.windows) - 1

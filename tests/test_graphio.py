@@ -4,11 +4,14 @@ import random
 import struct
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from castnet._options import YEAR_MAX, YEAR_MIN
+from castnet.cli import main
 from castnet.community import build_cluster_graph, louvain
 from castnet.errors import CacheFormatError
 from castnet.graph import CoGraph
@@ -63,6 +66,19 @@ class TestCache:
         with pytest.raises(CacheFormatError):
             load_cache(path)
 
+    def test_version_2_cache_asks_for_a_rebuild(self, tmp_path, capsys):
+        """A cache written before titles carried years is refused, not misread."""
+        path = tmp_path / "graph.bin"
+        save_cache(path, full_featured_graph())
+        data = bytearray(path.read_bytes())
+        data[8:12] = struct.pack("<I", 2)
+        path.write_bytes(bytes(data))
+        capsys.readouterr()
+        assert main(["centrality", "degree", "--graph", str(path), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: cache version 2 unsupported (expected 3); rebuild\n"
+        )
+
     def test_truncation_rejected(self, tmp_path):
         g = full_featured_graph()
         path = tmp_path / "graph.bin"
@@ -88,10 +104,23 @@ class TestCache:
         assert loaded.title_members.tolist() == [0, 1, 1, 2, 3]
         assert loaded.titles_for_edge(1, 2) == ("Other",)
 
+    def test_title_years_round_trip(self, tmp_path):
+        records = [
+            TitleRecord("t1", "Early", TitleKind.MOVIE, YEAR_MIN, (), ("Ann", "Bob")),
+            TitleRecord("t2", "Undated", TitleKind.MOVIE, None, (), ("Bob",)),
+            TitleRecord("t3", "Late", TitleKind.MOVIE, YEAR_MAX, (), ("Cat",)),
+        ]
+        g = graph_of(records)
+        assert g.title_year.tolist() == [YEAR_MIN, -1, YEAR_MAX]
+        save_cache(tmp_path / "graph.bin", g)
+        loaded = load_cache(tmp_path / "graph.bin")
+        assert loaded == g and loaded.title_year.tolist() == [YEAR_MIN, -1, YEAR_MAX]
+        assert loaded != dataclasses.replace(g, title_year=np.array([YEAR_MIN, -1, 2000]))
+
     def test_loaded_arrays_are_read_only(self, tmp_path):
         save_cache(tmp_path / "graph.bin", full_featured_graph())
         loaded = load_cache(tmp_path / "graph.bin")
-        for name in ("indptr", "indices", "weights", "title_ptr", "title_members"):
+        for name in ("indptr", "indices", "weights", "title_ptr", "title_members", "title_year"):
             array = getattr(loaded, name)
             assert array.dtype.isnative, name
             with pytest.raises(ValueError, match="read-only"):
@@ -171,6 +200,9 @@ INVALID = {
     # One header count sizes both the names and title_ptr, so a short name
     # list misaligns every later section.
     "title_count_mismatch": (lambda g: {"title_names": g.title_names[:2]}, None),
+    "title_year_below_unknown": (_set("title_year", 0, -2), "title year"),
+    "title_year_before_min": (_set("title_year", 1, YEAR_MIN - 1), "title year"),
+    "title_year_after_max": (_set("title_year", 2, YEAR_MAX + 1), "title year"),
     "label_repeated": (lambda g: {"labels": [g.labels[1], *g.labels[1:]]}, "repeated actor label"),
 }
 

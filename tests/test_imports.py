@@ -100,6 +100,26 @@ def test_graph_commands_load_only_their_modules(tmp_path, catalog_csv, argv, mod
     assert run_python(code).splitlines()[-1] == f"0 {modules}"  # after what `path` prints
 
 
+@pytest.mark.parametrize("module", ["community", "centrality", "linkpred", "paths", "graphio",
+                                    "_bfs"])
+def test_analysis_modules_never_reach_records(module):
+    """The analysis modules work on a ``CoGraph`` alone: none imports
+    ``ingest`` or ``build_bipartite``, not even inside a function or under
+    ``TYPE_CHECKING``. Records become a graph only in ``graph`` and ``cli``."""
+    path = os.path.join(SRC, "castnet", f"{module}.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), path)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported += [node.module or "", *(alias.name for alias in node.names)]
+    reached = [name for name in imported
+               if name.split(".")[-1] in ("ingest", "build_bipartite")]
+    assert reached == [], f"castnet.{module} imports {reached}"
+
+
 def test_cli_process_starts_no_blas_thread_pool(tmp_path):
     """A ``BLAS_THREAD_ENV`` value the user set wins over the default of 1."""
     graph = tmp_path / "graph.bin"

@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from castnet import _write
+from castnet._options import YEAR_MAX, YEAR_MIN
 from castnet.errors import CastnetError, JsonlFormatError, MissingColumnError
 from castnet.ingest import (
     TitleKind,
@@ -462,7 +463,7 @@ _RECORDS = st.lists(
         title_id=_TEXT,
         title=_TEXT,
         kind=st.sampled_from(list(TitleKind)),
-        release_year=st.none() | st.integers(),
+        release_year=st.none() | st.integers(YEAR_MIN, YEAR_MAX),
         directors=_NAMES,
         cast=_NAMES,
         country=st.none() | _TEXT,

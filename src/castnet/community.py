@@ -263,7 +263,7 @@ def build_cluster_graph(
     a, b = np.divmod(keys, n_comm)
     frequency = inter / np.minimum(volumes[a], volumes[b])
 
-    country = plurality_countries(g.node_country or [None] * g.n, np.arange(g.n), comm, n_comm)
+    country = plurality_countries(g.node_country, np.arange(g.n), comm, n_comm)
     sizes = np.bincount(comm, minlength=n_comm)
     clusters = {
         cid: ClusterInfo((overrides or {}).get(cid, country[cid] or f"cluster-{cid}"), size, vol)
@@ -363,7 +363,7 @@ def community_evolution(
                                     return_inverse=True)
         window = project(CoGraph(
             [graph.labels[a] for a in actors.tolist()], np.zeros(len(actors) + 1, np.int64),
-            np.zeros(0, np.int32), np.zeros(0, np.int64),
+            np.zeros(0, np.int32), np.zeros(0, np.int64), [None] * len(actors),
             title_ptr=np.concatenate([[0], np.cumsum(sizes[titles])]),
             title_members=members.astype(np.int32),
         ))

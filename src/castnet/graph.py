@@ -11,12 +11,13 @@ indices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from ._options import DEFAULT_MAX_CAST
+from ._options import DEFAULT_MAX_CAST, YEAR_MAX, YEAR_MIN
 from .errors import EmptyInputError, NodeOutOfRangeError, UnknownActorError
 
 if TYPE_CHECKING:
@@ -40,6 +41,7 @@ def build_bipartite(
     primaryName); colliding display labels are disambiguated with the key.
     Cast sizes count distinct keys. Titles with more than ``max_cast`` are
     rejected as data errors and counted, since projection is quadratic per title.
+    A kept title dated outside ``YEAR_MIN..YEAR_MAX`` raises :class:`ValueError`.
     """
     lo, hi = year_range if year_range else (None, None)
     seen_titles: set[str] = set()
@@ -69,8 +71,11 @@ def build_bipartite(
         if rec.title_id in seen_titles:
             continue
         seen_titles.add(rec.title_id)
+        year = rec.release_year
+        if year is not None and not YEAR_MIN <= year <= YEAR_MAX:
+            raise ValueError(f"title {rec.title_id!r}: year {year} outside {YEAR_MIN}..{YEAR_MAX}")
         title_names.append(rec.title)
-        title_year.append(-1 if rec.release_year is None else rec.release_year)
+        title_year.append(-1 if year is None else year)
         title_country.append(rec.country)
         members.extend(sorted([person_index.setdefault(key, len(person_index)) for key in cast]))
         title_ptr.append(len(members))
@@ -86,13 +91,13 @@ def build_bipartite(
         indptr=np.zeros(n + 1, np.int64),
         indices=np.zeros(0, np.int32),
         weights=np.zeros(0, np.int64),
+        node_country=plurality_countries(
+            title_country, np.repeat(np.arange(len(title_names)), np.diff(ptr)), owners, n
+        ),
         title_names=title_names,
         title_ptr=ptr,
         title_members=owners.astype(np.int32),
         title_year=np.array(title_year, np.int32),
-        node_country=plurality_countries(
-            title_country, np.repeat(np.arange(len(title_names)), np.diff(ptr)), owners, n
-        ),
     )
     return graph, oversize
 
@@ -114,15 +119,11 @@ class CoGraph:
     indptr: np.ndarray  # int64, len n+1
     indices: np.ndarray  # int32, sorted within each row
     weights: np.ndarray  # int64, parallel to indices
+    node_country: list[str | None]  # len n, None for an unknown country
     title_names: list[str] = field(default_factory=list)
     title_ptr: np.ndarray = field(default_factory=lambda: np.zeros(1, np.int64))  # len titles+1
     title_members: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int32))  # sorted per title
     title_year: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int32))  # len titles
-    node_country: list[str | None] | None = None
-    _label_index: dict[str, int] = field(init=False, repr=False)  # built from labels
-
-    def __post_init__(self) -> None:
-        self._label_index = {name: i for i, name in enumerate(self.labels)}
 
     @property
     def n(self) -> int:
@@ -148,6 +149,10 @@ class CoGraph:
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
 
+    @cached_property
+    def _label_index(self) -> dict[str, int]:
+        return {name: i for i, name in enumerate(self.labels)}
+
     def node(self, name: str) -> int:
         try:
             return self._label_index[name]
@@ -171,17 +176,11 @@ class CoGraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CoGraph):
             return NotImplemented
-        return (
-            self.labels == other.labels
-            and np.array_equal(self.indptr, other.indptr)
-            and np.array_equal(self.indices, other.indices)
-            and np.array_equal(self.weights, other.weights)
-            and self.title_names == other.title_names
-            and np.array_equal(self.title_ptr, other.title_ptr)
-            and np.array_equal(self.title_members, other.title_members)
-            and np.array_equal(self.title_year, other.title_year)
-            and self.node_country == other.node_country
-        )
+        for f in fields(self):
+            a, b = getattr(self, f.name), getattr(other, f.name)
+            if not (np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b):
+                return False
+        return True
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(u, v, weight)`` arrays holding each undirected edge once, u < v, in row order."""
@@ -219,20 +218,19 @@ class CoGraph:
         np.add.at(weights, inverse, w)
         return cls(
             list(labels),
-            *_from_upper(n, keys, weights),
-            node_country=list(node_country) if node_country is not None else None,
+            *_from_upper(n, *np.divmod(keys, n), weights),
+            node_country=list(node_country) if node_country is not None else [None] * n,
         )
 
 
-def _from_upper(n: int, keys: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, ...]:
+def _from_upper(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, ...]:
     """``(indptr, indices, weights)`` of the symmetric CSR on ``n`` nodes from
-    sorted, unique upper-triangle keys ``u * n + v`` (u < v)."""
-    u, v = np.divmod(keys, max(n, 1))
-    rows, cols = np.concatenate([u, v]), np.concatenate([v, u])
-    order = np.lexsort((cols, rows))
+    the distinct upper-triangle edges ``(u, v)``, u < v, of weight ``w``."""
+    rows, cols = np.concatenate([u, v]).astype(np.int64), np.concatenate([v, u])
+    order = np.argsort(rows * n + cols)  # the keys are unique: any sort gives row-major order
     indptr = np.zeros(n + 1, np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return indptr, cols[order].astype(np.int32), np.concatenate([weights, weights])[order]
+    return indptr, cols[order].astype(np.int32), np.concatenate([w, w])[order]
 
 
 def name_ranks(labels: Sequence[str]) -> tuple[np.ndarray, list[str]]:
@@ -276,7 +274,7 @@ def project(graph: CoGraph) -> CoGraph:
     run_start = np.cumsum(after) - after
     partner = np.arange(int(after.sum())) - np.repeat(run_start - slot - 1, after)
     keys, counts = np.unique(np.repeat(members, after) * n + members[partner], return_counts=True)
-    indptr, indices, weights = _from_upper(n, keys, counts)
+    indptr, indices, weights = _from_upper(n, *np.divmod(keys, n), counts)
     return replace(graph, indptr=indptr, indices=indices, weights=weights)
 
 

@@ -8,6 +8,7 @@ file whose arrays break the graph's invariants.
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import struct
@@ -18,15 +19,13 @@ import numpy as np
 from ._options import YEAR_MAX, YEAR_MIN
 from ._write import fmt_score, replacing, write_csv, write_json
 from .errors import CacheFormatError
-from .graph import CoGraph
+from .graph import CoGraph, _from_upper
 
 if TYPE_CHECKING:
     from .community import ClusterGraph, Partition
 
 CACHE_MAGIC = b"CASTNETG"
-CACHE_VERSION = 3
-
-_FLAG_NODE_COUNTRY = 1
+CACHE_VERSION = 4
 
 
 def _dot_quote(text: str) -> str:
@@ -92,29 +91,29 @@ def write_graphml(path: str | os.PathLike, g: CoGraph) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _strings(texts) -> bytes:
-    """String table: ``u32`` byte length per string, then the UTF-8 bytes."""
-    data = [text.encode("utf-8") for text in texts]
-    return np.array([len(d) for d in data], "<u4").tobytes() + b"".join(data)
+def _strings(texts: list[str]) -> bytes:
+    """String table: ``u64`` byte length, then the strings as one UTF-8 JSON array."""
+    data = json.dumps(texts, ensure_ascii=False).encode("utf-8")
+    return struct.pack("<Q", len(data)) + data
 
 
 def _sections(g: CoGraph):
-    flags = _FLAG_NODE_COUNTRY if g.node_country is not None else 0
-    counts = (g.n, len(g.indices), g.total_edge_weight, len(g.title_names), len(g.title_members))
-    yield CACHE_MAGIC + struct.pack("<II5Q", CACHE_VERSION, flags, *counts)
+    countries = sorted({c for c in g.node_country if c is not None})
+    slot = {name: i for i, name in enumerate(countries)}
+    u, v, w = g.edge_arrays()
+    counts = (g.n, len(u), g.total_edge_weight, len(g.title_names), len(g.title_members),
+              len(countries))
+    yield CACHE_MAGIC + struct.pack("<I6Q", CACHE_VERSION, *counts)
     yield _strings(g.labels)
-    yield g.indptr.astype("<i8").tobytes()
-    yield g.indices.astype("<i4").tobytes()
-    yield g.weights.astype("<i8").tobytes()
+    yield u.astype("<i4").tobytes()
+    yield v.astype("<i4").tobytes()
+    yield w.astype("<i8").tobytes()
     yield _strings(g.title_names)
     yield g.title_ptr.astype("<i8").tobytes()
     yield g.title_members.astype("<i4").tobytes()
     yield g.title_year.astype("<i4").tobytes()
-    if g.node_country is not None:
-        names = sorted({c for c in g.node_country if c is not None})
-        slot = {name: i for i, name in enumerate(names)}
-        yield struct.pack("<Q", len(names)) + _strings(names)
-        yield np.array([-1 if c is None else slot[c] for c in g.node_country], "<i4").tobytes()
+    yield _strings(countries)
+    yield np.array([-1 if c is None else slot[c] for c in g.node_country], "<i4").tobytes()
 
 
 def save_cache(path: str | os.PathLike, g: CoGraph) -> None:
@@ -145,84 +144,83 @@ class _Reader:
         return out
 
     def strings(self, count: int) -> list[str]:
-        lengths = self.array("<u4", count).astype(np.int64)
-        ends = np.cumsum(lengths)
-        starts = ends - lengths
-        blob = self.take(int(ends[-1]) if count else 0)
+        (size,) = struct.unpack("<Q", self.take(8))
+        blob = self.take(size)
         try:
-            return [blob[a:b].decode("utf-8") for a, b in zip(starts.tolist(), ends.tolist())]
-        except UnicodeDecodeError:
-            raise CacheFormatError("cache string is not UTF-8") from None
+            texts = json.loads(blob.decode("utf-8"))
+            # join fails unless every item is a str, encode on a lone surrogate
+            "".join(texts).encode("utf-8")
+        except (ValueError, TypeError, RecursionError):
+            raise CacheFormatError("cache string table is not a JSON array of strings") from None
+        if type(texts) is not list or len(texts) != count:
+            raise CacheFormatError(f"cache string table does not hold {count} strings")
+        return texts
 
 
-def _rows(what: str, ptr: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
-    """Row id of every value, after checking ``ptr`` offsets ``values`` into rows
-    of strictly increasing ids in ``[0, n)``."""
-    if ptr[0] != 0 or ptr[-1] != len(values) or np.any(np.diff(ptr) < 0):
-        raise CacheFormatError(f"{what} offsets are not monotone from 0 to {len(values)}")
-    if len(values) and (values.min() < 0 or values.max() >= n):
-        raise CacheFormatError(f"{what} id outside [0, {n})")
-    rows = np.repeat(np.arange(len(ptr) - 1), np.diff(ptr))
-    if np.any(np.diff(values)[rows[1:] == rows[:-1]] <= 0):
-        raise CacheFormatError(f"{what} ids not strictly increasing within a row")
-    return rows
+def _check_incidence(ptr: np.ndarray, members: np.ndarray, n: int) -> None:
+    """``ptr`` offsets ``members`` into titles of strictly increasing ids in ``[0, n)``."""
+    if ptr[0] != 0 or ptr[-1] != len(members) or np.any(np.diff(ptr) < 0):
+        raise CacheFormatError(f"title offsets are not monotone from 0 to {len(members)}")
+    if len(members) and (members.min() < 0 or members.max() >= n):
+        raise CacheFormatError(f"title member id outside [0, {n})")
+    titles = np.repeat(np.arange(len(ptr) - 1), np.diff(ptr))
+    if np.any(np.diff(members)[titles[1:] == titles[:-1]] <= 0):
+        raise CacheFormatError("title member ids not strictly increasing within a title")
 
 
-def _check_adjacency(n: int, total: int, indptr, indices, weights) -> None:
-    rows = _rows("adjacency", indptr, indices, n)
-    if np.any(rows == indices):
-        raise CacheFormatError("self-loop in adjacency")
-    if np.any(weights < 1):
+def _adjacency(n: int, total: int, u, v, w) -> tuple[np.ndarray, ...]:
+    """The read-only CSR ``(indptr, indices, weights)`` of the edges ``(u, v, w)``,
+    after checking that they are upper-triangle edges in strictly increasing
+    ``(u, v)`` order whose weights are at least 1 and sum to ``total``."""
+    if len(u) and (u.min() < 0 or v.max() >= n):
+        raise CacheFormatError(f"edge endpoint outside [0, {n})")
+    if np.any(u >= v):
+        raise CacheFormatError("edge with u >= v")
+    keys = u.astype(np.int64) * n + v
+    if np.any(np.diff(keys) <= 0):
+        raise CacheFormatError("edges not in strictly increasing (u, v) order")
+    if np.any(w < 1):
         raise CacheFormatError("edge weight below 1")
-    # Rows are sorted and strictly increasing, so the keys are sorted; the
-    # transpose holds the same keys and weights exactly when A is symmetric.
-    keys = rows * n + indices
-    transposed = indices.astype(np.int64) * n + rows
-    order = np.argsort(transposed)
-    if not (np.array_equal(transposed[order], keys) and np.array_equal(weights[order], weights)):
-        raise CacheFormatError("adjacency is not symmetric with equal weights")
-    if int(weights.sum()) // 2 != total:
+    if int(w.sum()) != total:
         raise CacheFormatError("total_edge_weight disagrees with the edge weights")
+    csr = _from_upper(n, u, v, w)
+    for array in csr:
+        array.flags.writeable = False
+    return csr
 
 
 def load_cache(path: str | os.PathLike) -> CoGraph:
     """Read a cache written by :func:`save_cache`, rejecting any file that is
-    truncated, carries trailing bytes or breaks a CSR or incidence invariant.
+    truncated, carries trailing bytes or breaks an edge or incidence invariant.
     The graph's arrays are read-only."""
     with open(path, "rb") as fh:
         r = _Reader(fh.read())
     if r.take(len(CACHE_MAGIC)) != CACHE_MAGIC:
         raise CacheFormatError("not a graph cache file")
-    version, flags = struct.unpack("<II", r.take(8))
+    (version,) = struct.unpack("<I", r.take(4))
     if version != CACHE_VERSION:
         raise CacheFormatError(
             f"cache version {version} unsupported (expected {CACHE_VERSION}); rebuild"
         )
-    if flags & ~_FLAG_NODE_COUNTRY:
-        raise CacheFormatError(f"unknown cache flags {flags:#x}")
-    n, nnz, total, n_titles, n_members = struct.unpack("<5Q", r.take(40))
+    n, m, total, n_titles, n_members, n_countries = struct.unpack("<6Q", r.take(48))
     labels = r.strings(n)
-    indptr = r.array("<i8", n + 1)
-    indices = r.array("<i4", nnz)
-    weights = r.array("<i8", nnz)
+    u = r.array("<i4", m)
+    v = r.array("<i4", m)
+    w = r.array("<i8", m)
     title_names = r.strings(n_titles)
     title_ptr = r.array("<i8", n_titles + 1)
     title_members = r.array("<i4", n_members)
     title_year = r.array("<i4", n_titles)
-    node_country = None
-    if flags & _FLAG_NODE_COUNTRY:
-        (n_countries,) = struct.unpack("<Q", r.take(8))
-        names = r.strings(n_countries) + [None]  # slot -1 means no country
-        slots = r.array("<i4", n)
-        if np.any((slots < -1) | (slots >= n_countries)):
-            raise CacheFormatError("node country outside the country table")
-        node_country = [names[s] for s in slots.tolist()]
+    countries = r.strings(n_countries) + [None]  # slot -1 means no country
+    slots = r.array("<i4", n)
     if r.pos != len(r.data):
         raise CacheFormatError("trailing bytes after cache payload")
-    _check_adjacency(n, total, indptr, indices, weights)
-    _rows("title", title_ptr, title_members, n)
+    indptr, indices, weights = _adjacency(n, total, u, v, w)
+    _check_incidence(title_ptr, title_members, n)
     if np.any((title_year != -1) & ((title_year < YEAR_MIN) | (title_year > YEAR_MAX))):
         raise CacheFormatError(f"title year neither -1 nor in {YEAR_MIN}..{YEAR_MAX}")
+    if np.any((slots < -1) | (slots >= n_countries)):
+        raise CacheFormatError("node country outside the country table")
     if len(set(labels)) != n:
         raise CacheFormatError("repeated actor label")
     return CoGraph(
@@ -230,11 +228,11 @@ def load_cache(path: str | os.PathLike) -> CoGraph:
         indptr=indptr,
         indices=indices,
         weights=weights,
+        node_country=[countries[s] for s in slots.tolist()],
         title_names=title_names,
         title_ptr=title_ptr,
         title_members=title_members,
         title_year=title_year,
-        node_country=node_country,
     )
 
 

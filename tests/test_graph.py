@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from castnet._options import YEAR_MAX, YEAR_MIN
 from castnet.errors import EmptyInputError, NodeOutOfRangeError, UnknownActorError
 from castnet.graph import CoGraph, build_bipartite, project
 from castnet.graphio import load_cache, save_cache
@@ -78,6 +79,14 @@ class TestBuildBipartite:
         records = [rec("t1", ["A"], title="First"), rec("t1", ["B"], title="Second")]
         g, _ = build_bipartite(records)
         assert titles(g) == [("First", ["A"])]
+
+    @pytest.mark.parametrize("year", [1000, YEAR_MIN - 1, YEAR_MAX + 1, 10**30])
+    def test_year_outside_range_rejected(self, year):
+        """A library caller's year is checked as ``read_records_jsonl`` checks it,
+        so every graph built saves a cache that loads."""
+        records = [rec("t1", ["A", "B"]), rec("t9", ["B"], year=year)]
+        with pytest.raises(ValueError, match=f"'t9': year {year} outside {YEAR_MIN}..{YEAR_MAX}"):
+            build_bipartite(records)
 
     def test_empty_input_error(self):
         with pytest.raises(EmptyInputError):
@@ -290,12 +299,25 @@ class TestAccessors:
     def test_node_lookup(self, k3):
         assert k3.node("b") == 1
 
+    def test_name_index_built_on_first_lookup(self, k3):
+        assert "_label_index" not in vars(k3)
+        assert k3.node("c") == 2
+        assert vars(k3)["_label_index"] == {"a": 0, "b": 1, "c": 2}
+
     def test_replace_rebuilds_the_name_index(self, k3):
         g = dataclasses.replace(k3, labels=["x", "y", "z"])
         assert [g.node(name) for name in ("x", "y", "z")] == [0, 1, 2]
         with pytest.raises(UnknownActorError):
             g.node("a")
         assert k3.node("a") == 0
+
+    def test_equality_compares_every_field(self):
+        g = graph_of([rec("t1", ["A", "B"], country="US"), rec("t2", ["B", "C"], year=None)])
+        assert g == dataclasses.replace(g)
+        for f in dataclasses.fields(g):
+            value = getattr(g, f.name)
+            changed = value + 1 if isinstance(value, np.ndarray) else [*value[:-1], "other"]
+            assert g != dataclasses.replace(g, **{f.name: changed}), f.name
 
     def test_from_weighted_edges_rejects_self_loop(self):
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ import os
 import random
 import struct
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from castnet.errors import CacheFormatError
 from castnet.graph import CoGraph
 from castnet.graphio import (
     CACHE_MAGIC,
+    CACHE_VERSION,
     load_cache,
     save_cache,
     write_cluster_dot,
@@ -52,7 +54,7 @@ class TestCache:
         save_cache(path, g)
         loaded = load_cache(path)
         assert loaded == g
-        assert loaded.title_names == [] and loaded.node_country is None
+        assert loaded.title_names == [] and loaded.node_country == [None] * 20
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bogus.bin"
@@ -66,18 +68,35 @@ class TestCache:
         with pytest.raises(CacheFormatError):
             load_cache(path)
 
-    def test_version_2_cache_asks_for_a_rebuild(self, tmp_path, capsys):
-        """A cache written before titles carried years is refused, not misread."""
+    @staticmethod
+    def degree_of_version(tmp_path, capsys, version):
+        """Exit code and stderr of ``centrality degree`` on a cache that
+        claims ``version``."""
         path = tmp_path / "graph.bin"
         save_cache(path, full_featured_graph())
         data = bytearray(path.read_bytes())
-        data[8:12] = struct.pack("<I", 2)
+        data[8:12] = struct.pack("<I", version)
         path.write_bytes(bytes(data))
         capsys.readouterr()
-        assert main(["centrality", "degree", "--graph", str(path), "--out", str(tmp_path)]) == 1
-        assert capsys.readouterr().err == (
-            "error: cache version 2 unsupported (expected 3); rebuild\n"
+        code = main(["centrality", "degree", "--graph", str(path), "--out", str(tmp_path)])
+        return code, capsys.readouterr().err
+
+    def test_version_2_cache_asks_for_a_rebuild(self, tmp_path, capsys):
+        """A cache written before titles carried years is refused, not misread."""
+        assert self.degree_of_version(tmp_path, capsys, 2) == (
+            1, "error: cache version 2 unsupported (expected 4); rebuild\n"
         )
+
+    def test_version_3_cache_asks_for_a_rebuild(self, tmp_path, capsys):
+        """A cache that stores each edge twice is refused, not misread."""
+        assert self.degree_of_version(tmp_path, capsys, 3) == (
+            1, "error: cache version 3 unsupported (expected 4); rebuild\n"
+        )
+
+    def test_doc_title_names_the_version(self):
+        doc = Path(__file__).parents[1] / "docs" / "cache-format.md"
+        title = doc.read_text(encoding="utf-8").splitlines()[0]
+        assert title == f"# Binary graph cache format (version {CACHE_VERSION})"
 
     def test_truncation_rejected(self, tmp_path):
         g = full_featured_graph()
@@ -120,9 +139,11 @@ class TestCache:
     def test_loaded_arrays_are_read_only(self, tmp_path):
         save_cache(tmp_path / "graph.bin", full_featured_graph())
         loaded = load_cache(tmp_path / "graph.bin")
-        for name in ("indptr", "indices", "weights", "title_ptr", "title_members", "title_year"):
-            array = getattr(loaded, name)
-            assert array.dtype.isnative, name
+        for f in dataclasses.fields(loaded):
+            array = getattr(loaded, f.name)
+            if not isinstance(array, np.ndarray):
+                continue
+            assert array.dtype.isnative, f.name
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = array[0]
 
@@ -139,14 +160,6 @@ class TestCache:
         assert os.listdir(tmp_path) == ["graph.bin"]
 
 
-def _shift_row(g):
-    """Move the first row's end one slot left: rows stay monotone, but the
-    moved entry now sits in a row where it breaks the ordering."""
-    indptr = g.indptr.copy()
-    indptr[1] -= 1
-    return {"indptr": indptr}
-
-
 def _set(field, pos, value):
     def mutate(g):
         arr = getattr(g, field).copy()
@@ -156,49 +169,50 @@ def _set(field, pos, value):
     return mutate
 
 
-def _swap_first_row(g):
-    indices = g.indices.copy()
-    indices[[0, 1]] = indices[[1, 0]]
-    return {"indices": indices}
+def _edges(change):
+    """A mutation whose file holds the graph's edge arrays ``(u, v, w)``
+    after ``change`` edits a copy of them."""
+
+    def mutate(g):
+        edges = [column.copy() for column in g.edge_arrays()]
+        change(*edges)
+        return {"edge_arrays": tuple(edges)}
+
+    return mutate
 
 
-def _self_loop(g):
-    indices = g.indices.copy()
-    indices[-1] = 3  # row 3 holds [2]: becomes [3]
-    return {"indices": indices}
+def _edge(column, pos, value):
+    def change(*edges):
+        edges[column][pos] = value
+
+    return _edges(change)
 
 
-def _zero_edge(g):
-    weights = g.weights.copy()
-    weights[:] = 0
-    return {"weights": weights}
+def _swap_first_edges(u, v, w):
+    v[[0, 1]] = v[[1, 0]]
 
 
-def _asymmetric_weight(g):
-    weights = g.weights.copy()
-    weights[0] += 1
-    return {"weights": weights}
+def _reverse_first_edge(u, v, w):
+    u[0], v[0] = v[0], u[0]
 
 
 # Each mutation breaks one invariant of a valid graph; ``match`` names the
-# check that must catch it.
+# check that must catch it. The fixture's edges (u, v) are (0, 1), (0, 2),
+# (1, 2) and (2, 3).
 INVALID = {
-    "indptr_not_from_0": (_set("indptr", 0, 1), "offsets"),
-    "indptr_decreases": (_set("indptr", 2, 0), "offsets"),
-    "indptr_end_not_nnz": (_set("indptr", -1, 5), "offsets"),
-    "index_out_of_range": (_set("indices", 5, 10**6), "outside"),
-    "index_negative": (_set("indices", 0, -1), "outside"),
-    "row_not_increasing": (_swap_first_row, "strictly increasing"),
-    "row_moved": (_shift_row, "strictly increasing|self-loop"),
-    "self_loop": (_self_loop, "self-loop"),
-    "weight_below_1": (_zero_edge, "weight below 1"),
-    "weights_asymmetric": (_asymmetric_weight, "symmetric"),
+    "index_out_of_range": (_edge(1, 3, 10**6), "outside"),
+    "index_negative": (_edge(0, 0, -1), "outside"),
+    "row_not_increasing": (_edges(_swap_first_edges), "strictly increasing"),
+    "row_moved": (_edges(_reverse_first_edge), "u >= v"),  # (1, 0): the edge in row 1
+    "self_loop": (_edge(1, 3, 2), "u >= v"),
+    "edge_repeated": (_edge(0, 2, 0), "strictly increasing"),  # (0, 2) twice
+    "weight_below_1": (_edge(2, 0, 0), "weight below 1"),
     "title_ptr_decreases": (_set("title_ptr", 2, 2), "offsets"),
     "title_ptr_end_wrong": (_set("title_ptr", -1, 7), "offsets"),
     "member_out_of_range": (_set("title_members", 4, 4), "outside"),
     "member_order": (_set("title_members", 1, 0), "strictly increasing"),
-    # One header count sizes both the names and title_ptr, so a short name
-    # list misaligns every later section.
+    # One header count sizes the names, title_ptr and the years, so a short
+    # name list misaligns every later section.
     "title_count_mismatch": (lambda g: {"title_names": g.title_names[:2]}, None),
     "title_year_below_unknown": (_set("title_year", 0, -2), "title year"),
     "title_year_before_min": (_set("title_year", 1, YEAR_MIN - 1), "title year"),
@@ -222,15 +236,22 @@ class TestCacheInvariants:
     def test_fixture_is_valid(self, tmp_path):
         g = self.graph()
         assert g.indices.tolist() == [1, 2, 0, 2, 0, 1, 3, 2]
+        assert [column.tolist() for column in g.edge_arrays()] == [
+            [0, 0, 1, 2], [1, 2, 2, 3], [1, 1, 1, 1]
+        ]
         save_cache(tmp_path / "graph.bin", g)
         assert load_cache(tmp_path / "graph.bin") == g
 
     @pytest.mark.parametrize("name", sorted(INVALID))
-    def test_violation_rejected(self, tmp_path, name):
+    def test_violation_rejected(self, tmp_path, monkeypatch, name):
         mutate, match = INVALID[name]
         g = self.graph()
+        fields = mutate(g)
+        if "edge_arrays" in fields:
+            edges = fields.pop("edge_arrays")
+            monkeypatch.setattr(CoGraph, "edge_arrays", lambda self: edges)
         path = tmp_path / "graph.bin"
-        save_cache(path, dataclasses.replace(g, **mutate(g)))
+        save_cache(path, dataclasses.replace(g, **fields))
         with pytest.raises(CacheFormatError, match=match):
             load_cache(path)
 
@@ -248,20 +269,26 @@ class TestCacheInvariants:
         path = tmp_path / "graph.bin"
         save_cache(path, g)
         data = bytearray(path.read_bytes())
-        # The header's u64 total_edge_weight follows the magic, version, flags, n and nnz.
-        assert struct.unpack("<Q", data[32:40]) == (g.total_edge_weight,)
-        data[32:40] = struct.pack("<Q", g.total_edge_weight + 1)
+        # The header's u64 total_edge_weight follows the magic, version, n and edges.
+        assert struct.unpack("<Q", data[28:36]) == (g.total_edge_weight,)
+        data[28:36] = struct.pack("<Q", g.total_edge_weight + 1)
         path.write_bytes(bytes(data))
         with pytest.raises(CacheFormatError, match="total"):
             load_cache(path)
 
-    def test_unknown_flag_rejected(self, tmp_path):
+    @pytest.mark.parametrize("table", [
+        b'["a", "b", "c", 4]', b'{"a": 1}', b'["a", "b", "c"]', b'["a", "b", "c", "\\ud800"]',
+        b'["a", "b", "c", "d"', b"[" * 10**6,
+    ], ids=["number", "object", "three", "lone-surrogate", "unterminated", "nested"])
+    def test_bad_label_table_rejected(self, tmp_path, table):
+        """The label table must be a JSON array of the four labels. One of
+        deeply nested arrays overflows the JSON parser's stack."""
         path = tmp_path / "graph.bin"
         save_cache(path, self.graph())
-        data = bytearray(path.read_bytes())
-        data[12:16] = struct.pack("<I", 0x81)
-        path.write_bytes(bytes(data))
-        with pytest.raises(CacheFormatError, match="flags"):
+        data = path.read_bytes()
+        (size,) = struct.unpack("<Q", data[60:68])  # the label table follows the header
+        path.write_bytes(data[:60] + struct.pack("<Q", len(table)) + table + data[68 + size:])
+        with pytest.raises(CacheFormatError, match="string table"):
             load_cache(path)
 
 

@@ -13,8 +13,9 @@ import contextlib
 import csv
 import json
 import os
+from datetime import date
 from itertools import islice
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 @contextlib.contextmanager
@@ -55,32 +56,25 @@ def write_json(path: str | os.PathLike, payload, *, sort_keys: bool = False) -> 
         fh.write(text + "\n")
 
 
-# Encodes a list of scalars as one item per line, unindented.
-_ITEMS = json.JSONEncoder(ensure_ascii=False, separators=(",\n", ": "))
+# Encodes a list of scalars as one item per line, unindented; a date is its
+# ISO string.
+_ITEMS = json.JSONEncoder(ensure_ascii=False, separators=(",\n", ": "), default=date.isoformat)
 
 
 # Rows per batch of a JSON Lines file: each batch is encoded in memory.
 _JSONL_BATCH = 128
 
 
-def write_jsonl(
-    path: str | os.PathLike,
-    keys: Sequence[str],
-    rows: Iterable,
-    columns: Callable[[list], Sequence[Sequence]] = lambda batch: list(zip(*batch)),
-) -> None:
-    """One JSON object per row, as ``json.dumps(dict(zip(keys, row)),
-    ensure_ascii=False, separators=(",", ":"))`` writes it.
-
-    ``rows`` are taken in batches; ``columns`` of a batch gives its values a
-    column per key, as :func:`_json_rows` takes them, and by default reads
-    each row as a tuple in key order.
+def write_jsonl(path: str | os.PathLike, keys: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """One JSON object per row, a tuple of values in key order, as
+    ``json.dumps(dict(zip(keys, row)), ensure_ascii=False, separators=(",",
+    ":"))`` writes it, except that a ``datetime.date`` is its ISO string.
     """
     template = _template(keys)
     rows = iter(rows)
     with replacing(path) as fh:
         while batch := list(islice(rows, _JSONL_BATCH)):
-            fh.write("".join(_json_rows(template, columns(batch))))
+            fh.write("".join(_json_rows(template, zip(*batch))))
 
 
 def _template(keys: Sequence[str]) -> str:
@@ -90,7 +84,7 @@ def _template(keys: Sequence[str]) -> str:
     return "{" + ",".join(items) + "}\n"
 
 
-def _json_rows(template: str, columns: Sequence[Sequence]) -> list[str]:
+def _json_rows(template: str, columns: Iterable[Sequence]) -> list[str]:
     """Row ``i`` as ``template % (cell_0, cell_1, ...)``, where ``cell_j`` is
     ``columns[j][i]`` as compact JSON. A column holds only scalars, or only
     lists and tuples of scalars.

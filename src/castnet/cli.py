@@ -123,11 +123,11 @@ def cmd_build(args: argparse.Namespace, run: Run, records, persons) -> dict:
     from .graphio import save_cache
     from .ingest import TitleKind
 
-    years = (args.year_min, args.year_max)
     graph, oversize = build_bipartite(
         records,
         kind=TitleKind(args.kind) if args.kind else None,
-        year_range=None if years == (None, None) else years,
+        year_min=args.year_min,
+        year_max=args.year_max,
         min_cast=args.min_cast,
         max_cast=args.max_cast,
         names=persons,
@@ -320,6 +320,7 @@ def _checked(convert, expected: str, ok):
     return parse
 
 
+_path = _checked(str, "a path without NUL", lambda v: "\0" not in v)  # open() refuses NUL
 _thread_count = _checked(int, "an integer >= 0 (0 = all cores)", lambda v: v >= 0)
 _positive_int = _checked(int, "an integer >= 1", lambda v: v >= 1)
 _count = _checked(int, "an integer >= 0", lambda v: v >= 0)
@@ -346,14 +347,14 @@ def _label_overrides(path: str) -> dict[int, str]:
 # as those flags, so a value is checked the same wherever it comes from.
 SETTINGS: dict[str, dict] = {
     "source": {"choices": ["netflix", "imdb"], "default": "netflix"},
-    "input": {"help": "netflix_titles.csv (source=netflix)"},
-    "basics": {"help": "title.basics.tsv[.gz] (source=imdb)"},
-    "principals": {"help": "title.principals.tsv[.gz] (source=imdb)"},
-    "names": {"help": "name.basics.tsv[.gz] (source=imdb)"},
-    "records": {"required": True, "help": "records.jsonl from ingest"},
-    "persons": {"help": "persons.jsonl (IMDb display names)"},
-    "graph": {"required": True, "help": "graph.bin from build"},
-    "out": {"default": "out", "help": "output directory (default: out)"},
+    "input": {"type": _path, "help": "netflix_titles.csv (source=netflix)"},
+    "basics": {"type": _path, "help": "title.basics.tsv[.gz] (source=imdb)"},
+    "principals": {"type": _path, "help": "title.principals.tsv[.gz] (source=imdb)"},
+    "names": {"type": _path, "help": "name.basics.tsv[.gz] (source=imdb)"},
+    "records": {"type": _path, "required": True, "help": "records.jsonl from ingest"},
+    "persons": {"type": _path, "help": "persons.jsonl (IMDb display names)"},
+    "graph": {"type": _path, "required": True, "help": "graph.bin from build"},
+    "out": {"type": _path, "default": "out", "help": "output directory (default: out)"},
     "seed": {"type": int, "default": 42, "help": "RNG seed (default: 42)"},
     "threads": {"type": _thread_count, "default": 1,
                 "help": "worker threads, 0 = auto (default: 1)"},
@@ -496,7 +497,7 @@ def _config_flags(parser: _Parser, argv: list[str]) -> list[str]:
     if settings is None:
         return []
     pre = _Parser(prog=f"{parser.prog} {argv[0]}", add_help=False)
-    pre.add_argument("--config", type=_checked(str, "a file path", bool))
+    pre.add_argument("--config", type=_checked(str, "a file path", lambda v: v and "\0" not in v))
     path = pre.parse_known_args(argv[1:])[0].config
     return load_config_file(pre, path, settings) if path is not None else []
 

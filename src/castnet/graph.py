@@ -28,7 +28,8 @@ def build_bipartite(
     records: Sequence[TitleRecord],
     *,
     kind: TitleKind | None = None,
-    year_range: tuple[int | None, int | None] | None = None,
+    year_min: int | None = None,
+    year_max: int | None = None,
     min_cast: int = 0,
     max_cast: int = DEFAULT_MAX_CAST,
     names: Mapping[str, str] | None = None,
@@ -39,11 +40,12 @@ def build_bipartite(
 
     ``names`` optionally maps person keys to display labels (IMDb nconst to
     primaryName); colliding display labels are disambiguated with the key.
+    ``year_min`` and ``year_max`` bound the release year, each inclusive; a
+    title without a year is kept only when neither bound is set.
     Cast sizes count distinct keys. Titles with more than ``max_cast`` are
     rejected as data errors and counted, since projection is quadratic per title.
     A kept title dated outside ``YEAR_MIN..YEAR_MAX`` raises :class:`ValueError`.
     """
-    lo, hi = year_range if year_range else (None, None)
     seen_titles: set[str] = set()
     person_index: dict[str, int] = {}  # key -> index, in first-seen order
     title_names: list[str] = []
@@ -55,13 +57,11 @@ def build_bipartite(
     for rec in records:
         if kind is not None and rec.kind != kind:
             continue
-        if year_range is not None:
-            if rec.release_year is None:
-                continue
-            if lo is not None and rec.release_year < lo:
-                continue
-            if hi is not None and rec.release_year > hi:
-                continue
+        year = rec.release_year
+        if year_min is not None and (year is None or year < year_min):
+            continue
+        if year_max is not None and (year is None or year > year_max):
+            continue
         cast = dict.fromkeys(rec.cast)  # distinct keys, in first-seen order
         if len(cast) < min_cast:
             continue
@@ -71,7 +71,6 @@ def build_bipartite(
         if rec.title_id in seen_titles:
             continue
         seen_titles.add(rec.title_id)
-        year = rec.release_year
         if year is not None and not YEAR_MIN <= year <= YEAR_MAX:
             raise ValueError(f"title {rec.title_id!r}: year {year} outside {YEAR_MIN}..{YEAR_MAX}")
         title_names.append(rec.title)

@@ -501,14 +501,6 @@ _PERSON_KEYS = ("person_id", "name")
 _KINDS = {kind.value: kind for kind in TitleKind}
 
 
-def _record_columns(records: list[TitleRecord]) -> list:
-    """The fields of ``records`` as ``records.jsonl`` holds them, a column
-    per field; ``date_added``, the last, is an ISO date."""
-    columns = list(zip(*records))
-    columns[8] = [added.isoformat() if added else None for added in columns[8]]
-    return columns
-
-
 def _record(payload: dict) -> TitleRecord:
     """The record of one ``records.jsonl`` object; a field of the wrong JSON
     type raises :class:`TypeError` naming it."""
@@ -561,7 +553,7 @@ def _wrong_type(key: str, value, expected: str) -> str:
 
 
 def write_records_jsonl(path: str | os.PathLike, records: Iterable[TitleRecord]) -> None:
-    write_jsonl(path, TitleRecord._fields, records, _record_columns)
+    write_jsonl(path, TitleRecord._fields, records)
 
 
 def read_records_jsonl(path: str | os.PathLike) -> list[TitleRecord]:

@@ -73,24 +73,13 @@ def _top(counts: dict[str, int], k: int) -> list[tuple[str, int]]:
 
 
 def write_summary_json(path: str | os.PathLike, summary: CatalogSummary) -> None:
+    """The counts no CSV of :func:`write_summary_csvs` holds."""
     payload = {
         "type_totals": {"movies": summary.type_totals[0], "tv_shows": summary.type_totals[1]},
-        "per_year": _kinds_by_year(summary.per_year),
-        "unknown_year": {
-            "movies": summary.unknown_year[0],
-            "tv_shows": summary.unknown_year[1],
-        },
-        "per_year_added": _kinds_by_year(summary.per_year_added),
-        "cast_histogram": {str(size): cnt for size, cnt in summary.cast_histogram.items()},
-        "top_actors": [{"name": n, "count": c} for n, c in summary.top_actors],
-        "top_directors": [{"name": n, "count": c} for n, c in summary.top_directors],
+        "unknown_year": {"movies": summary.unknown_year[0], "tv_shows": summary.unknown_year[1]},
         "rating_counts": summary.rating_counts,
     }
     write_json(path, payload)
-
-
-def _kinds_by_year(table: dict[int, tuple[int, int]]) -> dict[str, dict[str, int]]:
-    return {str(year): {"movies": mv, "tv_shows": tv} for year, (mv, tv) in table.items()}
 
 
 def write_summary_csvs(output: Callable[[str], str], summary: CatalogSummary) -> None:

@@ -299,9 +299,9 @@ def window_matches(old_names, old_assignment, new_names, new_assignment) -> dict
 def evolution_windows(records, window_years: int, step_years: int, names=None,
                       max_cast: int = DEFAULT_MAX_CAST) -> list:
     """Each window's ``(years, titles, labels)``, with the graph of each window
-    rebuilt from the records released in it, as
-    ``project(build_bipartite(records, year_range=years, ...))``, and each
-    person labelled as in the whole catalog's graph. A window that keeps no
+    rebuilt from the records released in it, as ``project(build_bipartite(
+    records, year_min=first, year_max=last, ...))``, and each person labelled
+    as in the whole catalog's graph. A window that keeps no
     title has 0 titles and no labels. Windows run from the earliest to the
     latest year of a title within ``max_cast``; title ids must be unique."""
     from castnet.errors import EmptyInputError
@@ -316,8 +316,8 @@ def evolution_windows(records, window_years: int, step_years: int, names=None,
     for start in range(min(years), max(years) + 1, step_years):
         span = (start, start + window_years - 1)
         try:
-            g = project(build_bipartite(records, year_range=span, max_cast=max_cast,
-                                        names=labels)[0])
+            g = project(build_bipartite(records, year_min=span[0], year_max=span[1],
+                                        max_cast=max_cast, names=labels)[0])
         except EmptyInputError:
             out.append((span, 0, set()))
             continue

@@ -1,10 +1,12 @@
 """The traversal kernels (bit-parallel reach counts, the level-synchronous
 Brandes block) and their thread-count contract."""
 
+import concurrent.futures
 import os
 import random
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -98,7 +100,7 @@ def test_reach_counts_take_at_most_one_block():
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_betweenness_of_edgeless_graph_is_exactly_zero(threads):
-    g = make_graph(_bfs.BLOCK + 3, [])  # two source blocks, so two threads both run
+    g = make_graph(_bfs.BLOCK + 3, [])  # two source blocks
     assert betweenness_centrality(g, threads=threads).scores.tolist() == [0.0] * g.n
 
 
@@ -112,6 +114,31 @@ def test_map_blocks_partition_is_fixed_and_ordered():
     assert list(_bfs.map_blocks(lambda op, b: b, g, np.arange(0), 2)) == []
 
 
+def test_map_blocks_starts_a_pool_only_after_a_heavy_first_block(monkeypatch):
+    monkeypatch.setattr(_bfs, "POOL_MIN_BLOCK_S", 0.05)  # far above a no-op's time
+    pools = []
+
+    class Recorded(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a light traversal started a thread pool")
+
+    def slow(op, block):
+        if block[0] == 0:
+            time.sleep(0.06)
+        return block[0]
+
+    starts = [0, 64, 128]
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refused)
+    assert list(_bfs.map_blocks(lambda op, b: b[0], None, np.arange(150), 2)) == starts
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorded)
+    assert list(_bfs.map_blocks(slow, None, np.arange(150), 2)) == starts
+    assert pools == [{"max_workers": 2}]
+
+
 def test_gather_neighbors_concatenates_rows_in_order():
     g = make_graph(6, [(0, 3), (3, 5), (1, 4), (0, 5)])
     rows = np.array([5, 0, 2, 3])
@@ -120,10 +147,11 @@ def test_gather_neighbors_concatenates_rows_in_order():
     assert len(_bfs.gather_neighbors(g.indptr, g.indices, np.array([2]))) == 0
 
 
-def test_thread_counts_bit_identical_across_blocks():
+def test_thread_counts_bit_identical_across_blocks(monkeypatch):
     """Betweenness and closeness give the same bytes at 1, 2 and 3 threads,
     on a graph spanning a dozen source blocks (with isolated nodes and small
-    components)."""
+    components), with the pool started however light the blocks are."""
+    monkeypatch.setattr(_bfs, "POOL_MIN_BLOCK_S", 0.0)
     n = 12 * _bfs.BLOCK + 40
     g = make_graph(n, oracles.random_graph(random.Random(99), n, 2.5 / n))
     results = []

@@ -54,8 +54,14 @@ class TestBuildBipartite:
 
     def test_year_range_filter(self):
         records = [rec("t1", ["A"], year=1999), rec("t2", ["B"], year=2005)]
-        g, _ = build_bipartite(records, year_range=(2000, 2010))
+        g, _ = build_bipartite(records, year_min=2000, year_max=2010)
         assert g.title_names == ["t2"]
+
+    def test_one_year_bound_drops_titles_without_a_year(self):
+        records = [rec("t1", ["A"], year=None), rec("t2", ["B"], year=2005)]
+        assert build_bipartite(records)[0].title_names == ["t1", "t2"]
+        for bound in ({"year_min": 1870}, {"year_max": 2100}):
+            assert build_bipartite(records, **bound)[0].title_names == ["t2"]
 
     def test_min_cast_filter(self):
         records = [rec("t1", ["A"]), rec("t2", ["B", "C"])]

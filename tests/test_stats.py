@@ -196,8 +196,14 @@ class TestOutputs:
         # movies, plus 4 shows; every row was added in 2021.
         summary = summarize(parse_netflix(catalog_csv).records)
         assert summary.per_year_added == {2021: (35, 4)}
-        write_summary_json(tmp_path / "summary.json", summary)
-        payload = json.loads((tmp_path / "summary.json").read_text())
-        assert payload["per_year_added"] == {"2021": {"movies": 35, "tv_shows": 4}}
         write_summary_csvs(lambda name: str(tmp_path / name), summary)
         assert (tmp_path / "per_year_added.csv").read_text() == "year,movies,tv\n2021,35,4\n"
+
+    def test_json_holds_only_what_no_csv_holds(self, tmp_path, catalog_csv):
+        summary = summarize(parse_netflix(catalog_csv).records)
+        write_summary_json(tmp_path / "summary.json", summary)
+        payload = json.loads((tmp_path / "summary.json").read_text())
+        assert list(payload) == ["type_totals", "unknown_year", "rating_counts"]
+        assert payload["unknown_year"] == {"movies": summary.unknown_year[0],
+                                           "tv_shows": summary.unknown_year[1]}
+        assert payload["rating_counts"] == summary.rating_counts

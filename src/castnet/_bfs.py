@@ -30,11 +30,14 @@ BLOCK = 64
 # ``np.unpackbits(..., bitorder="little")`` order put bit j at column j.
 _WORD = np.dtype("<u8")
 
-# A traversal whose first block takes less wall time than this, in seconds,
-# runs the rest on the calling thread too. On a 2-vCPU VM, closeness blocks
-# of 0.2-0.5 ms ran 1.1-2x slower at two threads and blocks of 1.5 ms and
-# more ran 1.3-1.9x faster; Brandes blocks of 2.4-6 ms were within 6 %.
-POOL_MIN_BLOCK_S = 0.001
+# Each kernel's break-even first-block wall time, in seconds, for starting a
+# thread pool: a traversal whose first block is faster runs the rest on the
+# calling thread too. On a 2-vCPU VM, closeness blocks of 0.2-0.5 ms ran
+# 1.1-2x slower at two threads and blocks of 1.5 ms and more ran 1.3-1.9x
+# faster. Brandes blocks of 2.4-5.6 ms ran at 0.95-1.06x, of 6 ms at
+# 1.04-1.70x and of 10 ms and more at 1.6-2.2x.
+CLOSENESS_POOL_MIN_S = 0.001
+BRANDES_POOL_MIN_S = 0.006
 
 T = TypeVar("T")
 
@@ -75,13 +78,18 @@ def reach_counts(indptr: np.ndarray, indices: np.ndarray, sources: np.ndarray) -
 
 
 def map_blocks(
-    fn: Callable[[object, np.ndarray], T], operand: object, sources: np.ndarray, threads: int
+    fn: Callable[[object, np.ndarray], T],
+    operand: object,
+    sources: np.ndarray,
+    threads: int,
+    pool_min_s: float,
 ) -> Iterator[T]:
     """``fn(operand, block)`` for consecutive blocks of ``BLOCK`` sources,
     yielded in block order.
 
     The first block runs on the calling thread. The others go to a pool of
-    up to ``threads`` threads only if it took at least ``POOL_MIN_BLOCK_S``.
+    up to ``threads`` threads only if it took at least ``pool_min_s`` seconds,
+    the kernel's break-even block time.
     The partition never depends on ``threads``, and callers reduce the
     results in the order they arrive, so output is the same for every
     thread count. Array gathers, reductions and sparse products release
@@ -92,7 +100,7 @@ def map_blocks(
         return
     start = time.perf_counter()
     first = fn(operand, blocks[0])
-    light = time.perf_counter() - start < POOL_MIN_BLOCK_S
+    light = time.perf_counter() - start < pool_min_s
     yield first
     workers = min(threads, len(blocks) - 1)
     if light or workers <= 1:

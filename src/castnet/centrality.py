@@ -67,7 +67,9 @@ def betweenness_centrality(g: CoGraph, threads: int = 1) -> Scores:
 
     adj = csr_matrix((np.ones(len(g.indices)), g.indices, g.indptr), shape=(g.n, g.n))
     raw = np.zeros(g.n, np.float64)
-    for part in _bfs.map_blocks(_brandes_block, adj, np.arange(g.n), threads):
+    for part in _bfs.map_blocks(
+        _brandes_block, adj, np.arange(g.n), threads, _bfs.BRANDES_POOL_MIN_S
+    ):
         raw += part
     scores = raw / float((g.n - 1) * (g.n - 2))
     return Scores(scores, {"algorithm": "brandes", "pairs": "ordered"})
@@ -114,7 +116,9 @@ def closeness_centrality(g: CoGraph, threads: int = 1) -> Scores:
     """
     if g.n < 2:
         raise TooFewNodesError("closeness centrality needs at least 2 nodes")
-    blocks = _bfs.map_blocks(_closeness_block, g, np.arange(g.n), threads)
+    blocks = _bfs.map_blocks(
+        _closeness_block, g, np.arange(g.n), threads, _bfs.CLOSENESS_POOL_MIN_S
+    )
     scores = np.concatenate(list(blocks))
     return Scores(scores, {"scaling": "component"})
 

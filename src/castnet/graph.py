@@ -107,11 +107,11 @@ class CoGraph:
 
     Edge weight counts shared titles. Neighbor arrays are sorted by index;
     there are no self-loops and all weights are >= 1. ``total_edge_weight``
-    sums weights over undirected edges (each edge once). A graph built from
-    records keeps its title x person incidence: title ``t`` has the cast
+    sums weights over undirected edges (each edge once). Every graph keeps
+    the title x person incidence it is the projection of, so
+    ``project(graph) == graph``: title ``t`` has the cast
     ``title_members[title_ptr[t]:title_ptr[t + 1]]`` and the release year
-    ``title_year[t]``, -1 when unknown. Only graphs built by
-    :meth:`from_weighted_edges` have no titles.
+    ``title_year[t]``, -1 when unknown.
     """
 
     labels: list[str]
@@ -199,7 +199,12 @@ class CoGraph:
         *,
         node_country: Sequence[str | None] | None = None,
     ) -> "CoGraph":
-        """Build a graph from an undirected weighted edge list; repeated edges sum."""
+        """Build a graph from an undirected weighted edge list; repeated edges sum.
+
+        Each unit of an edge's weight becomes one unnamed (``""``) title of
+        unknown year (-1) whose cast is the edge's two actors, in edge-list
+        order, and the adjacency is that incidence's :func:`project`.
+        """
         n = len(labels)
         if len(set(labels)) != n:
             raise ValueError("actor labels must be unique")
@@ -212,24 +217,18 @@ class CoGraph:
             raise NodeOutOfRangeError(f"edge ({u[bad[0]]},{v[bad[0]]}) outside [0,{n})")
         if np.any(w < 1):
             raise ValueError("edge weights must be >= 1")
-        keys, inverse = np.unique(lo * n + hi, return_inverse=True)
-        weights = np.zeros(len(keys), np.int64)
-        np.add.at(weights, inverse, w)
-        return cls(
+        unit = np.repeat(np.arange(len(w)), w)  # the edge of each title
+        return project(cls(
             list(labels),
-            *_from_upper(n, *np.divmod(keys, n), weights),
+            np.zeros(n + 1, np.int64),
+            np.zeros(0, np.int32),
+            np.zeros(0, np.int64),
             node_country=list(node_country) if node_country is not None else [None] * n,
-        )
-
-
-def _from_upper(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``(indptr, indices, weights)`` of the symmetric CSR on ``n`` nodes from
-    the distinct upper-triangle edges ``(u, v)``, u < v, of weight ``w``."""
-    rows, cols = np.concatenate([u, v]).astype(np.int64), np.concatenate([v, u])
-    order = np.argsort(rows * n + cols)  # the keys are unique: any sort gives row-major order
-    indptr = np.zeros(n + 1, np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return indptr, cols[order].astype(np.int32), np.concatenate([w, w])[order]
+            title_names=[""] * len(unit),
+            title_ptr=np.arange(0, 2 * len(unit) + 1, 2, dtype=np.int64),
+            title_members=np.stack([lo[unit], hi[unit]], axis=1).ravel().astype(np.int32),
+            title_year=np.full(len(unit), -1, np.int32),
+        ))
 
 
 def name_ranks(labels: Sequence[str]) -> tuple[np.ndarray, list[str]]:
@@ -272,9 +271,13 @@ def project(graph: CoGraph) -> CoGraph:
     after = np.repeat(title_ptr[1:], np.diff(title_ptr)) - slot - 1
     run_start = np.cumsum(after) - after
     partner = np.arange(int(after.sum())) - np.repeat(run_start - slot - 1, after)
-    keys, counts = np.unique(np.repeat(members, after) * n + members[partner], return_counts=True)
-    indptr, indices, weights = _from_upper(n, *np.divmod(keys, n), counts)
-    return replace(graph, indptr=indptr, indices=indices, weights=weights)
+    u, v = np.repeat(members, after), members[partner]
+    # Both directions in one sort: the keys come out in row-major CSR order.
+    keys, weights = np.unique(np.concatenate([u * n + v, v * n + u]), return_counts=True)
+    rows, cols = np.divmod(keys, n)
+    indptr = np.zeros(n + 1, np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return replace(graph, indptr=indptr, indices=cols.astype(np.int32), weights=weights)
 
 
 def plurality_countries(

@@ -19,13 +19,13 @@ import numpy as np
 from ._options import YEAR_MAX, YEAR_MIN
 from ._write import fmt_score, replacing, write_csv, write_json
 from .errors import CacheFormatError
-from .graph import CoGraph, _from_upper
+from .graph import CoGraph, project
 
 if TYPE_CHECKING:
     from .community import ClusterGraph, Partition
 
 CACHE_MAGIC = b"CASTNETG"
-CACHE_VERSION = 4
+CACHE_VERSION = 5
 
 
 def _dot_quote(text: str) -> str:
@@ -100,14 +100,9 @@ def _strings(texts: list[str]) -> bytes:
 def _sections(g: CoGraph):
     countries = sorted({c for c in g.node_country if c is not None})
     slot = {name: i for i, name in enumerate(countries)}
-    u, v, w = g.edge_arrays()
-    counts = (g.n, len(u), g.total_edge_weight, len(g.title_names), len(g.title_members),
-              len(countries))
-    yield CACHE_MAGIC + struct.pack("<I6Q", CACHE_VERSION, *counts)
+    counts = (g.n, g.total_edge_weight, len(g.title_names), len(g.title_members), len(countries))
+    yield CACHE_MAGIC + struct.pack("<I5Q", CACHE_VERSION, *counts)
     yield _strings(g.labels)
-    yield u.astype("<i4").tobytes()
-    yield v.astype("<i4").tobytes()
-    yield w.astype("<i8").tobytes()
     yield _strings(g.title_names)
     yield g.title_ptr.astype("<i8").tobytes()
     yield g.title_members.astype("<i4").tobytes()
@@ -168,31 +163,10 @@ def _check_incidence(ptr: np.ndarray, members: np.ndarray, n: int) -> None:
         raise CacheFormatError("title member ids not strictly increasing within a title")
 
 
-def _adjacency(n: int, total: int, u, v, w) -> tuple[np.ndarray, ...]:
-    """The read-only CSR ``(indptr, indices, weights)`` of the edges ``(u, v, w)``,
-    after checking that they are upper-triangle edges in strictly increasing
-    ``(u, v)`` order whose weights are at least 1 and sum to ``total``."""
-    if len(u) and (u.min() < 0 or v.max() >= n):
-        raise CacheFormatError(f"edge endpoint outside [0, {n})")
-    if np.any(u >= v):
-        raise CacheFormatError("edge with u >= v")
-    keys = u.astype(np.int64) * n + v
-    if np.any(np.diff(keys) <= 0):
-        raise CacheFormatError("edges not in strictly increasing (u, v) order")
-    if np.any(w < 1):
-        raise CacheFormatError("edge weight below 1")
-    if int(w.sum()) != total:
-        raise CacheFormatError("total_edge_weight disagrees with the edge weights")
-    csr = _from_upper(n, u, v, w)
-    for array in csr:
-        array.flags.writeable = False
-    return csr
-
-
 def load_cache(path: str | os.PathLike) -> CoGraph:
     """Read a cache written by :func:`save_cache`, rejecting any file that is
-    truncated, carries trailing bytes or breaks an edge or incidence invariant.
-    The graph's arrays are read-only."""
+    truncated, carries trailing bytes or breaks an incidence invariant, and
+    project its incidence. The graph's arrays are read-only."""
     with open(path, "rb") as fh:
         r = _Reader(fh.read())
     if r.take(len(CACHE_MAGIC)) != CACHE_MAGIC:
@@ -202,11 +176,8 @@ def load_cache(path: str | os.PathLike) -> CoGraph:
         raise CacheFormatError(
             f"cache version {version} unsupported (expected {CACHE_VERSION}); rebuild"
         )
-    n, m, total, n_titles, n_members, n_countries = struct.unpack("<6Q", r.take(48))
+    n, total, n_titles, n_members, n_countries = struct.unpack("<5Q", r.take(40))
     labels = r.strings(n)
-    u = r.array("<i4", m)
-    v = r.array("<i4", m)
-    w = r.array("<i8", m)
     title_names = r.strings(n_titles)
     title_ptr = r.array("<i8", n_titles + 1)
     title_members = r.array("<i4", n_members)
@@ -215,25 +186,32 @@ def load_cache(path: str | os.PathLike) -> CoGraph:
     slots = r.array("<i4", n)
     if r.pos != len(r.data):
         raise CacheFormatError("trailing bytes after cache payload")
-    indptr, indices, weights = _adjacency(n, total, u, v, w)
     _check_incidence(title_ptr, title_members, n)
+    # Projecting makes c(c-1)/2 pairs per cast of c. The header states their
+    # sum, which is checked before any pair is made.
+    sizes = np.diff(title_ptr)
+    if int((sizes * (sizes - 1) // 2).sum()) != total:
+        raise CacheFormatError("total_edge_weight disagrees with the casts' pair count")
     if np.any((title_year != -1) & ((title_year < YEAR_MIN) | (title_year > YEAR_MAX))):
         raise CacheFormatError(f"title year neither -1 nor in {YEAR_MIN}..{YEAR_MAX}")
     if np.any((slots < -1) | (slots >= n_countries)):
         raise CacheFormatError("node country outside the country table")
     if len(set(labels)) != n:
         raise CacheFormatError("repeated actor label")
-    return CoGraph(
+    graph = project(CoGraph(
         labels=labels,
-        indptr=indptr,
-        indices=indices,
-        weights=weights,
+        indptr=np.zeros(n + 1, np.int64),
+        indices=np.zeros(0, np.int32),
+        weights=np.zeros(0, np.int64),
         node_country=[countries[s] for s in slots.tolist()],
         title_names=title_names,
         title_ptr=title_ptr,
         title_members=title_members,
         title_year=title_year,
-    )
+    ))
+    for array in (graph.indptr, graph.indices, graph.weights):
+        array.flags.writeable = False
+    return graph
 
 
 # ---------------------------------------------------------------------------

@@ -224,6 +224,24 @@ def projection_weights(casts: list[list[int]]) -> dict[tuple[int, int], int]:
     return out
 
 
+def weighted_edges_csr(n: int, edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(indptr, indices, weights)`` of the undirected weighted edge list
+    ``(u, v, w)`` on ``n`` nodes: repeated edges merged by ``np.unique`` and
+    ``np.add.at``, then each edge mirrored and the entries sorted by row and
+    column. It builds edges, where ``CoGraph.from_weighted_edges`` projects
+    titles."""
+    u, v, w = np.array(list(edges), dtype=np.int64).reshape(-1, 3).T
+    keys, inverse = np.unique(np.minimum(u, v) * n + np.maximum(u, v), return_inverse=True)
+    merged = np.zeros(len(keys), np.int64)
+    np.add.at(merged, inverse, w)
+    lo, hi = np.divmod(keys, n)
+    rows, cols = np.concatenate([lo, hi]), np.concatenate([hi, lo])
+    order = np.argsort(rows * n + cols)
+    indptr = np.zeros(n + 1, np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr, cols[order].astype(np.int32), np.concatenate([merged, merged])[order]
+
+
 def plurality_countries(pairs, item_country, n: int) -> list[str | None]:
     """Each of ``n`` owners' most frequent ``item_country[item]`` over its
     ``(owner, item)`` pairs, ties to the smaller string; ``None`` and ``""``

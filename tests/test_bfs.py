@@ -107,15 +107,15 @@ def test_betweenness_of_edgeless_graph_is_exactly_zero(threads):
 def test_map_blocks_partition_is_fixed_and_ordered():
     g = make_graph(150, [(0, 1)])
     for threads in (1, 2, 5):
-        results = list(_bfs.map_blocks(lambda op, b: (op, b), g, np.arange(150), threads))
+        results = list(_bfs.map_blocks(lambda op, b: (op, b), g, np.arange(150), threads, 0.0))
         assert all(op is g for op, _ in results)  # the caller's operand, passed through
         blocks = [b for _, b in results]
         assert [(b[0], b[-1]) for b in blocks] == [(0, 63), (64, 127), (128, 149)]
-    assert list(_bfs.map_blocks(lambda op, b: b, g, np.arange(0), 2)) == []
+    assert list(_bfs.map_blocks(lambda op, b: b, g, np.arange(0), 2, 0.0)) == []
 
 
 def test_map_blocks_starts_a_pool_only_after_a_heavy_first_block(monkeypatch):
-    monkeypatch.setattr(_bfs, "POOL_MIN_BLOCK_S", 0.05)  # far above a no-op's time
+    pool_min_s = 0.05  # far above a no-op's time
     pools = []
 
     class Recorded(concurrent.futures.ThreadPoolExecutor):
@@ -133,9 +133,9 @@ def test_map_blocks_starts_a_pool_only_after_a_heavy_first_block(monkeypatch):
 
     starts = [0, 64, 128]
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refused)
-    assert list(_bfs.map_blocks(lambda op, b: b[0], None, np.arange(150), 2)) == starts
+    assert list(_bfs.map_blocks(lambda op, b: b[0], None, np.arange(150), 2, pool_min_s)) == starts
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorded)
-    assert list(_bfs.map_blocks(slow, None, np.arange(150), 2)) == starts
+    assert list(_bfs.map_blocks(slow, None, np.arange(150), 2, pool_min_s)) == starts
     assert pools == [{"max_workers": 2}]
 
 
@@ -151,7 +151,8 @@ def test_thread_counts_bit_identical_across_blocks(monkeypatch):
     """Betweenness and closeness give the same bytes at 1, 2 and 3 threads,
     on a graph spanning a dozen source blocks (with isolated nodes and small
     components), with the pool started however light the blocks are."""
-    monkeypatch.setattr(_bfs, "POOL_MIN_BLOCK_S", 0.0)
+    monkeypatch.setattr(_bfs, "BRANDES_POOL_MIN_S", 0.0)
+    monkeypatch.setattr(_bfs, "CLOSENESS_POOL_MIN_S", 0.0)
     n = 12 * _bfs.BLOCK + 40
     g = make_graph(n, oracles.random_graph(random.Random(99), n, 2.5 / n))
     results = []

@@ -36,6 +36,46 @@ def titles(graph):
     ]
 
 
+@st.composite
+def bipartite_graphs(draw) -> CoGraph:
+    """Projected ``build_bipartite`` graphs of up to 20 titles over 13 people,
+    with repeated cast entries, solo casts and countries."""
+    casts = draw(st.lists(
+        st.tuples(
+            st.lists(st.integers(0, 12), min_size=1, max_size=6),
+            st.sampled_from([None, "India", "US"]),
+        ),
+        min_size=1,
+        max_size=20,
+    ))
+    return graph_of([
+        rec(f"t{i}", [f"P{p}" for p in cast], country=country, title=f"Title {i % 4}")
+        for i, (cast, country) in enumerate(casts)
+    ])
+
+
+@st.composite
+def weighted_edge_lists(draw) -> tuple[int, list[tuple[int, int, int]]]:
+    """``(n, edges)``: edges of weight 1 to 3 over the first nodes of ``n``,
+    each edge possibly repeated in either orientation, and up to three
+    isolated nodes after them."""
+    linked = draw(st.integers(0, 10))
+    n = linked + draw(st.integers(0, 3))
+    if linked < 2:
+        return n, []
+    ends = st.integers(0, linked - 1)
+    edges = draw(st.lists(
+        st.tuples(ends, ends, st.integers(1, 3)).filter(lambda e: e[0] != e[1]), max_size=25
+    ))
+    repeats = draw(st.lists(st.sampled_from(edges), max_size=10)) if edges else []
+    return n, edges + [(v, u, w) for u, v, w in repeats]
+
+
+def weighted_graph(case) -> CoGraph:
+    n, edges = case
+    return CoGraph.from_weighted_edges([f"n{i}" for i in range(n)], edges)
+
+
 class TestBuildBipartite:
     def test_basic_interning(self):
         g, oversize = build_bipartite([rec("t1", ["A", "B", "C"])])
@@ -223,30 +263,21 @@ class TestProjection:
         assert g.edge_count == 1 and list(g.edges()) == [(0, 1, 1)]
         assert g.title_members.tolist() == [0, 1]
 
-    @settings(max_examples=60, deadline=None)
-    @given(
-        st.lists(
-            st.tuples(
-                st.lists(st.integers(0, 12), min_size=1, max_size=6),
-                st.sampled_from([None, "India", "US"]),
-            ),
-            min_size=1,
-            max_size=20,
-        )
-    )
-    def test_projecting_a_projected_or_loaded_graph_changes_nothing(
-        self, tmp_path_factory, titles
-    ):
-        records = [
-            rec(f"t{i}", [f"P{p}" for p in cast], country=country, title=f"Title {i % 4}")
-            for i, (cast, country) in enumerate(titles)
-        ]
-        g = graph_of(records)
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(bipartite_graphs(), weighted_edge_lists().map(weighted_graph)))
+    def test_projecting_a_projected_or_loaded_graph_changes_nothing(self, tmp_path_factory, g):
+        """Every graph, from records or from an edge list, is the projection
+        of its incidence, and the cache, which stores only the incidence,
+        loads it back with every array read-only."""
         assert project(g) == g
         path = tmp_path_factory.mktemp("cache") / "graph.bin"
         save_cache(path, g)
         loaded = load_cache(path)
         assert project(loaded) == loaded == g
+        for f in dataclasses.fields(loaded):
+            array = getattr(loaded, f.name)
+            if isinstance(array, np.ndarray):
+                assert array.dtype == getattr(g, f.name).dtype and not array.flags.writeable
 
     def test_plurality_country(self):
         records = [
@@ -349,6 +380,17 @@ class TestAccessors:
         rows = np.repeat(np.arange(g.n), np.diff(g.indptr)).tolist()
         both = {**expected, **{(v, u): w for (u, v), w in expected.items()}}
         assert dict(zip(zip(rows, g.indices.tolist()), g.weights.tolist())) == both
+
+    @settings(max_examples=100, deadline=None)
+    @given(weighted_edge_lists())
+    def test_from_weighted_edges_matches_the_merge_oracle(self, case):
+        """Projecting one two-actor title per unit of weight gives the same
+        CSR arrays, dtypes included, as merging and mirroring the edges."""
+        g = weighted_graph(case)
+        for got, want in zip((g.indptr, g.indices, g.weights), oracles.weighted_edges_csr(*case)):
+            assert got.dtype == want.dtype and got.tolist() == want.tolist()
+        assert g.title_names == [""] * g.total_edge_weight
+        assert g.title_year.tolist() == [-1] * g.total_edge_weight
 
     def test_from_weighted_edges_rejects_repeated_label(self):
         with pytest.raises(ValueError, match="unique"):

@@ -54,7 +54,8 @@ class TestCache:
         save_cache(path, g)
         loaded = load_cache(path)
         assert loaded == g
-        assert loaded.title_names == [] and loaded.node_country == [None] * 20
+        assert loaded.title_names == [""] * g.total_edge_weight
+        assert loaded.node_country == [None] * 20
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bogus.bin"
@@ -84,13 +85,19 @@ class TestCache:
     def test_version_2_cache_asks_for_a_rebuild(self, tmp_path, capsys):
         """A cache written before titles carried years is refused, not misread."""
         assert self.degree_of_version(tmp_path, capsys, 2) == (
-            1, "error: cache version 2 unsupported (expected 4); rebuild\n"
+            1, "error: cache version 2 unsupported (expected 5); rebuild\n"
         )
 
     def test_version_3_cache_asks_for_a_rebuild(self, tmp_path, capsys):
         """A cache that stores each edge twice is refused, not misread."""
         assert self.degree_of_version(tmp_path, capsys, 3) == (
-            1, "error: cache version 3 unsupported (expected 4); rebuild\n"
+            1, "error: cache version 3 unsupported (expected 5); rebuild\n"
+        )
+
+    def test_version_4_cache_asks_for_a_rebuild(self, tmp_path, capsys):
+        """A cache that stores each edge beside the incidence is refused, not misread."""
+        assert self.degree_of_version(tmp_path, capsys, 4) == (
+            1, "error: cache version 4 unsupported (expected 5); rebuild\n"
         )
 
     def test_doc_title_names_the_version(self):
@@ -152,7 +159,7 @@ class TestCache:
         save_cache(path, full_featured_graph())
         before = path.read_bytes()
         # A lone surrogate cannot be encoded: the write fails after the
-        # adjacency arrays are already in the temporary file.
+        # header and the labels are already in the temporary file.
         broken = dataclasses.replace(full_featured_graph(), title_names=["\ud800", "b", "c"])
         with pytest.raises(UnicodeEncodeError):
             save_cache(path, broken)
@@ -169,44 +176,9 @@ def _set(field, pos, value):
     return mutate
 
 
-def _edges(change):
-    """A mutation whose file holds the graph's edge arrays ``(u, v, w)``
-    after ``change`` edits a copy of them."""
-
-    def mutate(g):
-        edges = [column.copy() for column in g.edge_arrays()]
-        change(*edges)
-        return {"edge_arrays": tuple(edges)}
-
-    return mutate
-
-
-def _edge(column, pos, value):
-    def change(*edges):
-        edges[column][pos] = value
-
-    return _edges(change)
-
-
-def _swap_first_edges(u, v, w):
-    v[[0, 1]] = v[[1, 0]]
-
-
-def _reverse_first_edge(u, v, w):
-    u[0], v[0] = v[0], u[0]
-
-
 # Each mutation breaks one invariant of a valid graph; ``match`` names the
-# check that must catch it. The fixture's edges (u, v) are (0, 1), (0, 2),
-# (1, 2) and (2, 3).
+# check that must catch it.
 INVALID = {
-    "index_out_of_range": (_edge(1, 3, 10**6), "outside"),
-    "index_negative": (_edge(0, 0, -1), "outside"),
-    "row_not_increasing": (_edges(_swap_first_edges), "strictly increasing"),
-    "row_moved": (_edges(_reverse_first_edge), "u >= v"),  # (1, 0): the edge in row 1
-    "self_loop": (_edge(1, 3, 2), "u >= v"),
-    "edge_repeated": (_edge(0, 2, 0), "strictly increasing"),  # (0, 2) twice
-    "weight_below_1": (_edge(2, 0, 0), "weight below 1"),
     "title_ptr_decreases": (_set("title_ptr", 2, 2), "offsets"),
     "title_ptr_end_wrong": (_set("title_ptr", -1, 7), "offsets"),
     "member_out_of_range": (_set("title_members", 4, 4), "outside"),
@@ -243,15 +215,11 @@ class TestCacheInvariants:
         assert load_cache(tmp_path / "graph.bin") == g
 
     @pytest.mark.parametrize("name", sorted(INVALID))
-    def test_violation_rejected(self, tmp_path, monkeypatch, name):
+    def test_violation_rejected(self, tmp_path, name):
         mutate, match = INVALID[name]
         g = self.graph()
-        fields = mutate(g)
-        if "edge_arrays" in fields:
-            edges = fields.pop("edge_arrays")
-            monkeypatch.setattr(CoGraph, "edge_arrays", lambda self: edges)
         path = tmp_path / "graph.bin"
-        save_cache(path, dataclasses.replace(g, **fields))
+        save_cache(path, dataclasses.replace(g, **mutate(g)))
         with pytest.raises(CacheFormatError, match=match):
             load_cache(path)
 
@@ -265,16 +233,18 @@ class TestCacheInvariants:
             load_cache(path)
 
     def test_total_weight_wrong_rejected(self, tmp_path):
+        """The header's total must be the casts' pair count: 3 + 1 + 0."""
         g = self.graph()
         path = tmp_path / "graph.bin"
         save_cache(path, g)
         data = bytearray(path.read_bytes())
-        # The header's u64 total_edge_weight follows the magic, version, n and edges.
-        assert struct.unpack("<Q", data[28:36]) == (g.total_edge_weight,)
-        data[28:36] = struct.pack("<Q", g.total_edge_weight + 1)
-        path.write_bytes(bytes(data))
-        with pytest.raises(CacheFormatError, match="total"):
-            load_cache(path)
+        # The header's u64 total_edge_weight follows the magic, version and n.
+        assert struct.unpack("<Q", data[20:28]) == (g.total_edge_weight,) == (4,)
+        for total in (3, 5, 2**63):
+            data[20:28] = struct.pack("<Q", total)
+            path.write_bytes(bytes(data))
+            with pytest.raises(CacheFormatError, match="total_edge_weight disagrees"):
+                load_cache(path)
 
     @pytest.mark.parametrize("table", [
         b'["a", "b", "c", 4]', b'{"a": 1}', b'["a", "b", "c"]', b'["a", "b", "c", "\\ud800"]',
@@ -286,8 +256,8 @@ class TestCacheInvariants:
         path = tmp_path / "graph.bin"
         save_cache(path, self.graph())
         data = path.read_bytes()
-        (size,) = struct.unpack("<Q", data[60:68])  # the label table follows the header
-        path.write_bytes(data[:60] + struct.pack("<Q", len(table)) + table + data[68 + size:])
+        (size,) = struct.unpack("<Q", data[52:60])  # the label table follows the header
+        path.write_bytes(data[:52] + struct.pack("<Q", len(table)) + table + data[60 + size:])
         with pytest.raises(CacheFormatError, match="string table"):
             load_cache(path)
 

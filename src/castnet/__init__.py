@@ -30,7 +30,7 @@ _EXPORTS = {
         "louvain",
         "modularity",
     ),
-    "graph": ("CoGraph", "build_bipartite", "project"),
+    "graph": ("CoGraph", "build_bipartite"),
     "ingest": (
         "TitleKind",
         "TitleRecord",

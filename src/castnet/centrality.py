@@ -148,12 +148,11 @@ def eigenvector_centrality(
         raise TooFewNodesError("eigenvector centrality needs at least 2 nodes")
     if g.edge_count == 0:
         raise EmptyGraphError("eigenvector centrality needs at least one edge")
-    rows = np.repeat(np.arange(g.n), g.degrees())
     cols = g.indices.astype(np.intp, copy=False)  # int32 indices are recast on every gather
 
     def shifted(x: np.ndarray) -> np.ndarray:
         """(A + I) x on the binary adjacency."""
-        return x + np.bincount(rows, weights=x[cols], minlength=g.n)
+        return x + np.bincount(g.rows, weights=x[cols], minlength=g.n)
 
     x = np.full(g.n, 1.0 / np.sqrt(g.n))
     converged = False

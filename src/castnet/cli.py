@@ -119,7 +119,7 @@ def cmd_ingest(args: argparse.Namespace, run: Run) -> dict:
 
 
 def cmd_build(args: argparse.Namespace, run: Run, records, persons) -> dict:
-    from .graph import build_bipartite, project
+    from .graph import build_bipartite
     from .graphio import save_cache
     from .ingest import TitleKind
 
@@ -132,7 +132,6 @@ def cmd_build(args: argparse.Namespace, run: Run, records, persons) -> dict:
         max_cast=args.max_cast,
         names=persons,
     )
-    graph = project(graph)
     save_cache(run.output("graph.bin"), graph)
     print(
         f"build: {graph.n} actors, {graph.edge_count} edges "

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 import numpy as np
 
 from .errors import EmptyGraphError, EmptyInputError
-from .graph import CoGraph, plurality_countries, project
+from .graph import CoGraph, plurality_countries
 
 if TYPE_CHECKING:
     from .centrality import Scores
@@ -61,8 +61,7 @@ def modularity(g: CoGraph, assignment: Sequence[int]) -> float:
         raise EmptyGraphError("modularity is undefined on an edgeless graph")
     comm = np.asarray(assignment, dtype=np.int64)
     n_comm = int(comm.max()) + 1
-    rows = np.repeat(np.arange(g.n), np.diff(g.indptr))
-    cu = comm[rows]
+    cu = comm[g.rows]
     cv = comm[g.indices]
     w = g.weights.astype(np.float64)
     # Each undirected edge appears twice in CSR, so intra sums halve.
@@ -111,8 +110,7 @@ def louvain(g: CoGraph, seed: int, resolution: float = 1.0) -> Partition:
     m = g.total_edge_weight
     m2 = 2 * m
 
-    rows = np.repeat(np.arange(g.n), np.diff(g.indptr))
-    level = _Level(rows, g.indices.astype(np.int64), g.weights, np.zeros(g.n, np.int64))
+    level = _Level(g.rows, g.indices.astype(np.int64), g.weights, np.zeros(g.n, np.int64))
     node_map = np.arange(g.n)
 
     q_num_history: list = []
@@ -254,7 +252,7 @@ def build_cluster_graph(
         raise ValueError("partition does not cover the graph")
     comm = np.asarray(partition.assignment, np.int64)
     n_comm = partition.n_communities
-    cu = comm[np.repeat(np.arange(g.n), np.diff(g.indptr))]
+    cu = comm[g.rows]
     cv = comm[g.indices]
     volumes = np.bincount(cu, weights=g.weights, minlength=n_comm).astype(np.int64)
     up = cu < cv  # each inter-cluster edge once
@@ -301,8 +299,7 @@ def crossover_scores(g: CoGraph, partition: Partition) -> Scores:
         raise ValueError("partition does not cover the graph")
     comm = np.asarray(partition.assignment, np.int64)
     n_comm = partition.n_communities
-    rows = np.repeat(np.arange(g.n), np.diff(g.indptr))
-    keys, counts = np.unique(rows * n_comm + comm[g.indices], return_counts=True)
+    keys, counts = np.unique(g.rows * n_comm + comm[g.indices], return_counts=True)
     squares = np.bincount(keys // n_comm, weights=counts * counts, minlength=g.n)
     deg2 = g.degrees() ** 2
     scores = np.zeros(g.n, np.float64)
@@ -361,12 +358,14 @@ def community_evolution(
         titles = (years >= start) & (years <= span[1])
         actors, members = np.unique(graph.title_members[np.repeat(titles, sizes)],
                                     return_inverse=True)
-        window = project(CoGraph(
-            [graph.labels[a] for a in actors.tolist()], np.zeros(len(actors) + 1, np.int64),
-            np.zeros(0, np.int32), np.zeros(0, np.int64), [None] * len(actors),
+        window = CoGraph(
+            labels=[graph.labels[a] for a in actors.tolist()],
+            node_country=[None] * len(actors),
+            title_names=[graph.title_names[t] for t in np.flatnonzero(titles).tolist()],
             title_ptr=np.concatenate([[0], np.cumsum(sizes[titles])]),
             title_members=members.astype(np.int32),
-        ))
+            title_year=years[titles],
+        )
         partition = louvain(window, seed=seed) if window.edge_count else None
         windows.append(EvolutionWindow(span, tuple(actors.tolist()), partition))
 

@@ -1,17 +1,17 @@
 """The actor co-appearance graph: the title x person incidence of a catalog
 and its projection onto actors.
 
-:func:`build_bipartite` returns the edgeless :class:`CoGraph` of the
-incidence and :func:`project` adds its co-appearance edges. The graph is the
-analysis substrate for every other module. It is immutable once built:
-adjacency is CSR-style (sorted neighbor arrays), node indices are dense and
-assigned in first-seen order, and all outputs downstream report names, never
-indices.
+A :class:`CoGraph` is built from its incidence alone, and its constructor
+adds the co-appearance edges with :func:`project`; :func:`build_bipartite`
+builds one from catalog records. The graph is the analysis substrate for
+every other module. It is immutable once built: adjacency is CSR-style
+(sorted neighbor arrays), node indices are dense and assigned in first-seen
+order, and all outputs downstream report names, never indices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
@@ -34,7 +34,7 @@ def build_bipartite(
     max_cast: int = DEFAULT_MAX_CAST,
     names: Mapping[str, str] | None = None,
 ) -> tuple[CoGraph, int]:
-    """``(graph, oversize)``: the edgeless graph of the title x person
+    """``(graph, oversize)``: the co-appearance graph of the title x person
     incidence of the ``records`` that pass the filters, and the number of
     titles rejected as oversize.
 
@@ -85,11 +85,8 @@ def build_bipartite(
     n = len(person_index)
     ptr = np.array(title_ptr, np.int64)
     owners = np.array(members, np.int64)
-    graph = CoGraph(
+    return CoGraph(
         labels=_display_labels(list(person_index), names),
-        indptr=np.zeros(n + 1, np.int64),
-        indices=np.zeros(0, np.int32),
-        weights=np.zeros(0, np.int64),
         node_country=plurality_countries(
             title_country, np.repeat(np.arange(len(title_names)), np.diff(ptr)), owners, n
         ),
@@ -97,32 +94,45 @@ def build_bipartite(
         title_ptr=ptr,
         title_members=owners.astype(np.int32),
         title_year=np.array(title_year, np.int32),
-    )
-    return graph, oversize
+    ), oversize
 
 
 @dataclass(eq=False)
 class CoGraph:
     """Weighted undirected actor co-appearance graph (CSR adjacency).
 
-    Edge weight counts shared titles. Neighbor arrays are sorted by index;
-    there are no self-loops and all weights are >= 1. ``total_edge_weight``
-    sums weights over undirected edges (each edge once). Every graph keeps
-    the title x person incidence it is the projection of, so
-    ``project(graph) == graph``: title ``t`` has the cast
+    Built from the title x person incidence alone: title ``t`` has the cast
     ``title_members[title_ptr[t]:title_ptr[t + 1]]`` and the release year
-    ``title_year[t]``, -1 when unknown.
+    ``title_year[t]``, -1 when unknown. The constructor rejects fields that
+    disagree on the title or node count, then fills the read-only CSR, and
+    ``rows``, the row of each entry, with :func:`project`. Edge weight counts
+    shared titles. Neighbor arrays are sorted by index; there are no
+    self-loops and all weights are >= 1. ``total_edge_weight`` sums weights
+    over undirected edges (each edge once).
     """
 
     labels: list[str]
-    indptr: np.ndarray  # int64, len n+1
-    indices: np.ndarray  # int32, sorted within each row
-    weights: np.ndarray  # int64, parallel to indices
     node_country: list[str | None]  # len n, None for an unknown country
-    title_names: list[str] = field(default_factory=list)
-    title_ptr: np.ndarray = field(default_factory=lambda: np.zeros(1, np.int64))  # len titles+1
-    title_members: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int32))  # sorted per title
-    title_year: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int32))  # len titles
+    title_names: list[str]
+    title_ptr: np.ndarray  # int64, len titles+1
+    title_members: np.ndarray  # int32, sorted within each title
+    title_year: np.ndarray  # int32, len titles
+    indptr: np.ndarray = field(init=False)  # int64, len n+1
+    indices: np.ndarray = field(init=False)  # int32, sorted within each row
+    weights: np.ndarray = field(init=False)  # int64, parallel to indices
+    rows: np.ndarray = field(init=False)  # int64, parallel to indices
+
+    def __post_init__(self) -> None:
+        if len(self.node_country) != self.n:
+            raise ValueError(f"node_country has length {len(self.node_country)}, not {self.n}")
+        titles = (len(self.title_names), len(self.title_year), len(self.title_ptr) - 1)
+        if len(set(titles)) != 1:
+            raise ValueError("title count disagrees: %d names, %d years, %d offset spans" % titles)
+        self.indptr, self.indices, self.weights, self.rows = project(
+            self.n, self.title_ptr, self.title_members
+        )
+        for array in (self.indptr, self.indices, self.weights, self.rows):
+            array.flags.writeable = False
 
     @property
     def n(self) -> int:
@@ -183,9 +193,8 @@ class CoGraph:
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(u, v, weight)`` arrays holding each undirected edge once, u < v, in row order."""
-        rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
-        upper = rows < self.indices
-        return rows[upper], self.indices[upper].astype(np.int64), self.weights[upper]
+        upper = self.rows < self.indices
+        return self.rows[upper], self.indices[upper].astype(np.int64), self.weights[upper]
 
     def edges(self) -> Iterator[tuple[int, int, int]]:
         """Each undirected edge once as (u, v, weight) with u < v, in row order."""
@@ -203,7 +212,7 @@ class CoGraph:
 
         Each unit of an edge's weight becomes one unnamed (``""``) title of
         unknown year (-1) whose cast is the edge's two actors, in edge-list
-        order, and the adjacency is that incidence's :func:`project`.
+        order, and the graph is built from that incidence.
         """
         n = len(labels)
         if len(set(labels)) != n:
@@ -218,17 +227,14 @@ class CoGraph:
         if np.any(w < 1):
             raise ValueError("edge weights must be >= 1")
         unit = np.repeat(np.arange(len(w)), w)  # the edge of each title
-        return project(cls(
-            list(labels),
-            np.zeros(n + 1, np.int64),
-            np.zeros(0, np.int32),
-            np.zeros(0, np.int64),
+        return cls(
+            labels=list(labels),
             node_country=list(node_country) if node_country is not None else [None] * n,
             title_names=[""] * len(unit),
             title_ptr=np.arange(0, 2 * len(unit) + 1, 2, dtype=np.int64),
             title_members=np.stack([lo[unit], hi[unit]], axis=1).ravel().astype(np.int32),
             title_year=np.full(len(unit), -1, np.int32),
-        ))
+        )
 
 
 def name_ranks(labels: Sequence[str]) -> tuple[np.ndarray, list[str]]:
@@ -255,16 +261,15 @@ def top_pairs(score: np.ndarray, a: np.ndarray, b: np.ndarray, k: int) -> np.nda
     return idx[order[:k]]
 
 
-def project(graph: CoGraph) -> CoGraph:
-    """``graph`` with the co-appearance edges of its title x person incidence.
+def project(n: int, title_ptr: np.ndarray, title_members: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``(indptr, indices, weights, rows)``: the CSR co-appearance adjacency of
+    ``n`` persons under a title x person incidence, and the row of each entry.
 
     Edge (u, v) has weight = number of titles whose cast contains both.
-    Isolated persons (solo casts) remain as degree-0 nodes. Only the
-    incidence is read and no array is written, so ``graph`` may be a loaded,
-    read-only cache.
+    Isolated persons (solo casts) remain as degree-0 nodes. The incidence
+    may be read-only.
     """
-    n, title_ptr = graph.n, graph.title_ptr
-    members = graph.title_members.astype(np.int64)
+    members = title_members.astype(np.int64)
     # Every within-title pair u < v: the member in slot p pairs with the
     # ``after[p]`` members that follow it in its title's sorted cast.
     slot = np.arange(len(members))
@@ -277,7 +282,7 @@ def project(graph: CoGraph) -> CoGraph:
     rows, cols = np.divmod(keys, n)
     indptr = np.zeros(n + 1, np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return replace(graph, indptr=indptr, indices=cols.astype(np.int32), weights=weights)
+    return indptr, cols.astype(np.int32), weights, rows
 
 
 def plurality_countries(

@@ -19,7 +19,7 @@ import numpy as np
 from ._options import YEAR_MAX, YEAR_MIN
 from ._write import fmt_score, replacing, write_csv, write_json
 from .errors import CacheFormatError
-from .graph import CoGraph, project
+from .graph import CoGraph
 
 if TYPE_CHECKING:
     from .community import ClusterGraph, Partition
@@ -165,8 +165,9 @@ def _check_incidence(ptr: np.ndarray, members: np.ndarray, n: int) -> None:
 
 def load_cache(path: str | os.PathLike) -> CoGraph:
     """Read a cache written by :func:`save_cache`, rejecting any file that is
-    truncated, carries trailing bytes or breaks an incidence invariant, and
-    project its incidence. The graph's arrays are read-only."""
+    truncated, carries trailing bytes or breaks an incidence invariant. The
+    :class:`CoGraph` constructor projects the incidence; every array of the
+    graph is read-only."""
     with open(path, "rb") as fh:
         r = _Reader(fh.read())
     if r.take(len(CACHE_MAGIC)) != CACHE_MAGIC:
@@ -198,20 +199,14 @@ def load_cache(path: str | os.PathLike) -> CoGraph:
         raise CacheFormatError("node country outside the country table")
     if len(set(labels)) != n:
         raise CacheFormatError("repeated actor label")
-    graph = project(CoGraph(
+    return CoGraph(
         labels=labels,
-        indptr=np.zeros(n + 1, np.int64),
-        indices=np.zeros(0, np.int32),
-        weights=np.zeros(0, np.int64),
         node_country=[countries[s] for s in slots.tolist()],
         title_names=title_names,
         title_ptr=title_ptr,
         title_members=title_members,
         title_year=title_year,
-    ))
-    for array in (graph.indptr, graph.indices, graph.weights):
-        array.flags.writeable = False
-    return graph
+    )
 
 
 # ---------------------------------------------------------------------------

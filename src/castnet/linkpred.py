@@ -110,8 +110,8 @@ def _row_blocks(work: np.ndarray) -> Iterator[tuple[int, int]]:
 def _non_adjacent(g: CoGraph, lo: int, hi: int, keys: np.ndarray) -> np.ndarray:
     """Mask of the sorted pair keys ``u * n + v`` (u in ``[lo, hi)``) that are
     not edges."""
-    rows = np.repeat(np.arange(lo, hi), np.diff(g.indptr[lo : hi + 1]))
-    edges = rows * g.n + g.indices[g.indptr[lo] : g.indptr[hi]]  # sorted, as ``keys`` is
+    span = slice(g.indptr[lo], g.indptr[hi])
+    edges = g.rows[span] * g.n + g.indices[span]  # sorted, as ``keys`` is
     edges = np.append(edges, g.n * g.n)  # above every key, so each key has a slot
     return edges[np.searchsorted(edges, keys)] != keys
 
@@ -127,8 +127,8 @@ def _two_hop_pairs(
     increasing w.
     """
     n = g.n
-    mid = g.indices[g.indptr[lo] : g.indptr[hi]]
-    u = np.repeat(np.arange(lo, hi), degrees[lo:hi])
+    span = slice(g.indptr[lo], g.indptr[hi])
+    u, mid = g.rows[span], g.indices[span]
     v = _bfs.gather_neighbors(g.indptr, g.indices, mid)
     u, mid = np.repeat(u, degrees[mid]), np.repeat(mid, degrees[mid])
     after = v > u

@@ -8,12 +8,12 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # makes `oracles` importable
 
-from castnet.graph import CoGraph, build_bipartite, project
+from castnet.graph import CoGraph, build_bipartite
 
 
 def graph_of(records, **filters) -> CoGraph:
     """The co-appearance graph of ``records``, built with ``build_bipartite``'s ``filters``."""
-    return project(build_bipartite(records, **filters)[0])
+    return build_bipartite(records, **filters)[0]
 
 
 def make_graph(n: int, edges, weights=None) -> CoGraph:

@@ -21,6 +21,7 @@ from castnet.community import (
 )
 from castnet.errors import EmptyGraphError, EmptyInputError
 from castnet.graph import CoGraph, build_bipartite
+from castnet.graphio import load_cache, save_cache
 from castnet.ingest import TitleKind, TitleRecord
 from conftest import graph_of, make_graph
 
@@ -480,6 +481,25 @@ class TestEvolution:
         assert [window_labels(graph, w) for w in timeline.windows] == [
             ("A", "B"), (), ("C", "D")
         ]
+
+    def test_window_graphs_keep_their_titles_and_load_back(self, tmp_path, monkeypatch):
+        """A window's graph carries the names and years of its titles, so a
+        saved window loads back as the same graph."""
+        records = (
+            era_records("x", 2000, [["A", "B"], ["B", "C"]])
+            + era_records("y", 2001, [["C", "D"]])
+            + era_records("z", 2003, [["D", "E"]])
+        )
+        seen = []
+        monkeypatch.setattr(community, "louvain", lambda g, seed: seen.append(g) or louvain(g, seed))
+        evolution_of(records, window_years=2, step_years=2, seed=1)
+        assert [(w.title_names, w.title_year.tolist()) for w in seen] == [
+            (["x film 0", "x film 1", "y film 0"], [2000, 2000, 2001]),
+            (["z film 0"], [2003]),
+        ]
+        for window in seen:
+            save_cache(tmp_path / "window.bin", window)
+            assert load_cache(tmp_path / "window.bin") == window
 
     def test_namesakes_are_distinct_actors_across_windows(self):
         # nm1 and nm2 are both "John" but never share a window: labelled per

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import oracles
 from castnet._options import YEAR_MAX, YEAR_MIN
 from castnet.errors import EmptyInputError, NodeOutOfRangeError, UnknownActorError
-from castnet.graph import CoGraph, build_bipartite, project
+from castnet.graph import CoGraph, build_bipartite
 from castnet.graphio import load_cache, save_cache
 from castnet.ingest import TitleKind, TitleRecord, _display_labels
 from conftest import graph_of
@@ -79,8 +79,8 @@ def weighted_graph(case) -> CoGraph:
 class TestBuildBipartite:
     def test_basic_interning(self):
         g, oversize = build_bipartite([rec("t1", ["A", "B", "C"])])
-        assert (g.n, g.edge_count, oversize) == (3, 0, 0)
-        assert g.indptr.tolist() == [0, 0, 0, 0]
+        assert (g.n, g.edge_count, oversize) == (3, 3, 0)
+        assert g.indptr.tolist() == [0, 2, 4, 6]
         assert titles(g) == [("t1", ["A", "B", "C"])]
         assert g.title_members.dtype == np.int32 and g.title_ptr.dtype == np.int64
 
@@ -267,13 +267,21 @@ class TestProjection:
     @given(st.one_of(bipartite_graphs(), weighted_edge_lists().map(weighted_graph)))
     def test_projecting_a_projected_or_loaded_graph_changes_nothing(self, tmp_path_factory, g):
         """Every graph, from records or from an edge list, is the projection
-        of its incidence, and the cache, which stores only the incidence,
-        loads it back with every array read-only."""
-        assert project(g) == g
+        of its incidence: rebuilding it from its own incidence gives an equal
+        graph, and so does the cache, which stores only the incidence and
+        loads it back with every array read-only. ``rows`` is the row of
+        each CSR entry."""
+        rebuilt = CoGraph(**{
+            f.name: getattr(g, f.name) for f in dataclasses.fields(CoGraph) if f.init
+        })
         path = tmp_path_factory.mktemp("cache") / "graph.bin"
         save_cache(path, g)
         loaded = load_cache(path)
-        assert project(loaded) == loaded == g
+        assert rebuilt == loaded == g
+        assert g.rows.tolist() == np.repeat(np.arange(g.n), np.diff(g.indptr)).tolist()
+        for graph in (g, rebuilt, loaded):
+            for array in (graph.rows, graph.indptr, graph.indices, graph.weights):
+                assert not array.flags.writeable
         for f in dataclasses.fields(loaded):
             array = getattr(loaded, f.name)
             if isinstance(array, np.ndarray):
@@ -349,12 +357,36 @@ class TestAccessors:
         assert k3.node("a") == 0
 
     def test_equality_compares_every_field(self):
-        g = graph_of([rec("t1", ["A", "B"], country="US"), rec("t2", ["B", "C"], year=None)])
+        """Each constructor field is compared; the CSR follows from them."""
+        g = graph_of([rec("t1", ["A", "B"], country="US"), rec("t2", ["C"], year=None)])
         assert g == dataclasses.replace(g)
-        for f in dataclasses.fields(g):
-            value = getattr(g, f.name)
-            changed = value + 1 if isinstance(value, np.ndarray) else [*value[:-1], "other"]
-            assert g != dataclasses.replace(g, **{f.name: changed}), f.name
+        changes = {
+            "labels": ["A", "B", "other"],
+            "node_country": ["US", "US", "other"],
+            "title_names": ["t1", "other"],
+            "title_ptr": np.array([0, 1, 3]),  # casts [A], [B, C]
+            "title_members": np.array([1, 2, 0], np.int32),  # casts [B, C], [A]
+            "title_year": g.title_year + 1,
+        }
+        assert sorted(changes) == sorted(f.name for f in dataclasses.fields(g) if f.init)
+        for name, changed in changes.items():
+            assert g != dataclasses.replace(g, **{name: changed}), name
+
+    def test_constructor_rejects_disagreeing_counts(self):
+        g = graph_of([rec("t1", ["A", "B"], country="US"), rec("t2", ["C"])])
+        for field, short in [
+            ("title_names", g.title_names[:1]),
+            ("title_year", g.title_year[:1]),
+            ("title_ptr", g.title_ptr[:2]),
+        ]:
+            with pytest.raises(ValueError, match="title count disagrees"):
+                dataclasses.replace(g, **{field: short})
+        with pytest.raises(ValueError, match="node_country has length 2, not 3"):
+            dataclasses.replace(g, node_country=g.node_country[:2])
+
+    def test_from_weighted_edges_rejects_short_node_country(self):
+        with pytest.raises(ValueError, match="node_country has length 1, not 3"):
+            CoGraph.from_weighted_edges(["a", "b", "c"], [(0, 1, 1), (1, 2, 1)], node_country=["US"])
 
     def test_from_weighted_edges_rejects_self_loop(self):
         with pytest.raises(ValueError):

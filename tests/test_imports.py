@@ -162,6 +162,26 @@ def test_benchmark_traced_names_exist():
             assert callable(getattr(mod, name, None)), f"castnet.{module}.{name}"
 
 
+def test_benchmark_trace_hook_sees_every_projection(tmp_path, catalog_csv, monkeypatch):
+    """perfbench/run.py reads the ``graph.project`` span by wrapping
+    ``castnet.graph.project`` by name, so ``build`` and ``load_cache`` each
+    call it exactly once through that module global, whatever was imported
+    first."""
+    import castnet.graph
+    from castnet.cli import main
+    from castnet.graphio import load_cache
+
+    calls = []
+    project = castnet.graph.project
+    monkeypatch.setattr(castnet.graph, "project", lambda *a: calls.append(a) or project(*a))
+    out = str(tmp_path)
+    assert main(["ingest", "--source", "netflix", "--input", str(catalog_csv), "--out", out]) == 0
+    assert main(["build", "--records", str(tmp_path / "records.jsonl"), "--out", out]) == 0
+    assert len(calls) == 1
+    load_cache(tmp_path / "graph.bin")
+    assert len(calls) == 2
+
+
 def test_benchmark_counters_read_a_louvain_result():
     """perfbench/run.py's ``_counters`` records a traced ``louvain`` call's
     rounds and community count by attribute name, so a rename of

@@ -6,13 +6,13 @@ up to 64 sources is one ``uint64`` word per node, and a level is a gather of
 the frontier words over the CSR plus an OR-reduction per row. This is the
 multi-source BFS of Then et al., "The More the Merrier: Efficient
 Multi-Source Graph Traversal" (PVLDB 2014). The thread pool's module is
-imported only when a traversal asks for a second thread and its blocks are
-heavy enough to use one.
+imported only when a traversal asks for a second thread and its graph is
+large enough to use one. That choice is a function of the graph's size, so a
+command decides it the same way on every run.
 """
 
 from __future__ import annotations
 
-import time
 from functools import partial
 from typing import Callable, Iterator, TypeVar
 
@@ -30,14 +30,29 @@ BLOCK = 64
 # ``np.unpackbits(..., bitorder="little")`` order put bit j at column j.
 _WORD = np.dtype("<u8")
 
-# Each kernel's break-even first-block wall time, in seconds, for starting a
-# thread pool: a traversal whose first block is faster runs the rest on the
-# calling thread too. On a 2-vCPU VM, closeness blocks of 0.2-0.5 ms ran
-# 1.1-2x slower at two threads and blocks of 1.5 ms and more ran 1.3-1.9x
-# faster. Brandes blocks of 2.4-5.6 ms ran at 0.95-1.06x, of 6 ms at
-# 1.04-1.70x and of 10 ms and more at 1.6-2.2x.
-CLOSENESS_POOL_MIN_S = 0.001
-BRANDES_POOL_MIN_S = 0.006
+# Graphs of at most this many nodes give Brandes a dense float64 adjacency,
+# larger ones a scipy CSR matrix. The choice reads ``n`` alone, so a graph
+# always takes the same path and gets the same bits. On a 2-vCPU VM with one
+# BLAS thread, Brandes over all sources took 31-42 ms dense against 16-24 ms
+# CSR at 360-384 actors, 97 against 34-57 ms at 541-543 and 269-289 against
+# 65-108 ms at 693-743; ``import scipy.sparse`` adds 0.15-0.28 s of CPU per
+# process to the CSR path, so dense breaks even near 700 actors.
+DENSE_MAX_NODES = 640
+
+# The least work per BFS level, in matrix entries a block's gather or product
+# reads, at which a kernel's blocks go to a thread pool; a lighter traversal
+# runs every block on the calling thread. Measured on the same VM as the
+# wall-time ratio of two threads to one over all blocks:
+# - closeness reads ``nnz + n`` entries: 0.3-0.8x at 7-14k, 1.1-1.3x (and
+#   +45 % CPU) at 47k, 1.2-1.4x at 70-93k, 1.6x at 124k;
+# - CSR Brandes reads ``nnz + n``: 0.5x at 2k, 1.0-1.1x at 3-5k, 1.2-2.0x at
+#   6-7k, 1.3-2.0x at 10-14k and more (a first block of about 6 ms);
+# - dense Brandes reads ``n * n``, each product one dgemm that releases the
+#   interpreter lock for its whole length: 0.7x at 127 actors, 0.8x at 201,
+#   1.5-1.8x at 275-384.
+CLOSENESS_POOL_MIN_ENTRIES = 65_536
+BRANDES_POOL_MIN_ENTRIES = 10_000
+DENSE_BRANDES_POOL_MIN_ENTRIES = 256 * 256
 
 T = TypeVar("T")
 
@@ -82,35 +97,27 @@ def map_blocks(
     operand: object,
     sources: np.ndarray,
     threads: int,
-    pool_min_s: float,
 ) -> Iterator[T]:
     """``fn(operand, block)`` for consecutive blocks of ``BLOCK`` sources,
-    yielded in block order.
+    yielded in block order, on a pool of up to ``threads`` threads when
+    there are two blocks or more for it and on the calling thread otherwise.
 
-    The first block runs on the calling thread. The others go to a pool of
-    up to ``threads`` threads only if it took at least ``pool_min_s`` seconds,
-    the kernel's break-even block time.
-    The partition never depends on ``threads``, and callers reduce the
-    results in the order they arrive, so output is the same for every
-    thread count. Array gathers, reductions and sparse products release
-    the interpreter lock, so threads overlap real work.
+    Callers pass 1 for a traversal too light to gain from a pool. The
+    partition never depends on ``threads``, and callers reduce the results
+    in the order they arrive, so output is the same for every thread count.
+    Array gathers, reductions and matrix products release the interpreter
+    lock, so threads overlap real work.
     """
     blocks = [sources[lo : lo + BLOCK] for lo in range(0, len(sources), BLOCK)]
-    if not blocks:
-        return
-    start = time.perf_counter()
-    first = fn(operand, blocks[0])
-    light = time.perf_counter() - start < pool_min_s
-    yield first
-    workers = min(threads, len(blocks) - 1)
-    if light or workers <= 1:
-        for block in blocks[1:]:
-            yield fn(operand, block)
+    run = partial(fn, operand)
+    workers = min(threads, len(blocks))
+    if workers <= 1:
+        yield from map(run, blocks)
         return
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(partial(fn, operand), blocks[1:])
+        yield from pool.map(run, blocks)
 
 
 def gather_neighbors(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray) -> np.ndarray:

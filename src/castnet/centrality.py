@@ -9,8 +9,10 @@ estimate recorded in ``params``.
 
 Betweenness is Brandes' algorithm in the level-synchronous form of Kepner &
 Gilbert (*Graph Algorithms in the Language of Linear Algebra*, 2011): one
-sparse product of the adjacency with an n x B frontier per level serves a
-block of B sources. It is the only measure that loads scipy.
+product of the adjacency with an n x B frontier per level serves a block of
+B sources. The adjacency is a dense array on graphs of at most
+``_bfs.DENSE_MAX_NODES`` nodes and a scipy CSR matrix above, so betweenness
+on a larger graph is the only computation that loads scipy.
 """
 
 from __future__ import annotations
@@ -62,14 +64,20 @@ def betweenness_centrality(g: CoGraph, threads: int = 1) -> Scores:
     """
     if g.n < 3:
         raise TooFewNodesError("betweenness centrality needs at least 3 nodes")
-    # Imported here: scipy costs about 0.2 s of CPU and 19 MB per process.
-    from scipy.sparse import csr_matrix
+    if g.n <= _bfs.DENSE_MAX_NODES:
+        adj = np.zeros((g.n, g.n))
+        adj[g.rows, g.indices] = 1.0
+        adj.flags.writeable = False
+        entries, pool_min = g.n * g.n, _bfs.DENSE_BRANDES_POOL_MIN_ENTRIES
+    else:
+        # Imported here: scipy.sparse costs 0.15-0.28 s of CPU per process.
+        from scipy.sparse import csr_matrix
 
-    adj = csr_matrix((np.ones(len(g.indices)), g.indices, g.indptr), shape=(g.n, g.n))
+        adj = csr_matrix((np.ones(len(g.indices)), g.indices, g.indptr), shape=(g.n, g.n))
+        entries, pool_min = g.n + len(g.indices), _bfs.BRANDES_POOL_MIN_ENTRIES
     raw = np.zeros(g.n, np.float64)
-    for part in _bfs.map_blocks(
-        _brandes_block, adj, np.arange(g.n), threads, _bfs.BRANDES_POOL_MIN_S
-    ):
+    workers = threads if entries >= pool_min else 1
+    for part in _bfs.map_blocks(_brandes_block, adj, np.arange(g.n), workers):
         raw += part
     scores = raw / float((g.n - 1) * (g.n - 2))
     return Scores(scores, {"algorithm": "brandes", "pairs": "ordered"})
@@ -77,7 +85,8 @@ def betweenness_centrality(g: CoGraph, threads: int = 1) -> Scores:
 
 def _brandes_block(adj, sources: np.ndarray) -> np.ndarray:
     """Summed dependencies of every node on the given sources, one column per
-    source. A level multiplies the frontier, the path counts of the nodes
+    source, over ``adj``, the binary adjacency as a dense array or a scipy
+    sparse matrix. A level multiplies the frontier, the path counts of the nodes
     first reached at the last level, by the adjacency; a node is reached
     once its count ``sigma`` is nonzero, since path counts are positive."""
     n = adj.shape[0]
@@ -116,9 +125,8 @@ def closeness_centrality(g: CoGraph, threads: int = 1) -> Scores:
     """
     if g.n < 2:
         raise TooFewNodesError("closeness centrality needs at least 2 nodes")
-    blocks = _bfs.map_blocks(
-        _closeness_block, g, np.arange(g.n), threads, _bfs.CLOSENESS_POOL_MIN_S
-    )
+    heavy = g.n + len(g.indices) >= _bfs.CLOSENESS_POOL_MIN_ENTRIES
+    blocks = _bfs.map_blocks(_closeness_block, g, np.arange(g.n), threads if heavy else 1)
     scores = np.concatenate(list(blocks))
     return Scores(scores, {"scaling": "component"})
 

@@ -103,8 +103,10 @@ class CoGraph:
 
     Built from the title x person incidence alone: title ``t`` has the cast
     ``title_members[title_ptr[t]:title_ptr[t + 1]]`` and the release year
-    ``title_year[t]``, -1 when unknown. The constructor rejects fields that
-    disagree on the title or node count, then fills the read-only CSR, and
+    ``title_year[t]``, -1 when unknown. The constructor rejects, with
+    :class:`ValueError`, fields that disagree on the title or node count and
+    an incidence whose offsets do not run from 0 up to ``len(title_members)``
+    or whose casts are not strictly increasing ids in ``[0, n)``. It then fills the read-only CSR, and
     ``rows``, the row of each entry, with :func:`project`. Edge weight counts
     shared titles. Neighbor arrays are sorted by index; there are no
     self-loops and all weights are >= 1. ``total_edge_weight`` sums weights
@@ -128,6 +130,14 @@ class CoGraph:
         titles = (len(self.title_names), len(self.title_year), len(self.title_ptr) - 1)
         if len(set(titles)) != 1:
             raise ValueError("title count disagrees: %d names, %d years, %d offset spans" % titles)
+        ptr, members = self.title_ptr, self.title_members
+        if ptr[0] != 0 or ptr[-1] != len(members) or np.any(np.diff(ptr) < 0):
+            raise ValueError(f"title offsets are not monotone from 0 to {len(members)}")
+        if len(members) and (members.min() < 0 or members.max() >= self.n):
+            raise ValueError(f"title member id outside [0, {self.n})")
+        title = np.repeat(np.arange(len(ptr) - 1), np.diff(ptr))  # of each member slot
+        if np.any(np.diff(members)[title[1:] == title[:-1]] <= 0):
+            raise ValueError("title member ids not strictly increasing within a title")
         self.indptr, self.indices, self.weights, self.rows = project(
             self.n, self.title_ptr, self.title_members
         )

@@ -152,22 +152,11 @@ class _Reader:
         return texts
 
 
-def _check_incidence(ptr: np.ndarray, members: np.ndarray, n: int) -> None:
-    """``ptr`` offsets ``members`` into titles of strictly increasing ids in ``[0, n)``."""
-    if ptr[0] != 0 or ptr[-1] != len(members) or np.any(np.diff(ptr) < 0):
-        raise CacheFormatError(f"title offsets are not monotone from 0 to {len(members)}")
-    if len(members) and (members.min() < 0 or members.max() >= n):
-        raise CacheFormatError(f"title member id outside [0, {n})")
-    titles = np.repeat(np.arange(len(ptr) - 1), np.diff(ptr))
-    if np.any(np.diff(members)[titles[1:] == titles[:-1]] <= 0):
-        raise CacheFormatError("title member ids not strictly increasing within a title")
-
-
 def load_cache(path: str | os.PathLike) -> CoGraph:
     """Read a cache written by :func:`save_cache`, rejecting any file that is
     truncated, carries trailing bytes or breaks an incidence invariant. The
-    :class:`CoGraph` constructor projects the incidence; every array of the
-    graph is read-only."""
+    :class:`CoGraph` constructor checks and projects the incidence; every
+    array of the graph is read-only."""
     with open(path, "rb") as fh:
         r = _Reader(fh.read())
     if r.take(len(CACHE_MAGIC)) != CACHE_MAGIC:
@@ -187,11 +176,12 @@ def load_cache(path: str | os.PathLike) -> CoGraph:
     slots = r.array("<i4", n)
     if r.pos != len(r.data):
         raise CacheFormatError("trailing bytes after cache payload")
-    _check_incidence(title_ptr, title_members, n)
     # Projecting makes c(c-1)/2 pairs per cast of c. The header states their
-    # sum, which is checked before any pair is made.
+    # sum, which is checked before the constructor makes any pair; offsets
+    # that do not split the members into casts fail the constructor's check.
     sizes = np.diff(title_ptr)
-    if int((sizes * (sizes - 1) // 2).sum()) != total:
+    casts = title_ptr[0] == 0 and title_ptr[-1] == n_members and np.all(sizes >= 0)
+    if casts and int((sizes * (sizes - 1) // 2).sum()) != total:
         raise CacheFormatError("total_edge_weight disagrees with the casts' pair count")
     if np.any((title_year != -1) & ((title_year < YEAR_MIN) | (title_year > YEAR_MAX))):
         raise CacheFormatError(f"title year neither -1 nor in {YEAR_MIN}..{YEAR_MAX}")
@@ -199,14 +189,17 @@ def load_cache(path: str | os.PathLike) -> CoGraph:
         raise CacheFormatError("node country outside the country table")
     if len(set(labels)) != n:
         raise CacheFormatError("repeated actor label")
-    return CoGraph(
-        labels=labels,
-        node_country=[countries[s] for s in slots.tolist()],
-        title_names=title_names,
-        title_ptr=title_ptr,
-        title_members=title_members,
-        title_year=title_year,
-    )
+    try:
+        return CoGraph(
+            labels=labels,
+            node_country=[countries[s] for s in slots.tolist()],
+            title_names=title_names,
+            title_ptr=title_ptr,
+            title_members=title_members,
+            title_year=title_year,
+        )
+    except ValueError as exc:
+        raise CacheFormatError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,8 @@ from conftest import make_graph
 
 def test_brandes_block_matches_dependency_oracle():
     """Each block's summed dependencies, for sources in any order and blocks
-    of any width, equal the brute-force path-counting sums."""
+    of any width, over a sparse or a dense adjacency, equal the brute-force
+    path-counting sums."""
     rng = random.Random(2024)
     for _ in range(30):
         n = rng.randint(3, 40)
@@ -30,7 +31,9 @@ def test_brandes_block_matches_dependency_oracle():
         adj = csr_matrix((np.ones(len(g.indices)), g.indices, g.indptr), shape=(n, n))
         delta = oracles.dependencies(n, edges)
         sources = np.array(rng.sample(range(n), rng.randint(1, n)))
-        assert np.allclose(_brandes_block(adj, sources), delta[sources].sum(axis=0), atol=1e-9)
+        for operand in (adj, adj.toarray()):
+            got = _brandes_block(operand, sources)
+            assert np.allclose(got, delta[sources].sum(axis=0), atol=1e-9)
 
 
 def _distance_histograms(n, edges, sources):
@@ -107,15 +110,15 @@ def test_betweenness_of_edgeless_graph_is_exactly_zero(threads):
 def test_map_blocks_partition_is_fixed_and_ordered():
     g = make_graph(150, [(0, 1)])
     for threads in (1, 2, 5):
-        results = list(_bfs.map_blocks(lambda op, b: (op, b), g, np.arange(150), threads, 0.0))
+        results = list(_bfs.map_blocks(lambda op, b: (op, b), g, np.arange(150), threads))
         assert all(op is g for op, _ in results)  # the caller's operand, passed through
         blocks = [b for _, b in results]
         assert [(b[0], b[-1]) for b in blocks] == [(0, 63), (64, 127), (128, 149)]
-    assert list(_bfs.map_blocks(lambda op, b: b, g, np.arange(0), 2, 0.0)) == []
+    assert list(_bfs.map_blocks(lambda op, b: b, g, np.arange(0), 2)) == []
 
 
-def test_map_blocks_starts_a_pool_only_after_a_heavy_first_block(monkeypatch):
-    pool_min_s = 0.05  # far above a no-op's time
+def _recorded_pools(monkeypatch) -> list:
+    """The keyword arguments of every thread pool started from now on."""
     pools = []
 
     class Recorded(concurrent.futures.ThreadPoolExecutor):
@@ -123,20 +126,62 @@ def test_map_blocks_starts_a_pool_only_after_a_heavy_first_block(monkeypatch):
             pools.append(kwargs)
             super().__init__(*args, **kwargs)
 
-    def refused(*args, **kwargs):
-        raise AssertionError("a light traversal started a thread pool")
-
-    def slow(op, block):
-        if block[0] == 0:
-            time.sleep(0.06)
-        return block[0]
-
-    starts = [0, 64, 128]
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refused)
-    assert list(_bfs.map_blocks(lambda op, b: b[0], None, np.arange(150), 2, pool_min_s)) == starts
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorded)
-    assert list(_bfs.map_blocks(slow, None, np.arange(150), 2, pool_min_s)) == starts
-    assert pools == [{"max_workers": 2}]
+    return pools
+
+
+def test_traversals_start_a_pool_only_on_a_large_graph(monkeypatch):
+    """Each kernel pools its blocks when the entries it reads per level reach
+    its constant: ``n * n`` for a dense Brandes adjacency and ``nnz + n`` for
+    a CSR one and for closeness. A pool never starts for one block or one
+    thread, and the decision is the same on every run."""
+    pools = _recorded_pools(monkeypatch)
+    path = make_graph(150, [(i, i + 1) for i in range(149)])  # 150 nodes, 298 entries
+    cases = [
+        # (kernel, DENSE_MAX_NODES, constant, the least value that pools)
+        (betweenness_centrality, 150, "DENSE_BRANDES_POOL_MIN_ENTRIES", 150 * 150),
+        (betweenness_centrality, 149, "BRANDES_POOL_MIN_ENTRIES", 150 + 298),
+        (closeness_centrality, 150, "CLOSENESS_POOL_MIN_ENTRIES", 150 + 298),
+    ]
+    for kernel, dense_max, constant, least in cases:
+        monkeypatch.setattr(_bfs, "DENSE_MAX_NODES", dense_max)
+        for min_entries, threads, pooled in [
+            (least + 1, 2, False), (least, 1, False), (least, 2, True), (least, 3, True)
+        ]:
+            monkeypatch.setattr(_bfs, constant, min_entries)
+            for _ in range(2):
+                del pools[:]
+                kernel(path, threads=threads)
+                assert pools == ([{"max_workers": threads}] if pooled else []), (
+                    kernel.__name__, constant, min_entries, threads)
+        monkeypatch.setattr(_bfs, constant, 0)
+        del pools[:]
+        kernel(make_graph(_bfs.BLOCK, [(0, 1), (1, 2)]), threads=2)  # one block
+        assert pools == []
+
+
+def test_pool_decision_never_reads_the_clock(monkeypatch):
+    """Whether a traversal pools depends on the graph and ``threads`` alone,
+    so a clock that cannot be read changes nothing."""
+    pools = _recorded_pools(monkeypatch)
+    g = make_graph(150, [(i, i + 1) for i in range(149)])
+    expected = {}
+    for kernel in (betweenness_centrality, closeness_centrality):
+        expected[kernel] = kernel(g, threads=2).scores.tobytes()
+
+    def refused():
+        raise AssertionError("a traversal read the clock")
+
+    monkeypatch.setattr(time, "perf_counter", refused)
+    monkeypatch.setattr(time, "monotonic", refused)
+    for zero_threshold in (False, True):
+        if zero_threshold:
+            for name in ("DENSE_BRANDES_POOL_MIN_ENTRIES", "CLOSENESS_POOL_MIN_ENTRIES"):
+                monkeypatch.setattr(_bfs, name, 0)
+        del pools[:]
+        for kernel in (betweenness_centrality, closeness_centrality):
+            assert kernel(g, threads=2).scores.tobytes() == expected[kernel]
+        assert len(pools) == (2 if zero_threshold else 0)
 
 
 def test_gather_neighbors_concatenates_rows_in_order():
@@ -151,8 +196,9 @@ def test_thread_counts_bit_identical_across_blocks(monkeypatch):
     """Betweenness and closeness give the same bytes at 1, 2 and 3 threads,
     on a graph spanning a dozen source blocks (with isolated nodes and small
     components), with the pool started however light the blocks are."""
-    monkeypatch.setattr(_bfs, "BRANDES_POOL_MIN_S", 0.0)
-    monkeypatch.setattr(_bfs, "CLOSENESS_POOL_MIN_S", 0.0)
+    for name in ("DENSE_BRANDES_POOL_MIN_ENTRIES", "BRANDES_POOL_MIN_ENTRIES",
+                 "CLOSENESS_POOL_MIN_ENTRIES"):
+        monkeypatch.setattr(_bfs, name, 0)
     n = 12 * _bfs.BLOCK + 40
     g = make_graph(n, oracles.random_graph(random.Random(99), n, 2.5 / n))
     results = []
@@ -170,7 +216,8 @@ def test_thread_counts_bit_identical_across_blocks(monkeypatch):
 
 
 def test_importing_the_cli_does_not_load_scipy():
-    """scipy costs ~0.2 s per process; only betweenness imports it."""
+    """scipy costs ~0.2 s per process; only betweenness above
+    ``_bfs.DENSE_MAX_NODES`` nodes imports it."""
     code = "import sys, castnet.cli; print(sorted(m for m in sys.modules if 'scipy' in m))"
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(castnet.__file__)))
     proc = subprocess.run(

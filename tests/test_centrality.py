@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import oracles
 import castnet
+from castnet import _bfs
 from castnet.centrality import (
     Scores,
     betweenness_centrality,
@@ -21,6 +22,7 @@ from castnet.centrality import (
 )
 from castnet.errors import EmptyGraphError, TooFewNodesError
 from castnet.graph import CoGraph
+from castnet.graphio import save_cache
 from conftest import make_graph
 
 
@@ -96,6 +98,56 @@ class TestBetweenness:
             scores = betweenness_centrality(g, threads=threads).scores
             assert [s == 0.0 for s in scores.tolist()] == simplicial
             assert np.all(scores >= 0.0)
+
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(clique_graphs())
+    def test_dense_and_sparse_operands_agree(self, graph):
+        """The same graph through both Brandes operands, with every block
+        pooled at two threads: scores within 1e-12 relative of each other,
+        exact zeros at the same actors, and the same bytes at 1 and 2
+        threads on each path."""
+        n, edges = graph
+        g = make_graph(n, sorted(edges))
+        runs = {}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_bfs, "DENSE_BRANDES_POOL_MIN_ENTRIES", 0)
+            mp.setattr(_bfs, "BRANDES_POOL_MIN_ENTRIES", 0)
+            for dense_max in (n, n - 1):  # dense, then CSR
+                mp.setattr(_bfs, "DENSE_MAX_NODES", dense_max)
+                one, two = (betweenness_centrality(g, threads=t).scores for t in (1, 2))
+                assert one.tobytes() == two.tobytes()
+                runs[dense_max] = one
+        dense, sparse = runs[n], runs[n - 1]
+        assert np.array_equal(dense == 0.0, sparse == 0.0)
+        assert np.allclose(dense, sparse, rtol=1e-12, atol=0.0)
+
+    def test_dense_path_bytes_independent_of_blas_threads(self, tmp_path):
+        """A dense-path ``centrality betweenness`` writes the same CSV when
+        OpenBLAS may split each product across one or two threads."""
+        n = 300
+        assert n <= _bfs.DENSE_MAX_NODES
+        save_cache(tmp_path / "graph.bin",
+                   make_graph(n, oracles.random_graph(random.Random(31), n, 0.04)))
+        outputs = set()
+        for threads in ("1", "2"):
+            out = tmp_path / f"blas{threads}"
+            argv = ["centrality", "betweenness", "--graph", str(tmp_path / "graph.bin"),
+                    "--out", str(out)]
+            code = f"import sys, castnet.cli; sys.exit(castnet.cli.main({argv!r}))"
+            env = dict(
+                os.environ,
+                PYTHONPATH=os.path.dirname(os.path.dirname(castnet.__file__)),
+                OPENBLAS_NUM_THREADS=threads,
+                OMP_NUM_THREADS=threads,
+                MKL_NUM_THREADS=threads,
+            )
+            proc = subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.add((out / "centrality_betweenness.csv").read_bytes())
+        assert len(outputs) == 1
 
 
 class TestCloseness:

@@ -384,6 +384,22 @@ class TestAccessors:
         with pytest.raises(ValueError, match="node_country has length 2, not 3"):
             dataclasses.replace(g, node_country=g.node_country[:2])
 
+    @pytest.mark.parametrize("ptr, members, match", [
+        ([0, 2], [1, 1], "not strictly increasing within a title"),  # else a self-loop
+        ([0, 2], [1, 3], r"title member id outside \[0, 3\)"),
+        ([0, 2, 1, 2], [0, 1], "not monotone from 0 to 2"),
+    ], ids=["member-twice", "member-out-of-range", "offsets-decreasing"])
+    def test_constructor_rejects_a_bad_incidence(self, ptr, members, match):
+        with pytest.raises(ValueError, match=match):
+            CoGraph(
+                labels=["a", "b", "c"],
+                node_country=[None] * 3,
+                title_names=[""] * (len(ptr) - 1),
+                title_ptr=np.array(ptr, np.int64),
+                title_members=np.array(members, np.int32),
+                title_year=np.full(len(ptr) - 1, -1, np.int32),
+            )
+
     def test_from_weighted_edges_rejects_short_node_country(self):
         with pytest.raises(ValueError, match="node_country has length 1, not 3"):
             CoGraph.from_weighted_edges(["a", "b", "c"], [(0, 1, 1), (1, 2, 1)], node_country=["US"])

@@ -72,13 +72,16 @@ def test_every_public_name_resolves_and_is_listed():
         (["centrality", "closeness"], "_bfs _options _write centrality cli errors graph graphio"),
         (["centrality", "closeness", "--threads", "2"],
          "_bfs _options _write centrality cli errors graph graphio"),
+        # 150 nodes: a dense adjacency, so no scipy.
+        (["centrality", "betweenness"], "_bfs _options _write centrality cli errors graph graphio"),
         (["path", "actor000", "actor149"], "_bfs _options _write cli errors graph graphio paths"),
         (["build"], "_options _write cli errors graph graphio ingest"),
     ],
 )
 def test_graph_commands_load_only_their_modules(tmp_path, catalog_csv, argv, modules):
     """None of these commands loads scipy: ``import scipy.sparse`` costs
-    about 0.2 s of CPU per process, and only betweenness needs it. Nor does
+    about 0.2 s of CPU per process, and only betweenness on a graph of more
+    than ``_bfs.DENSE_MAX_NODES`` nodes needs it. Nor does
     one load ``numpy.ma``, which ``np.unique`` imports when it returns the
     values alone (10-14 ms of CPU per process)."""
     if argv[0] in ("build", "evolve"):
@@ -98,6 +101,23 @@ def test_graph_commands_load_only_their_modules(tmp_path, catalog_csv, argv, mod
         " *[m for m in ('scipy', 'numpy.ma') if m in sys.modules])"
     )
     assert run_python(code).splitlines()[-1] == f"0 {modules}"  # after what `path` prints
+
+
+def test_betweenness_loads_scipy_only_above_the_dense_limit(tmp_path):
+    """A star one node past ``_bfs.DENSE_MAX_NODES`` takes the CSR operand,
+    the only one that imports scipy."""
+    from castnet import _bfs
+
+    graph = tmp_path / "graph.bin"
+    n = _bfs.DENSE_MAX_NODES + 1
+    save_cache(graph, make_graph(n, [(0, i) for i in range(1, n)]))
+    argv = ["centrality", "betweenness", "--graph", str(graph), "--out", str(tmp_path)]
+    code = (
+        "import sys, castnet.cli\n"
+        f"code = castnet.cli.main({argv!r})\n"
+        "print(code, 'scipy.sparse' in sys.modules)"
+    )
+    assert run_python(code) == "0 True"
 
 
 @pytest.mark.parametrize("module", ["community", "centrality", "linkpred", "paths", "graphio",

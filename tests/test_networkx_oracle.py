@@ -4,10 +4,12 @@ The brute-force oracles in ``oracles.py`` only scale to a few dozen nodes;
 these graphs span several traversal blocks. Skipped without networkx.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
-from castnet import linkpred
+from castnet import _bfs, linkpred
 from castnet.centrality import (
     betweenness_centrality,
     closeness_centrality,
@@ -47,6 +49,13 @@ def _as_array(scores: dict, n: int) -> np.ndarray:
     return np.array([scores[i] for i in range(n)])
 
 
+@functools.lru_cache(maxsize=None)
+def _betweenness(name: str) -> np.ndarray:
+    """networkx's normalized betweenness of ``GRAPHS[name]``, computed once."""
+    nxg = GRAPHS[name]()
+    return _as_array(nx.betweenness_centrality(nxg, normalized=True), nxg.number_of_nodes())
+
+
 @pytest.mark.parametrize("name", sorted(GRAPHS))
 def test_betweenness_and_closeness_match_networkx(name):
     nxg = GRAPHS[name]()
@@ -54,10 +63,20 @@ def test_betweenness_and_closeness_match_networkx(name):
     n = g.n
     if name.startswith("disconnected"):
         assert nx.number_connected_components(nxg) > 1
-    betw = _as_array(nx.betweenness_centrality(nxg, normalized=True), n)
+    betw = _betweenness(name)
     close = _as_array(nx.closeness_centrality(nxg, wf_improved=True), n)
     assert np.abs(betweenness_centrality(g, threads=2).scores - betw).max() < TOL
     assert np.abs(closeness_centrality(g, threads=2).scores - close).max() < TOL
+
+
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_betweenness_matches_networkx_on_the_other_operand(name, monkeypatch):
+    """Each graph through the Brandes operand its size does not choose: the
+    300-node graph as a CSR matrix, the 800-node graph as a dense array."""
+    g = _pair(GRAPHS[name]())
+    dense = g.n > _bfs.DENSE_MAX_NODES
+    monkeypatch.setattr(_bfs, "DENSE_MAX_NODES", g.n if dense else g.n - 1)
+    assert np.abs(betweenness_centrality(g, threads=2).scores - _betweenness(name)).max() < TOL
 
 
 def test_closeness_matches_networkx_at_2000_nodes():

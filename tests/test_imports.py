@@ -72,10 +72,10 @@ def test_every_public_name_resolves_and_is_listed():
         (["centrality", "closeness"], "_bfs _options _write centrality cli errors graph graphio"),
         (["centrality", "closeness", "--threads", "2"],
          "_bfs _options _write centrality cli errors graph graphio"),
-        # 150 nodes: a dense adjacency, so no scipy.
-        (["centrality", "betweenness"], "_bfs _options _write centrality cli errors graph graphio"),
         (["path", "actor000", "actor149"], "_bfs _options _write cli errors graph graphio paths"),
         (["build"], "_options _write cli errors graph graphio ingest"),
+        # 150 nodes: a dense adjacency, so no scipy.
+        (["centrality", "betweenness"], "_bfs _options _write centrality cli errors graph graphio"),
     ],
 )
 def test_graph_commands_load_only_their_modules(tmp_path, catalog_csv, argv, modules):

@@ -319,7 +319,7 @@ def _checked(convert, expected: str, ok):
     return parse
 
 
-_path = _checked(str, "a path without NUL", lambda v: "\0" not in v)  # open() refuses NUL
+_path = _checked(str, "a file path", lambda v: v and "\0" not in v)  # open() fails on both
 _thread_count = _checked(int, "an integer >= 0 (0 = all cores)", lambda v: v >= 0)
 _positive_int = _checked(int, "an integer >= 1", lambda v: v >= 1)
 _count = _checked(int, "an integer >= 0", lambda v: v >= 0)
@@ -328,14 +328,21 @@ _resolution = _checked(float, "a finite number > 0", lambda v: 0 < v < math.inf)
 
 
 def _label_overrides(path: str) -> dict[int, str]:
-    """``--labels``: a JSON file holding an object of community id -> label."""
+    """``--labels``: a JSON file holding an object of community id -> label, each id once."""
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
-            labels = {int(k): v for k, v in json.load(fh).items()}
-        if all(isinstance(v, str) for v in labels.values()):
-            "".join(labels.values()).encode("utf-8")  # a lone surrogate escape raises
+            pairs = json.load(fh, object_pairs_hook=tuple)  # an object as its (key, value) pairs
+        if type(pairs) is tuple and all(isinstance(label, str) for _, label in pairs):
+            "".join(label for _, label in pairs).encode("utf-8")  # a lone surrogate escape raises
+            labels: dict[int, str] = {}
+            for key, label in pairs:
+                if int(key) in labels:
+                    raise argparse.ArgumentTypeError(f"{path!r} names community id {int(key)} twice")
+                labels[int(key)] = label
             return labels
-    except (OSError, ValueError, AttributeError):
+    except OSError as exc:
+        raise argparse.ArgumentTypeError(f"cannot read labels file: {exc.strerror}") from None
+    except ValueError:  # not UTF-8 or not JSON, or a key that is no integer
         pass
     raise argparse.ArgumentTypeError(f"{path!r} is not a JSON object of id -> label")
 
@@ -496,7 +503,7 @@ def _config_flags(parser: _Parser, argv: list[str]) -> list[str]:
     if settings is None:
         return []
     pre = _Parser(prog=f"{parser.prog} {argv[0]}", add_help=False)
-    pre.add_argument("--config", type=_checked(str, "a file path", lambda v: v and "\0" not in v))
+    pre.add_argument("--config", type=_path)
     path = pre.parse_known_args(argv[1:])[0].config
     return load_config_file(pre, path, settings) if path is not None else []
 

@@ -103,14 +103,14 @@ class CoGraph:
 
     Built from the title x person incidence alone: title ``t`` has the cast
     ``title_members[title_ptr[t]:title_ptr[t + 1]]`` and the release year
-    ``title_year[t]``, -1 when unknown. The constructor rejects, with
-    :class:`ValueError`, fields that disagree on the title or node count and
-    an incidence whose offsets do not run from 0 up to ``len(title_members)``
-    or whose casts are not strictly increasing ids in ``[0, n)``. It then fills the read-only CSR, and
-    ``rows``, the row of each entry, with :func:`project`. Edge weight counts
-    shared titles. Neighbor arrays are sorted by index; there are no
-    self-loops and all weights are >= 1. ``total_edge_weight`` sums weights
-    over undirected edges (each edge once).
+    ``title_year[t]``, -1 when unknown. The constructor owns the invariants
+    that ``docs/cache-format.md`` lists, so each graph it accepts saves to a
+    cache that loads; it raises a one-line :class:`ValueError` for a broken
+    one. It then fills the read-only CSR, and ``rows``, the row of each
+    entry, with :func:`project`. Edge weight counts shared titles. Neighbor
+    arrays are sorted by index; there are no self-loops and all weights are
+    >= 1. ``total_edge_weight`` sums weights over undirected edges (each
+    edge once).
     """
 
     labels: list[str]
@@ -130,7 +130,18 @@ class CoGraph:
         titles = (len(self.title_names), len(self.title_year), len(self.title_ptr) - 1)
         if len(set(titles)) != 1:
             raise ValueError("title count disagrees: %d names, %d years, %d offset spans" % titles)
-        ptr, members = self.title_ptr, self.title_members
+        countries = ["" if c is None else c for c in self.node_country]  # None: no country
+        for name, texts in (("labels", self.labels), ("title_names", self.title_names),
+                            ("node_country", countries)):
+            try:
+                "".join(texts).encode("utf-8")
+            except (TypeError, UnicodeEncodeError) as exc:  # a non-str item, a lone surrogate
+                raise ValueError(f"{name}: {exc}") from None
+        if len(set(self.labels)) != self.n:
+            raise ValueError("repeated actor label")
+        ptr, members, years = self.title_ptr, self.title_members, self.title_year
+        if np.any((years != -1) & ((years < YEAR_MIN) | (years > YEAR_MAX))):
+            raise ValueError(f"title year neither -1 nor in {YEAR_MIN}..{YEAR_MAX}")
         if ptr[0] != 0 or ptr[-1] != len(members) or np.any(np.diff(ptr) < 0):
             raise ValueError(f"title offsets are not monotone from 0 to {len(members)}")
         if len(members) and (members.min() < 0 or members.max() >= self.n):
@@ -225,12 +236,8 @@ class CoGraph:
         order, and the graph is built from that incidence.
         """
         n = len(labels)
-        if len(set(labels)) != n:
-            raise ValueError("actor labels must be unique")
         u, v, w = np.array(list(edges), dtype=np.int64).reshape(-1, 3).T
         lo, hi = np.minimum(u, v), np.maximum(u, v)
-        if np.any(lo == hi):
-            raise ValueError("self-loops are not allowed")
         bad = np.flatnonzero((lo < 0) | (hi >= n))
         if bad.size:
             raise NodeOutOfRangeError(f"edge ({u[bad[0]]},{v[bad[0]]}) outside [0,{n})")

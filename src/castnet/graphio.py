@@ -16,7 +16,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._options import YEAR_MAX, YEAR_MIN
 from ._write import fmt_score, replacing, write_csv, write_json
 from .errors import CacheFormatError
 from .graph import CoGraph
@@ -143,8 +142,7 @@ class _Reader:
         blob = self.take(size)
         try:
             texts = json.loads(blob.decode("utf-8"))
-            # join fails unless every item is a str, encode on a lone surrogate
-            "".join(texts).encode("utf-8")
+            "".join(texts)  # fails unless every item is a str
         except (ValueError, TypeError, RecursionError):
             raise CacheFormatError("cache string table is not a JSON array of strings") from None
         if type(texts) is not list or len(texts) != count:
@@ -153,9 +151,9 @@ class _Reader:
 
 
 def load_cache(path: str | os.PathLike) -> CoGraph:
-    """Read a cache written by :func:`save_cache`, rejecting any file that is
-    truncated, carries trailing bytes or breaks an incidence invariant. The
-    :class:`CoGraph` constructor checks and projects the incidence; every
+    """Read a cache written by :func:`save_cache`. The loader checks the
+    format; the :class:`CoGraph` constructor checks and projects the graph,
+    and its :class:`ValueError` becomes :class:`CacheFormatError`. Every
     array of the graph is read-only."""
     with open(path, "rb") as fh:
         r = _Reader(fh.read())
@@ -183,12 +181,8 @@ def load_cache(path: str | os.PathLike) -> CoGraph:
     casts = title_ptr[0] == 0 and title_ptr[-1] == n_members and np.all(sizes >= 0)
     if casts and int((sizes * (sizes - 1) // 2).sum()) != total:
         raise CacheFormatError("total_edge_weight disagrees with the casts' pair count")
-    if np.any((title_year != -1) & ((title_year < YEAR_MIN) | (title_year > YEAR_MAX))):
-        raise CacheFormatError(f"title year neither -1 nor in {YEAR_MIN}..{YEAR_MAX}")
     if np.any((slots < -1) | (slots >= n_countries)):
         raise CacheFormatError("node country outside the country table")
-    if len(set(labels)) != n:
-        raise CacheFormatError("repeated actor label")
     try:
         return CoGraph(
             labels=labels,

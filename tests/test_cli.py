@@ -601,6 +601,10 @@ class TestExitCodes:
             (("clusters", "--tau", "0.05", "--labels", "LABELS_OBJECT"), "--labels"),
             (("clusters", "--tau", "0.05", "--labels", "LABELS_NULL"), "--labels"),
             (("clusters", "--tau", "0.05", "--labels", "LABELS_SURROGATE"), "--labels"),
+            (("clusters", "--tau", "0.05", "--labels", "LABELS_MISSING"),
+             "argument --labels: cannot read labels file: No such file or directory"),
+            (("clusters", "--tau", "0.05", "--labels", "LABELS_TWICE"),
+             "names community id 1 twice"),
             (("evolve", "--window", "5", "--step", "0"), "--step"),
             (("evolve", "--window", "3", "--step", "5"), "--window"),
             (("predict", "jaccard", "--top", "5", "--min-common", "0"), "--min-common"),
@@ -615,6 +619,7 @@ class TestExitCodes:
         ids=["partners-top", "predict-top", "clusters-tau", "communities-resolution",
              "stats-top", "clusters-labels", "clusters-labels-object",
              "clusters-labels-null", "clusters-labels-lone-surrogate",
+             "clusters-labels-missing", "clusters-labels-id-twice",
              "evolve-step", "evolve-window-below-step",
              "predict-min-common-zero", "predict-min-common-zero-not-pa", "predict-cap",
              "build-max-cast", "build-min-cast-above-max", "build-years-reversed",
@@ -624,10 +629,11 @@ class TestExitCodes:
                                                   argv, flag):
         labels = {"LABELS": '{"0": "unterminated', "LABELS_OBJECT": '{"0": {"x": 1}}',
                   "LABELS_NULL": '{"0": "ok", "1": null}',  # a label must be a string
-                  "LABELS_SURROGATE": '{"0": "X\\udc00"}'}  # ... that UTF-8 can carry
+                  "LABELS_SURROGATE": '{"0": "X\\udc00"}',  # ... that UTF-8 can carry
+                  "LABELS_TWICE": '{"1": "x", "01": "y"}'}  # ids 1 and 01 are one community
         for token, text in labels.items():
             (tmp_path / f"{token}.json").write_text(text, encoding="utf-8")
-        argv = [str(tmp_path / f"{a}.json") if a in labels else a for a in argv]
+        argv = [str(tmp_path / f"{a}.json") if a.startswith("LABELS") else a for a in argv]
         source = ("--records", str(pipeline_dir / "records.jsonl")) \
             if argv[0] in ("build", "stats", "evolve") \
             else ("--graph", str(pipeline_dir / "graph.bin"))
@@ -858,12 +864,23 @@ class TestExitCodes:
          "nope.conf: cannot read config file: No such file or directory"),
         (("frobnicate",), "'frobnicate'"),
         (("crossover", "--config", ""), "argument --config: expected a file path, got ''"),
+        (("centrality", "degree", "--graph", ""),
+         "argument --graph: expected a file path, got ''"),
+        (("partners", "--top", "1", "--graph", "g.bin", "--out", ""),
+         "argument --out: expected a file path, got ''"),
+        (("build", "--records", "r.jsonl", "--persons", ""),
+         "argument --persons: expected a file path, got ''"),
+        (("crossover", "--config", "EMPTY_GRAPH"),
+         "argument --graph: expected a file path, got ''"),
     ], ids=["build-no-records", "imdb-no-names", "netflix-no-input", "config-unknown-key",
-            "config-missing", "unknown-command", "config-empty"])
+            "config-missing", "unknown-command", "config-empty", "graph-empty", "out-empty",
+            "persons-empty", "config-graph-empty"])
     def test_usage_error_exits_2_before_out_exists(self, tmp_path, capsys, argv, message):
         conf = tmp_path / "bad.conf"
         conf.write_text("source = netflix\nnonsense = 1\n", encoding="utf-8")
-        paths = {"CONF": str(conf), "MISSING": str(tmp_path / "nope.conf")}
+        (tmp_path / "empty-graph.conf").write_text("graph =\n", encoding="utf-8")
+        paths = {"CONF": str(conf), "MISSING": str(tmp_path / "nope.conf"),
+                 "EMPTY_GRAPH": str(tmp_path / "empty-graph.conf")}
         argv = [paths.get(a, a) for a in argv]
         out = tmp_path / "out"
         assert run(*argv, "--out", str(out)) == 2

@@ -366,7 +366,7 @@ class TestAccessors:
             "title_names": ["t1", "other"],
             "title_ptr": np.array([0, 1, 3]),  # casts [A], [B, C]
             "title_members": np.array([1, 2, 0], np.int32),  # casts [B, C], [A]
-            "title_year": g.title_year + 1,
+            "title_year": np.array([2001, -1], np.int32),  # years [2000, -1]
         }
         assert sorted(changes) == sorted(f.name for f in dataclasses.fields(g) if f.init)
         for name, changed in changes.items():
@@ -399,6 +399,29 @@ class TestAccessors:
                 title_members=np.array(members, np.int32),
                 title_year=np.full(len(ptr) - 1, -1, np.int32),
             )
+
+    @pytest.mark.parametrize("changes, match", [
+        ({"labels": ["a", "b", "a"]}, "repeated actor label"),
+        ({"labels": ["a", "b", 3]}, "labels: sequence item 2: expected str instance, int"),
+        ({"labels": ["a", "b", "c\udc00"]}, "labels: .* surrogates not allowed"),
+        ({"title_names": [None]}, "title_names: sequence item 0: expected str instance"),
+        ({"title_names": ["\ud800"]}, "title_names: .* surrogates not allowed"),
+        ({"node_country": ["US", None, 5]}, "node_country: sequence item 2: expected str"),
+        ({"node_country": [None, "\udc00", None]}, "node_country: .* surrogates not allowed"),
+        ({"title_year": np.array([YEAR_MIN - 1])}, f"title year neither -1 nor in {YEAR_MIN}.."),
+        ({"title_year": np.array([YEAR_MAX + 1])}, "title year neither -1 nor in"),
+        ({"title_year": np.array([-2])}, "title year neither -1 nor in"),
+    ], ids=["label-repeated", "label-not-str", "label-lone-surrogate", "title-name-not-str",
+            "title-name-lone-surrogate", "country-not-str", "country-lone-surrogate",
+            "year-before-min", "year-after-max", "year-below-unknown"])
+    def test_constructor_rejects_what_the_cache_cannot_hold(self, changes, match):
+        fields = dict(labels=["a", "b", "c"], node_country=[None] * 3, title_names=["t"],
+                      title_ptr=np.array([0, 2], np.int64),
+                      title_members=np.array([0, 1], np.int32),
+                      title_year=np.array([2000], np.int32))
+        CoGraph(**fields)
+        with pytest.raises(ValueError, match=match):
+            CoGraph(**fields | changes)
 
     def test_from_weighted_edges_rejects_short_node_country(self):
         with pytest.raises(ValueError, match="node_country has length 1, not 3"):
@@ -441,7 +464,7 @@ class TestAccessors:
         assert g.title_year.tolist() == [-1] * g.total_edge_weight
 
     def test_from_weighted_edges_rejects_repeated_label(self):
-        with pytest.raises(ValueError, match="unique"):
+        with pytest.raises(ValueError, match="repeated actor label"):
             CoGraph.from_weighted_edges(["a", "a", "b"], [(0, 2, 1)])
 
     def test_from_weighted_edges_rejects_bad_edges(self):

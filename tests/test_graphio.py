@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -156,15 +156,19 @@ class TestCache:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = array[0]
 
-    def test_failed_write_keeps_previous_cache(self, tmp_path):
+    def test_failed_write_keeps_previous_cache(self, tmp_path, monkeypatch):
         path = tmp_path / "graph.bin"
         save_cache(path, full_featured_graph())
         before = path.read_bytes()
-        # A lone surrogate cannot be encoded: the write fails after the
-        # header and the labels are already in the temporary file.
-        broken = dataclasses.replace(full_featured_graph(), title_names=["\ud800", "b", "c"])
-        with pytest.raises(UnicodeEncodeError):
-            save_cache(path, broken)
+        sections = graphio._sections
+
+        def failing(g):  # the write fails after the header and the labels
+            yield from list(sections(g))[:2]
+            raise OSError("No space left on device")
+
+        monkeypatch.setattr(graphio, "_sections", failing)
+        with pytest.raises(OSError, match="No space"):
+            save_cache(path, full_featured_graph())
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["graph.bin"]
 
@@ -253,11 +257,15 @@ class TestCacheInvariants:
             with pytest.raises(CacheFormatError, match="total_edge_weight disagrees"):
                 load_cache(path)
 
-    @pytest.mark.parametrize("table", [
-        b'["a", "b", "c", 4]', b'{"a": 1}', b'["a", "b", "c"]', b'["a", "b", "c", "\\ud800"]',
-        b'["a", "b", "c", "d"', b"[" * 10**6,
+    @pytest.mark.parametrize("table, match", [
+        (b'["a", "b", "c", 4]', "string table"),
+        (b'{"a": 1}', "string table"),
+        (b'["a", "b", "c"]', "string table"),
+        (b'["a", "b", "c", "\\ud800"]', "labels: .* surrogates not allowed"),  # the constructor's
+        (b'["a", "b", "c", "d"', "string table"),
+        (b"[" * 10**6, "string table"),
     ], ids=["number", "object", "three", "lone-surrogate", "unterminated", "nested"])
-    def test_bad_label_table_rejected(self, tmp_path, table):
+    def test_bad_label_table_rejected(self, tmp_path, table, match):
         """The label table must be a JSON array of the four labels. One of
         deeply nested arrays overflows the JSON parser's stack."""
         path = tmp_path / "graph.bin"
@@ -265,7 +273,7 @@ class TestCacheInvariants:
         data = path.read_bytes()
         (size,) = struct.unpack("<Q", data[52:60])  # the label table follows the header
         path.write_bytes(data[:52] + struct.pack("<Q", len(table)) + table + data[60 + size:])
-        with pytest.raises(CacheFormatError, match="string table"):
+        with pytest.raises(CacheFormatError, match=match):
             load_cache(path)
 
 
@@ -277,6 +285,62 @@ def _valid_cache(directory) -> bytes:
         save_cache(directory / "valid.bin", full_featured_graph())
         _VALID_CACHE.append((directory / "valid.bin").read_bytes())
     return _VALID_CACHE[0]
+
+
+def _mixed(valid, *invalid):
+    """Mostly ``valid`` values, and now and then one of the ``invalid`` ones."""
+    return st.one_of(valid, valid, valid, *invalid)
+
+
+_name = st.one_of(st.sampled_from(["", "a", "b", "é"]), st.text(max_size=3))
+_lone_surrogate = st.sampled_from(["a\udc00", "\ud800"])
+_not_str = st.one_of(st.integers(0, 5), st.binary(max_size=1))
+
+
+@st.composite
+def _constructor_fields(draw):
+    """``CoGraph`` keyword arguments with a valid incidence, whose labels,
+    title names, node countries and years mix valid and invalid values."""
+    labels = draw(st.lists(_mixed(_name, _lone_surrogate, _not_str), max_size=6))
+    n = len(labels)
+    country = _mixed(st.none(), st.sampled_from(["", "US", "IN"]), _lone_surrogate, _not_str)
+    year = st.one_of(st.just(-1), st.integers(YEAR_MIN, YEAR_MAX), st.integers(-3, 3000))
+    cast = st.sets(st.integers(0, n - 1), max_size=4) if n else st.just(set())
+    titles = draw(st.lists(st.tuples(_mixed(_name, _lone_surrogate, _not_str), year, cast),
+                           max_size=5))
+    return dict(
+        labels=labels,
+        node_country=draw(st.lists(country, min_size=n, max_size=n)),
+        title_names=[name for name, _, _ in titles],
+        title_ptr=np.cumsum([0, *(len(c) for _, _, c in titles)], dtype=np.int64),
+        title_members=np.array([m for *_, c in titles for m in sorted(c)], np.int32),
+        title_year=np.array([y for _, y, _ in titles], np.int32),
+    )
+
+
+def _fields(**changes):
+    """The fields of a two-actor, one-title graph, with ``changes``."""
+    return dict(labels=["a", "b"], node_country=[None, "US"], title_names=["t"],
+                title_ptr=np.array([0, 2], np.int64), title_members=np.array([0, 1], np.int32),
+                title_year=np.array([2000], np.int32)) | changes
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_constructor_fields())
+@example(_fields(labels=["a", "a"]))
+@example(_fields(labels=["a\udc00", "b"]))
+@example(_fields(node_country=[None, 5]))
+@example(_fields(title_year=np.array([3000], np.int32)))
+def test_every_graph_the_constructor_accepts_round_trips(tmp_path, fields):
+    """The constructor owns the invariants the cache stores: it rejects a
+    graph, or ``load_cache`` reads back the graph ``save_cache`` wrote."""
+    try:
+        g = CoGraph(**fields)
+    except ValueError:
+        return
+    save_cache(tmp_path / "graph.bin", g)
+    assert load_cache(tmp_path / "graph.bin") == g
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -403,8 +467,11 @@ class TestGraphmlBytes:
 @given(_labelled_graphs())
 @example(CoGraph.from_weighted_edges(["a\x01b", "\x00", "\x1b[0m", "x\x9f\uffff"], [(0, 1, 1)]))
 def test_graphml_of_ingested_names_is_well_formed(tmp_path, g):
-    """Names reach the graph through ``normalize_name``, as ingest passes them."""
-    g = dataclasses.replace(g, labels=[normalize_name(label) for label in g.labels])
+    """Names reach the graph through ``normalize_name``, as ingest passes them,
+    and ingest keeps the labels distinct."""
+    labels = [normalize_name(label) for label in g.labels]
+    assume(len(set(labels)) == len(labels))
+    g = dataclasses.replace(g, labels=labels)
     write_graphml(tmp_path / "graph.graphml", g)
     root = ET.parse(tmp_path / "graph.graphml").getroot()
     names = [data.text or "" for data in root.iter("{http://graphml.graphdrawing.org/xmlns}data")

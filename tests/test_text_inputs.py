@@ -161,7 +161,7 @@ def test_mutated_imdb_tsvs_exit_cleanly(tmp_path_factory):
 def test_mutated_config_file_exits_cleanly(built, tmp_path_factory):
     base = tmp_path_factory.mktemp("config")
     lines = ["# one file for the whole pipeline", f"records = {built / 'records.jsonl'}",
-             "persons =", "seed = 7", "threads = 2", "kind = movie", "year_min = 2000"]
+             "seed = 7", "threads = 2", "kind = movie", "year_min = 2000"]
     nul_path = "\n".join(lines).replace("records = ", "records = \0").encode("utf-8")
 
     @EXAMPLES
